@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import lsq_linear
@@ -28,9 +28,6 @@ from .model import Cell, Configuration, FaultState, Subassembly, partition
 # arm_offset * ROTOR_DIAGONALS[i] from the unit center; opposite corners spin
 # the same way so yaw is balanced on a healthy unit.
 ROTOR_DIAGONALS: tuple[tuple[int, int], ...] = ((1, 1), (-1, 1), (-1, -1), (1, -1))
-
-NORMAL_DEDUP_DECIMALS = 9
-_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,49 +134,73 @@ def gravity_wrench(n_units: int, params: PhysicalParams = DEFAULT_PARAMS) -> np.
     return np.array([n_units * params.unit_mass * params.gravity, 0.0, 0.0, 0.0])
 
 
-def facet_normal_candidates(generators: np.ndarray) -> np.ndarray:
-    """Unit normals of all hyperplanes spanned by three independent generators.
+@lru_cache
+def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs (j, k), j < k, sorted by j: the pairs with j > i are a suffix."""
+    return np.triu_indices(m, k=1)
 
-    Facets of a 4-D zonotope are spanned by generator triples, so this set
-    contains every facet normal (plus harmless extras from triples that do not
-    actually support a facet). Normals are sign-canonicalized and deduplicated
-    at 1e-9 resolution.
+
+# Coordinate pairs (p, q), p < q, of the 2x2 minors of two generator rows.
+_MINOR_P = np.array([0, 0, 0, 1, 1, 2])
+_MINOR_Q = np.array([1, 2, 3, 2, 3, 3])
+
+
+def _cofactor_map(a: np.ndarray) -> np.ndarray:
+    """Matrix L(a) with cross(a, b, c) = minors(b, c) @ L(a).
+
+    minors(b, c) holds the 2x2 minors b_p c_q - b_q c_p for (p, q) in
+    _MINOR_P/_MINOR_Q order; L(a) is the Laplace expansion of the
+    generalized cross product along a, whose component k is (-1)^k times the
+    3x3 minor of (a, b, c) that omits column k.
     """
-    m = generators.shape[0]
-    if m < 3:
-        return np.zeros((0, 4))
+    a0, a1, a2, a3 = a
+    return np.array([
+        [0.0, 0.0, a3, -a2],
+        [0.0, -a3, 0.0, a1],
+        [0.0, a2, -a1, 0.0],
+        [a3, 0.0, 0.0, -a0],
+        [-a2, 0.0, a0, 0.0],
+        [a1, -a0, 0.0, 0.0],
+    ])
+
+
+def _facet_normal_chunks(generators: np.ndarray):
+    """Yield (normals, lengths) of the triples (i, j, k), i < j < k, one chunk per i.
+
+    Each normal is the generalized cross product of the three normalized
+    generator rows, unscaled; triples whose product is shorter than 1e-9
+    (dependent, or one generator is zero) are dropped. A chunk holds at most
+    C(m - 1, 2) normals.
+    """
     norms = np.linalg.norm(generators, axis=1)
     keep = norms > 0
     rows = generators[keep] / norms[keep][:, None]
     m = rows.shape[0]
     if m < 3:
-        return np.zeros((0, 4))
-    idx = np.fromiter(
-        (i for trio in combinations(range(m), 3) for i in trio), dtype=np.intp
-    ).reshape(-1, 3)
-    triples = rows[idx]  # (N, 3, 4)
-    # Generalized cross product: component k is (-1)^k times the 3x3 minor
-    # that omits column k.
-    cols = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-    normals = np.stack(
-        [((-1.0) ** k) * np.linalg.det(triples[:, :, cols[k]]) for k in range(4)],
-        axis=1,
-    )
-    lens = np.linalg.norm(normals, axis=1)
-    ok = lens > 1e-9
-    normals = normals[ok] / lens[ok][:, None]
-    if not len(normals):
-        return np.zeros((0, 4))
-    # canonical sign: first component with magnitude above tolerance is positive
-    sign = np.ones(len(normals))
-    undecided = np.ones(len(normals), dtype=bool)
-    for k in range(4):
-        col = normals[:, k]
-        pick = undecided & (np.abs(col) > 1e-9)
-        sign[pick] = np.sign(col[pick])
-        undecided &= ~pick
-    normals = normals * sign[:, None]
-    return np.unique(np.round(normals, NORMAL_DEDUP_DECIMALS), axis=0)
+        return
+    j, k = _pair_index(m)
+    b, c = rows[j], rows[k]
+    minors = b[:, _MINOR_P] * c[:, _MINOR_Q] - b[:, _MINOR_Q] * c[:, _MINOR_P]
+    start = 0
+    for i in range(m - 2):
+        start += m - 1 - i
+        normals = minors[start:] @ _cofactor_map(rows[i])
+        lens = np.linalg.norm(normals, axis=1)
+        ok = lens > 1e-9
+        yield normals[ok], lens[ok]
+
+
+def facet_normal_candidates(generators: np.ndarray) -> np.ndarray:
+    """Unit normals of all hyperplanes spanned by three independent generators.
+
+    Facets of a 4-D zonotope are spanned by generator triples, so this set
+    contains every facet normal (plus harmless extras from triples that do not
+    actually support a facet). There is one row per independent triple, with
+    no sign canonicalization and no deduplication: the margin is symmetric in
+    +-eta and a minimum ignores repeats.
+    """
+    chunks = [normals / lens[:, None] for normals, lens in _facet_normal_chunks(generators)]
+    return np.concatenate([np.zeros((0, 4)), *chunks])
 
 
 def _distance_to_zonotope(zono: WrenchZonotope, point: np.ndarray) -> float:
@@ -199,9 +220,12 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray) -> float:
     """Signed distance from the hover wrench to the boundary of the wrench set.
 
     Interior case: exact minimum over facet margins,
-        margin(eta) = (eta.c + sum_i |eta.g_i|) - eta.g, minimized over +-eta.
-    Exterior or degenerate case (generator rank < 4, empty interior): minus
-    the projection distance onto the set.
+        margin(eta) = (eta.c + sum_i |eta.g_i|) - eta.g, minimized over +-eta,
+    that is sum_i |eta.g_i| - |eta.(c - g)|. The normals are streamed one
+    chunk of triples at a time and only the running minimum is kept, so
+    memory is bounded by one chunk, O(C(m - 1, 2) * m), not by all C(m, 3)
+    triples. Exterior or degenerate case (generator rank < 4, empty
+    interior): minus the projection distance onto the set.
     """
     g = np.asarray(g, dtype=float)
     scale = zono.scale() + float(np.linalg.norm(g)) + 1.0
@@ -209,11 +233,17 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray) -> float:
     if zono.m < 4 or np.linalg.matrix_rank(zono.generators, tol=1e-12 * scale) < 4:
         d = _distance_to_zonotope(zono, g)
         return 0.0 if d <= tol else -d
-    normals = facet_normal_candidates(zono.generators)
-    habs = np.abs(normals @ zono.generators.T).sum(axis=1)
-    nc = normals @ zono.center
-    ng = normals @ g
-    margin = float(np.minimum(nc + habs - ng, -nc + habs + ng).min())
+    # One product per chunk gives every eta.g_i and eta.(c - g); the weights
+    # add the first m absolute values and subtract the last, and dividing by
+    # the lengths rescales the unscaled normals to unit ones.
+    probe = np.column_stack((zono.generators.T, zono.center - g))
+    weights = np.ones(zono.m + 1)
+    weights[-1] = -1.0
+    margin = math.inf
+    for normals, lens in _facet_normal_chunks(zono.generators):
+        products = normals @ probe
+        np.abs(products, out=products)
+        margin = min(margin, float((products @ weights / lens).min(initial=math.inf)))
     if margin >= 0.0:
         return margin
     d = _distance_to_zonotope(zono, g)

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's own algorithms: margins are
 estimated by random direction sampling against the support function only,
 paths by breadth-first search, assignments by permutation enumeration, and
-shape counts by brute-force subset growth.
+shape counts by brute-force subset growth. The one exception is the margin
+kernel's reference: the library's earlier facet enumeration (all triples at
+once, sign-canonicalized and deduplicated), kept here so that the streaming
+kernel can be checked against it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from collections import deque
 from itertools import combinations, permutations
 
 import numpy as np
+from scipy.optimize import lsq_linear
 
 from marsplan.controllability import (
     PhysicalParams,
@@ -139,6 +143,75 @@ def sampling_cm(sub: Subassembly, params: PhysicalParams,
             best = float(v[i])
             best_dir = d[i]
     return best
+
+
+def reference_facet_normals(generators: np.ndarray) -> np.ndarray:
+    """Sign-canonical, deduplicated unit normals of all generator triples.
+
+    The canonical sign makes the first component above 1e-9 in magnitude
+    positive; duplicates are merged at 9-decimal resolution.
+    """
+    m = generators.shape[0]
+    if m < 3:
+        return np.zeros((0, 4))
+    norms = np.linalg.norm(generators, axis=1)
+    keep = norms > 0
+    rows = generators[keep] / norms[keep][:, None]
+    m = rows.shape[0]
+    if m < 3:
+        return np.zeros((0, 4))
+    idx = np.fromiter(
+        (i for trio in combinations(range(m), 3) for i in trio), dtype=np.intp
+    ).reshape(-1, 3)
+    triples = rows[idx]
+    cols = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+    normals = np.stack(
+        [((-1.0) ** k) * np.linalg.det(triples[:, :, cols[k]]) for k in range(4)],
+        axis=1,
+    )
+    lens = np.linalg.norm(normals, axis=1)
+    ok = lens > 1e-9
+    normals = normals[ok] / lens[ok][:, None]
+    if not len(normals):
+        return np.zeros((0, 4))
+    sign = np.ones(len(normals))
+    undecided = np.ones(len(normals), dtype=bool)
+    for k in range(4):
+        col = normals[:, k]
+        pick = undecided & (np.abs(col) > 1e-9)
+        sign[pick] = np.sign(col[pick])
+        undecided &= ~pick
+    normals = normals * sign[:, None]
+    return np.unique(np.round(normals, 9), axis=0)
+
+
+def reference_cm_signed_distance(zono: WrenchZonotope, g: np.ndarray) -> float:
+    """Signed margin from `reference_facet_normals` over all triples at once.
+
+    The exterior and rank-deficient cases use the same box-constrained
+    least-squares projection as the library.
+    """
+    g = np.asarray(g, dtype=float)
+    scale = zono.scale() + float(np.linalg.norm(g)) + 1.0
+    tol = 1e-9 * scale
+
+    def exterior() -> float:
+        delta = g - zono.center
+        if zono.m == 0:
+            d = float(np.linalg.norm(delta))
+        else:
+            res = lsq_linear(zono.generators.T, delta, bounds=(-1.0, 1.0), tol=1e-14, max_iter=400)
+            d = float(np.linalg.norm(zono.generators.T @ res.x - delta))
+        return 0.0 if d <= tol else -d
+
+    if zono.m < 4 or np.linalg.matrix_rank(zono.generators, tol=1e-12 * scale) < 4:
+        return exterior()
+    normals = reference_facet_normals(zono.generators)
+    habs = np.abs(normals @ zono.generators.T).sum(axis=1)
+    nc = normals @ zono.center
+    ng = normals @ g
+    margin = float(np.minimum(nc + habs - ng, -nc + habs + ng).min())
+    return margin if margin >= 0.0 else exterior()
 
 
 def random_connected_cells(rng: np.random.Generator, n: int) -> list[Cell]:

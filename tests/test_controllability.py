@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from marsplan.controllability import (
     DEFAULT_PARAMS,
     PhysicalParams,
+    WrenchZonotope,
     build_zonotope,
     cached_subassembly_cm,
     clear_cm_cache,
@@ -35,7 +36,12 @@ from marsplan.model import (
     rotor_fault,
 )
 
-from helpers import random_faulty_subassembly, sampling_cm
+from helpers import (
+    random_faulty_subassembly,
+    reference_cm_signed_distance,
+    reference_facet_normals,
+    sampling_cm,
+)
 
 ORACLE_REL_TOL = 0.02
 ORACLE_ABS_TOL = 1e-4
@@ -138,16 +144,20 @@ def test_support_is_exact_for_the_sign_vertex_and_bounds_samples():
     assert np.all(points @ dirs.T <= sup[None, :] + 1e-12)
 
 
-def test_facet_normal_candidates_are_canonical_unit_vectors():
+def test_facet_normal_candidates_cover_the_canonical_normals():
     zono = build_zonotope(sub_of(*PINNED["live_dead_live_row"][:2]))
     normals = facet_normal_candidates(zono.generators)
-    assert len(normals) >= 4
     assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-9)
-    # Sign canonicalization: the first component of visible magnitude is +.
-    for row in normals:
-        lead = row[np.abs(row) > 1e-9][0]
-        assert lead > 0
-    assert len(np.unique(np.round(normals, 9), axis=0)) == len(normals)
+    # Each candidate is spanned by a generator triple, so it is orthogonal to
+    # at least three generators.
+    rows = zono.generators / np.linalg.norm(zono.generators, axis=1, keepdims=True)
+    assert np.all((np.abs(normals @ rows.T) <= 1e-9).sum(axis=1) >= 3)
+    # Up to sign, every normal of the canonical deduplicated set is present.
+    canonical = reference_facet_normals(zono.generators)
+    assert len(canonical) >= 4
+    for eta in canonical:
+        gap = np.minimum(np.abs(normals - eta).max(axis=1), np.abs(normals + eta).max(axis=1))
+        assert gap.min() <= 1e-9
 
 
 def test_fewer_than_three_generators_yield_no_normals():
@@ -173,6 +183,54 @@ def test_margins_match_sampling_estimator(name):
     assert abs(exact - est) <= max(ORACLE_REL_TOL * abs(exact), ORACLE_ABS_TOL)
     if abs(exact) > 1e-9:
         assert (exact > 0) == (est > 0)
+
+
+def _block(width, height, faults):
+    cells = [Cell(x, y) for y in range(height) for x in range(width)]
+    return sub_of(cells, {Cell(*xy): state for xy, state in faults.items()})
+
+
+def _zonotope_case(generators, shift):
+    generators = 0.075 * np.asarray(generators, dtype=float)
+    center = generators.sum(axis=0)
+    return WrenchZonotope(center=center, generators=generators), center + shift
+
+
+_E = np.eye(4)
+_INSIDE = np.array([0.01, 0.002, -0.001, 0.0005])
+_OUTSIDE = np.array([0.5, 0.0, 0.0, 0.0])
+
+# Solid blocks with 0-2 unit or rotor faults: m = 28..120 generators, so the
+# chunked kernel runs at the sizes the planner reaches.
+KERNEL_BLOCKS = {
+    "3x3": (3, 3, {}),
+    "3x3-u": (3, 3, {(1, 1): UNIT_FAULT}),
+    "3x3-uu": (3, 3, {(0, 0): UNIT_FAULT, (2, 1): UNIT_FAULT}),
+    "3x3-ur": (3, 3, {(1, 0): UNIT_FAULT, (2, 2): rotor_fault(3)}),
+    "4x3-r": (4, 3, {(0, 0): rotor_fault(2)}),
+    "4x3-uu": (4, 3, {(1, 1): UNIT_FAULT, (3, 2): UNIT_FAULT}),
+    "6x5": (6, 5, {}),
+    "6x5-ur": (6, 5, {(2, 2): UNIT_FAULT, (5, 0): rotor_fault(0)}),
+}
+
+KERNEL_EDGES = {
+    "m2": ([_E[0], _E[1]], _INSIDE),
+    "zero-generator": ([_E[0], _E[1], np.zeros(4), _E[2], _E[3], _E.sum(axis=0)], _INSIDE),
+    "zero-generator-outside": ([_E[0], np.zeros(4), _E[1], _E[2], _E[3]], _OUTSIDE),
+    "coplanar-triple": ([_E[0], _E[1], _E[0] + _E[1], _E[2], _E[3]], _INSIDE),
+    "coplanar-only": ([_E[0], _E[1], _E[0] - _E[1]], _INSIDE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED) + sorted(KERNEL_BLOCKS) + sorted(KERNEL_EDGES))
+def test_kernel_matches_the_all_triples_reference(name):
+    if name in KERNEL_EDGES:
+        zono, g = _zonotope_case(*KERNEL_EDGES[name])
+    else:
+        sub = sub_of(*PINNED[name][:2]) if name in PINNED else _block(*KERNEL_BLOCKS[name])
+        zono, g = build_zonotope(sub), gravity_wrench(sub.n)
+    assert cm_signed_distance(zono, g) == pytest.approx(
+        reference_cm_signed_distance(zono, g), abs=1e-9)
 
 
 def test_all_dead_margin_is_exactly_minus_weight():

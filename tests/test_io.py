@@ -1,6 +1,8 @@
 """Scenario parsing, plan files, replay, CSV trace, SVG rendering, and the CLI."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +209,41 @@ def test_document_bytes_are_stable_and_compact(rect_plan):
     # Byte-stability through a JSON round trip (the determinism contract).
     assert document_to_bytes(json.loads(blob.decode())) == blob
     assert document_to_bytes(plan_to_document(p, start)) == blob
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# sha256 of the plan document of each bundled scenario under the default
+# weights (no bundled scenario sets its own), relocation rule on, plus the
+# heart11 rule-off ablation. Any change to the kernel, the search
+# or the serializer that alters a plan byte shows up here; update a digest
+# only together with a stated reason for the changed plan.
+GOLDEN_PLAN_DIGESTS = {
+    ("heart11", True):
+        "07da2b9c9c9d88ef192aeeb50913a4da88c38f722425860499bd0c8333066191",
+    ("heart11", False):
+        "01bf961e6549a73f8451be4f4b2957f4c01231706866cfa0ed169cb2d25a2593",
+    ("hollow3x3", True):
+        "16f32f5ece9ab74fdb1f5bd92e7514e7a148c1e2b89f4f128a9b8fed7dc605bb",
+    ("icra_letters", True):
+        "66f8f847bdf3e7fdbfda4ddf199ead269201b1090622db09b42a48e06be98d2b",
+    ("rect3x2_2fault", True):
+        "e1fcb53b2e420fb66f565f0f23db37b08ec29cf407811de31b0a1de4488b7066",
+    ("rect3x2_fault3", True):
+        "147ff0025a11c983aed854fae14e7fbd17130437c14238fae8a08b91ad7c3e40",
+    ("rect3x3_fault8", True):
+        "8e06c3ee19a08f3c6df67416597b61ff51e144872a8262b764b442c7b635868a",
+    ("triangle9_2fault", True):
+        "87dfd1126a594a788e2d27323a3672ac14b57d484e0560cfd88f42ef44340c1d",
+}
+
+
+@pytest.mark.parametrize("stem, rule", sorted(GOLDEN_PLAN_DIGESTS))
+def test_bundled_plan_documents_match_golden_digests(stem, rule):
+    scenario = load_scenario(SCENARIOS / f"{stem}.json")
+    result = plan(scenario.config, scenario.params, relocation_rule=rule)
+    blob = document_to_bytes(plan_to_document(result, scenario.config, scenario.name))
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_PLAN_DIGESTS[stem, rule]
 
 
 def test_save_and_load_plan(tmp_path, rect_plan):
