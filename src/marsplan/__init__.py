@@ -8,138 +8,36 @@ support structure that keeps faulty units flyable, and plans step-by-step
 reconfiguration in which every intermediate state stays controllable.
 """
 
-from .controllability import (
-    DEFAULT_PARAMS,
-    PhysicalParams,
-    WrenchZonotope,
-    build_zonotope,
-    cached_subassembly_cm,
-    clear_cm_cache,
-    cm_signed_distance,
-    gravity_wrench,
-    subassembly_cm,
-    system_cm,
-)
-from .errors import (
-    InfeasibleAssignmentError,
-    InfeasibleTargetError,
-    NoFeasibleDonorError,
-    NoPathError,
-    NoVmcsPlacementError,
-    PlanningError,
-    SafetyViolationError,
-    ScenarioError,
-    VmcsSearchError,
-)
-from .io import (
-    Scenario,
-    load_plan_document,
-    load_scenario,
-    parse_scenario,
-    plan_to_document,
-    replay_document,
-    save_plan,
-    write_cm_trace,
-)
-from .model import (
-    HEALTHY,
-    UNIT_FAULT,
-    Cell,
-    Configuration,
-    FaultKind,
-    FaultState,
-    Subassembly,
-    cell_key,
-    connected_components,
-    is_connected,
-    partition,
-    rotor_fault,
-)
-from .paths import Arena, GridPath, arena_around, astar_subassembly, astar_unit, swept_cells
-from .planner import (
-    Phase,
-    Plan,
-    PlanStep,
-    StepKind,
-    assign_units,
-    conflict_free_targets,
-    plan,
-    validate_plan,
-)
+from .controllability import DEFAULT_PARAMS, PhysicalParams, subassembly_cm, system_cm
+from .errors import InfeasibleTargetError, PlanningError, ScenarioError
+from .io import load_scenario, replay_document, save_plan
+from .model import UNIT_FAULT, Cell, Configuration, Subassembly, rotor_fault
+from .planner import plan, validate_plan
 from .render import render_plan_svgs
-from .vmcs import (
-    TargetConfiguration,
-    VmcsSpec,
-    enumerate_connected_shapes,
-    identify_vmcs,
-    optimal_configuration,
-    plan_vmcs_completion,
-    ranked_support_shapes,
-)
+from .vmcs import identify_vmcs, optimal_configuration
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_PARAMS",
     "PhysicalParams",
-    "WrenchZonotope",
-    "build_zonotope",
-    "cached_subassembly_cm",
-    "clear_cm_cache",
-    "cm_signed_distance",
-    "gravity_wrench",
     "subassembly_cm",
     "system_cm",
-    "InfeasibleAssignmentError",
     "InfeasibleTargetError",
-    "NoFeasibleDonorError",
-    "NoPathError",
-    "NoVmcsPlacementError",
     "PlanningError",
-    "SafetyViolationError",
     "ScenarioError",
-    "VmcsSearchError",
-    "Scenario",
-    "load_plan_document",
     "load_scenario",
-    "parse_scenario",
-    "plan_to_document",
     "replay_document",
     "save_plan",
-    "write_cm_trace",
-    "HEALTHY",
     "UNIT_FAULT",
     "Cell",
     "Configuration",
-    "FaultKind",
-    "FaultState",
     "Subassembly",
-    "cell_key",
-    "connected_components",
-    "is_connected",
-    "partition",
     "rotor_fault",
-    "Arena",
-    "GridPath",
-    "arena_around",
-    "astar_subassembly",
-    "astar_unit",
-    "swept_cells",
-    "Phase",
-    "Plan",
-    "PlanStep",
-    "StepKind",
-    "assign_units",
-    "conflict_free_targets",
     "plan",
     "validate_plan",
     "render_plan_svgs",
-    "TargetConfiguration",
-    "VmcsSpec",
-    "enumerate_connected_shapes",
     "identify_vmcs",
     "optimal_configuration",
-    "plan_vmcs_completion",
-    "ranked_support_shapes",
     "__version__",
 ]

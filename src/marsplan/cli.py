@@ -3,21 +3,19 @@
     marsplan plan --input scenario.json --output plan.json
                   [--cm-trace trace.csv] [--svg-dir dir]
                   [--c1 f] [--c2 f] [--epsilon f]
-                  [--no-relocation-rule] [--seed n]
+                  [--no-relocation-rule]
     marsplan cm   --input scenario.json
 
 Exit codes: 0 success, 1 input error, 2 no fault placement reaches the margin
 floor, 3 the planner could not complete a phase. Planner weights resolve as
-command line over scenario file over built-in defaults. The --seed flag is
-accepted and recorded for forward compatibility; planning is deterministic and
-ignores it. Setting MARSPLAN_PARAMS to a JSON file of physical-parameter
-fields replaces the built-in defaults (scenario overrides still apply on top).
+command line over scenario file over the defaults of `plan()`. Setting
+MARSPLAN_PARAMS to a JSON file of physical-parameter fields replaces the
+built-in defaults (scenario overrides still apply on top).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -26,7 +24,7 @@ from pathlib import Path
 
 from .controllability import DEFAULT_PARAMS, PhysicalParams, system_cm, cached_subassembly_cm
 from .errors import InfeasibleTargetError, PlanningError, ScenarioError
-from .io import Scenario, load_scenario, save_plan, write_cm_trace
+from .io import _parse_params, load_scenario, save_plan, write_cm_trace
 from .model import cell_key, partition
 from .planner import plan as compute_plan
 from .render import render_plan_svgs
@@ -59,8 +57,6 @@ def _build_parser() -> _Parser:
     p_plan.add_argument("--no-relocation-rule", action="store_true",
                         help="park cleared blockers in their own row instead of "
                              "on vacant target cells")
-    p_plan.add_argument("--seed", type=int, default=None,
-                        help="reserved; planning is deterministic and ignores it")
 
     p_cm = sub.add_parser("cm", help="print controllability margins for a scenario")
     p_cm.add_argument("--input", required=True, help="scenario JSON file")
@@ -76,44 +72,23 @@ def _base_params() -> PhysicalParams:
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot load params file {override} from "
                             f"{_PARAMS_ENV}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ScenarioError(f"params file {override} must hold a JSON object")
-    fields = {f.name for f in dataclasses.fields(PhysicalParams)}
-    for key in data:
-        if key not in fields:
-            raise ScenarioError(f"unknown key {key!r} in params file {override}")
-    if "spin" in data:
-        data["spin"] = tuple(data["spin"])
     try:
-        return dataclasses.replace(DEFAULT_PARAMS, **data)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid params file {override}: {exc}") from None
-
-
-def _params_label(scenario: Scenario) -> str:
-    if os.environ.get(_PARAMS_ENV):
-        base = f"file:{os.environ[_PARAMS_ENV]}"
-    else:
-        base = "default"
-    if scenario.params != (_base_params()):
-        return f"{base}+scenario-overrides"
-    return base
+        return _parse_params(data, DEFAULT_PARAMS)
+    except ScenarioError as exc:
+        raise ScenarioError(f"params file {override}: {exc}") from None
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.input, _base_params())
-    c1 = args.c1 if args.c1 is not None else (scenario.c1 if scenario.c1 is not None else 2.0)
-    c2 = args.c2 if args.c2 is not None else (scenario.c2 if scenario.c2 is not None else -0.1)
-    epsilon = (args.epsilon if args.epsilon is not None
-               else (scenario.epsilon if scenario.epsilon is not None else 0.0))
-    if args.no_relocation_rule:
-        rule = False
-    elif scenario.relocation_rule is not None:
-        rule = scenario.relocation_rule
-    else:
-        rule = True
-    result = compute_plan(scenario.config, scenario.params, c1=c1, c2=c2,
-                          relocation_rule=rule, epsilon=epsilon)
+    # forward only the values that are set, so plan() holds the defaults
+    chosen = {"c1": args.c1, "c2": args.c2, "epsilon": args.epsilon,
+              "relocation_rule": False if args.no_relocation_rule else None}
+    settings = {}
+    for key, value in chosen.items():
+        value = getattr(scenario, key) if value is None else value
+        if value is not None:
+            settings[key] = value
+    result = compute_plan(scenario.config, scenario.params, **settings)
     save_plan(result, scenario.config, args.output, name=scenario.name)
     if args.cm_trace:
         write_cm_trace(result, args.cm_trace)
@@ -126,8 +101,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_cm(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.input, _base_params())
-    print(f"# params: {_params_label(scenario)}")
+    base = _base_params()
+    scenario = load_scenario(args.input, base)
+    label = f"file:{os.environ[_PARAMS_ENV]}" if os.environ.get(_PARAMS_ENV) else "default"
+    if scenario.params != base:
+        label += "+scenario-overrides"
+    print(f"# params: {label}")
     overall = system_cm(scenario.config, scenario.params)
     if math.isinf(overall):
         print("fault-free")

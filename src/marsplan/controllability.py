@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .model import Cell, Configuration, FaultState, Subassembly, partition
+from .model import Cell, Configuration, Subassembly, partition
 
 # Rotor slots sit on the diagonals of each unit (X layout). Slot i is offset
 # arm_offset * ROTOR_DIAGONALS[i] from the unit center; opposite corners spin
@@ -244,6 +244,8 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray) -> float:
         products = normals @ probe
         np.abs(products, out=products)
         margin = min(margin, float((products @ weights / lens).min(initial=math.inf)))
+        if margin < 0.0:
+            break  # outside: the projection below gives the margin
     if margin >= 0.0:
         return margin
     d = _distance_to_zonotope(zono, g)

@@ -26,6 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any
 
 from .controllability import DEFAULT_PARAMS, PhysicalParams
@@ -39,13 +40,15 @@ from .model import (
     cell_key,
     rotor_fault,
 )
-from .planner import Plan, PlanStep
+from .paths import GridPath
+from .planner import Phase, Plan, PlanStep, StepKind, validate_plan
 
 _SCENARIO_KEYS = {"name", "notes", "cells", "faults", "params", "weights", "flags"}
 _FAULT_KEYS = {"cell", "kind", "rotor_index"}
 _WEIGHT_KEYS = {"c1", "c2", "epsilon"}
 _FLAG_KEYS = {"relocation_rule"}
 _PARAM_KEYS = {f.name for f in dataclasses.fields(PhysicalParams)}
+_STEP_KEYS = {"index", "kind", "phase", "moved_cells", "path", "post_cm", "post_config"}
 
 
 @dataclass
@@ -65,6 +68,12 @@ def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
     for key in data:
         if key not in allowed:
             raise ScenarioError(f"unknown key {key!r} in {where}")
+
+
+def _list(raw: Any, where: str) -> list:
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{where} must be a list")
+    return raw
 
 
 def _parse_cell(raw: Any, where: str) -> Cell:
@@ -216,9 +225,14 @@ def config_from_json(data: Any, where: str = "config") -> Configuration:
     if not isinstance(data, dict):
         raise ScenarioError(f"{where} must be an object")
     _reject_unknown(data, {"cells", "faults"}, where)
-    cells = [_parse_cell(rc, f"{where}.cells[{i}]") for i, rc in enumerate(data.get("cells", []))]
-    faults = dict(_parse_fault(rf, i) for i, rf in enumerate(data.get("faults", [])))
-    return Configuration.from_cells(cells, faults)
+    cells = [_parse_cell(rc, f"{where}.cells[{i}]")
+             for i, rc in enumerate(_list(data.get("cells", []), f"{where}.cells"))]
+    faults = dict(_parse_fault(rf, i)
+                  for i, rf in enumerate(_list(data.get("faults", []), f"{where}.faults")))
+    try:
+        return Configuration.from_cells(cells, faults)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 def params_to_json(params: PhysicalParams) -> dict:
@@ -293,33 +307,56 @@ def load_plan_document(path: str | Path) -> dict:
     return data
 
 
-def replay_document(doc: dict) -> Configuration:
-    """Re-simulate a plan document; every recorded post state must match.
+def _step_from_json(raw: Any, index: int) -> PlanStep:
+    """Inverse of step_to_json; structural faults raise ScenarioError."""
+    where = f"steps[{index}]"
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where} must be an object")
+    missing = _STEP_KEYS - raw.keys()
+    if missing:
+        raise ScenarioError(f"missing key {min(missing)!r} in {where}")
+    if raw["index"] != index:
+        raise ScenarioError(f"{where}.index must be {index}, got {raw['index']!r}")
+    try:
+        kind, phase = StepKind(raw["kind"]), Phase(raw["phase"])
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+    cells = [_parse_cell(c, f"{where}.moved_cells")
+             for c in _list(raw["moved_cells"], f"{where}.moved_cells")]
+    if not cells:
+        raise ScenarioError(f"{where}.moved_cells must not be empty")
+    post_cm = raw["post_cm"]
+    if post_cm is not None and (not isinstance(post_cm, (int, float))
+                                or isinstance(post_cm, bool)):
+        raise ScenarioError(f"{where}.post_cm must be a number or null")
+    waypoints = tuple(_parse_cell(c, f"{where}.path")
+                      for c in _list(raw["path"], f"{where}.path"))
+    try:
+        path = GridPath(waypoints)
+    except ValueError as exc:
+        raise PlanningError(f"step {index} path: {exc}", step=index) from None
+    return PlanStep(kind=kind, phase=phase,
+                    moved_cells=tuple(sorted(cells, key=cell_key)), path=path,
+                    post_config=config_from_json(raw["post_config"], f"{where}.post_config"),
+                    post_cm=math.inf if post_cm is None else float(post_cm),
+                    note=raw.get("note"))
 
-    Each step's moved cells are swept along the serialized waypoints; any
-    collision with a stationary unit, or any mismatch with the recorded
-    post-move configuration, raises PlanningError. Returns the final state.
+
+def replay_document(doc: dict) -> Configuration:
+    """Re-simulate a plan document with validate_plan; returns the final state.
+
+    A malformed document raises ScenarioError; a step that does not fit the
+    state it starts from (wrong reference cell, collision, or a post-move
+    configuration that differs from the recorded one) raises PlanningError.
     """
-    work = config_from_json(doc["start_config"], "start_config")
-    for raw in doc["steps"]:
-        idx = raw["index"]
-        moved = tuple(sorted((_parse_cell(c, "moved_cells") for c in raw["moved_cells"]),
-                             key=cell_key))
-        waypoints = [_parse_cell(c, "path") for c in raw["path"]]
-        ref = moved[0]
-        if waypoints and waypoints[0] != ref:
-            raise PlanningError(f"step {idx} path does not start at the reference cell")
-        stationary = work.cell_set - set(moved)
-        for wp in waypoints:
-            delta = (wp.x - ref.x, wp.y - ref.y)
-            if {c + delta for c in moved} & stationary:
-                raise PlanningError(f"step {idx} sweeps through an occupied cell")
-        goal = waypoints[-1] if waypoints else ref
-        work = work.translate_set(moved, (goal.x - ref.x, goal.y - ref.y))
-        recorded = config_from_json(raw["post_config"], f"steps[{idx}].post_config")
-        if work != recorded:
-            raise PlanningError(f"step {idx} post configuration mismatch on replay")
-    return work
+    if not isinstance(doc, dict):
+        raise ScenarioError("plan document must be an object")
+    for key in ("start_config", "steps"):
+        if key not in doc:
+            raise ScenarioError(f"missing key {key!r} in plan document")
+    start = config_from_json(doc["start_config"], "start_config")
+    steps = [_step_from_json(raw, i) for i, raw in enumerate(_list(doc["steps"], "steps"))]
+    return validate_plan(start, SimpleNamespace(steps=steps))
 
 
 def write_cm_trace(plan: Plan, path: str | Path) -> None:

@@ -29,9 +29,6 @@ class Cell:
     def __add__(self, delta: tuple[int, int]) -> "Cell":
         return Cell(self.x + delta[0], self.y + delta[1])
 
-    def translated(self, dx: int, dy: int) -> "Cell":
-        return Cell(self.x + dx, self.y + dy)
-
     def manhattan(self, other: "Cell") -> int:
         return abs(self.x - other.x) + abs(self.y - other.y)
 
@@ -208,14 +205,6 @@ class Configuration:
     def __repr__(self) -> str:
         return f"Configuration({list(self._units.items())!r})"
 
-    def bounding_box(self) -> tuple[int, int, int, int]:
-        """(min_x, min_y, max_x, max_y) of the occupied cells."""
-        if not self._units:
-            raise ValueError("empty configuration has no bounding box")
-        xs = [c.x for c in self._units]
-        ys = [c.y for c in self._units]
-        return (min(xs), min(ys), max(xs), max(ys))
-
     # -- edits -----------------------------------------------------------
 
     def attach(self, cell: Cell, state: FaultState = HEALTHY) -> "Configuration":
@@ -230,14 +219,6 @@ class Configuration:
             raise CellNotOccupiedError(f"{cell} is not occupied")
         units = dict(self._units)
         del units[cell]
-        return Configuration(units)
-
-    def detach_set(self, cells: Iterable[Cell]) -> "Configuration":
-        units = dict(self._units)
-        for c in cells:
-            if c not in units:
-                raise CellNotOccupiedError(f"{c} is not occupied")
-            del units[c]
         return Configuration(units)
 
     def translate_set(self, moving: Iterable[Cell], delta: tuple[int, int]) -> "Configuration":

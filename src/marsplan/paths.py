@@ -18,7 +18,7 @@ from .model import Cell, cell_key
 
 __all__ = [
     "Arena", "GridPath", "NoPathError", "arena_around", "astar_unit",
-    "astar_subassembly", "footprint_fits", "swept_cells",
+    "astar_subassembly", "swept_cells",
 ]
 
 
@@ -130,15 +130,6 @@ def astar_unit(start: Cell, goal: Cell, obstacles: frozenset[Cell] | set[Cell],
                 parent[nb] = cur
                 heapq.heappush(open_heap, (tentative + nb.manhattan(goal), nb.key(), nb))
     raise NoPathError(f"no path {start} -> {goal}", frozenset(blocking))
-
-
-def footprint_fits(footprint: frozenset[Cell], delta: tuple[int, int],
-                   obstacles: frozenset[Cell] | set[Cell], arena: Arena) -> bool:
-    for c in footprint:
-        dest = c + delta
-        if dest not in arena or dest in obstacles:
-            return False
-    return True
 
 
 def astar_subassembly(footprint: frozenset[Cell] | set[Cell], ref: Cell, goal_ref: Cell,

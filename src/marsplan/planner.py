@@ -534,11 +534,10 @@ class _Pipeline:
             round_targets = conflict_free_targets(self.work, target_cells, self.arena)
             if not round_targets:
                 raise InfeasibleAssignmentError("no fill target is reachable")
+            # as many units stand off the target as target cells are vacant
             candidates = sorted(
                 (c for c in self.work.cells if c not in target_cells), key=cell_key
             )
-            if len(candidates) < len(round_targets):
-                round_targets = round_targets[: len(candidates)]
             pairs = self._assign_fill_moves(round_targets, candidates)
             executed = self._execute_fill_round(pairs)
             if executed == 0:
@@ -584,50 +583,26 @@ class _Pipeline:
         return executed
 
 
-def assign_units(config: Configuration, targets: Sequence[Cell],
-                 params: PhysicalParams = DEFAULT_PARAMS, *,
-                 arena: Arena | None = None, epsilon: float = 0.0,
-                 ) -> list[tuple[Cell, Cell]]:
-    """Min-cost matching of surplus units onto vacant target cells.
-
-    Standalone form of the fill-round assignment: candidates are the occupied
-    cells outside the target set, cost is the shortest-path length with the
-    candidate removed, and the optimum is refined to the lexicographically
-    smallest pairing. Returns (target, unit) pairs for every reachable target.
-    """
-    targets = sorted(targets, key=cell_key)
-    if arena is None:
-        arena = arena_around(list(config.cells) + list(targets))
-    target_set = set(targets)
-    candidates = sorted((c for c in config.cells if c not in target_set), key=cell_key)
-    cost = np.full((len(targets), len(candidates)), float(_BIG))
-    for j, cand in enumerate(candidates):
-        obstacles = frozenset(config.cell_set - {cand})
-        for i, t in enumerate(targets):
-            try:
-                path = astar_unit(cand, t, obstacles, arena)
-            except NoPathError:
-                continue
-            moved = config.translate_set((cand,), (t.x - cand.x, t.y - cand.y))
-            if system_cm(moved, params) < epsilon:
-                continue
-            cost[i, j] = path.length
-    cols = lexicographic_min_assignment(cost)
-    return [(targets[i], candidates[j]) for i, j in enumerate(cols) if cost[i, j] < _BIG]
-
-
 def validate_plan(start: Configuration, plan: Plan) -> Configuration:
     """Re-simulate a plan, checking collisions and the recorded post states.
 
-    Every waypoint of every step must place the moving cells on free grid
-    cells; the end state of each step must equal its recorded post_config.
-    Returns the final configuration.
+    Reads only `plan.steps`. Each step's path must start at its reference
+    cell (the smallest moved cell) and its moved cells must be occupied;
+    every waypoint must place the moving cells on free grid cells; the end
+    state of each step must equal its recorded post_config. Returns the
+    final configuration.
     """
     work = start
     for idx, step in enumerate(plan.steps):
         moved = step.moved_cells
         ref = moved[0]
-        stationary = work.cell_set - set(moved)
+        if step.path.start != ref:
+            raise PlanningError(f"step {idx} path does not start at the reference cell",
+                                step=idx)
+        occupied = work.cell_set
+        if not occupied.issuperset(moved):
+            raise PlanningError(f"step {idx} moves an unoccupied cell", step=idx)
+        stationary = occupied - set(moved)
         for wp in step.path.waypoints:
             delta = (wp.x - ref.x, wp.y - ref.y)
             placed = {c + delta for c in moved}

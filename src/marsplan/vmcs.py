@@ -30,7 +30,6 @@ from .model import (
     HEALTHY,
     Cell,
     Configuration,
-    FaultKind,
     FaultState,
     Subassembly,
     cell_key,

@@ -266,6 +266,12 @@ def bfs_unit_length(start: Cell, goal: Cell, obstacles: frozenset[Cell],
     return None
 
 
+def footprint_fits(footprint: frozenset[Cell], delta: tuple[int, int],
+                   obstacles: frozenset[Cell], arena: Arena) -> bool:
+    """The footprint shifted by delta lies in the arena and off the obstacles."""
+    return all(c + delta in arena and c + delta not in obstacles for c in footprint)
+
+
 def bfs_footprint_length(footprint: frozenset[Cell], ref: Cell, goal_ref: Cell,
                          obstacles: frozenset[Cell], arena: Arena) -> int | None:
     """Shortest rigid-translation path length over placements, or None."""

@@ -1,11 +1,16 @@
 """Scenario parsing, plan files, replay, CSV trace, SVG rendering, and the CLI."""
 
 import hashlib
+import importlib
+import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import marsplan
+from marsplan import cli
 from marsplan.cli import main
 from marsplan.controllability import DEFAULT_PARAMS, system_cm
 from marsplan.errors import PlanningError, ScenarioError
@@ -277,6 +282,18 @@ def test_replay_rejects_corrupted_documents(rect_plan):
     shifted["steps"][0]["path"][0] = [8, 8]
     with pytest.raises(PlanningError):
         replay_document(shifted)
+    # malformed structure is an input error, a step that does not fit its
+    # state is a planning error; neither escapes as a bare KeyError or
+    # CellNotOccupiedError
+    unindexed = json.loads(document_to_bytes(doc).decode())
+    del unindexed["steps"][0]["index"]
+    with pytest.raises(ScenarioError, match="index"):
+        replay_document(unindexed)
+    ghost = json.loads(document_to_bytes(doc).decode())
+    ghost["steps"][0]["moved_cells"] = [[7, 7]]
+    ghost["steps"][0]["path"] = [[7, 7]]
+    with pytest.raises(PlanningError):
+        replay_document(ghost)
 
 
 def test_replay_rejects_sweeps_through_occupied_cells():
@@ -358,8 +375,11 @@ def test_cli_plan_is_byte_deterministic_and_ignores_seed(tmp_path, capsys):
     inp = scenario_file(tmp_path, RECT32)
     out1, out2 = tmp_path / "p1.json", tmp_path / "p2.json"
     assert main(["plan", "--input", inp, "--output", str(out1)]) == 0
-    assert main(["plan", "--input", inp, "--output", str(out2), "--seed", "7"]) == 0
+    assert main(["plan", "--input", inp, "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--input", inp, "--output", str(out2), "--seed", "7"])
+    assert exc.value.code == 1
     capsys.readouterr()
 
 
@@ -442,7 +462,11 @@ def test_cli_params_environment_override(tmp_path, capsys, monkeypatch):
     params_file = tmp_path / "params.json"
     params_file.write_text(json.dumps({"gravity": 5.0}))
     monkeypatch.setenv("MARSPLAN_PARAMS", str(params_file))
+    reads = []
+    base_params = cli._base_params
+    monkeypatch.setattr(cli, "_base_params", lambda: reads.append(1) or base_params())
     assert main(["cm", "--input", inp]) == 0
+    assert len(reads) == 1  # the params file is read once per command
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"# params: file:{params_file}"
     assert lines[1] != default_out.splitlines()[1]  # lighter gravity, new margins
@@ -451,6 +475,11 @@ def test_cli_params_environment_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MARSPLAN_PARAMS", str(bad_params))
     assert main(["cm", "--input", inp]) == 1
     assert "warp" in capsys.readouterr().err
+    bool_params = tmp_path / "bool_params.json"
+    bool_params.write_text(json.dumps({"gravity": True}))
+    monkeypatch.setenv("MARSPLAN_PARAMS", str(bool_params))
+    assert main(["cm", "--input", inp]) == 1
+    assert "gravity" in capsys.readouterr().err
 
 
 def test_cli_params_label_notes_scenario_overrides(tmp_path, capsys):
@@ -459,3 +488,24 @@ def test_cli_params_label_notes_scenario_overrides(tmp_path, capsys):
     inp = scenario_file(tmp_path, data)
     assert main(["cm", "--input", inp]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "# params: default+scenario-overrides"
+
+
+# -- documentation and interface drift ---------------------------------------------------
+
+
+def test_documented_interface_exists():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S)
+    assert block is not None
+    parse_scenario(json.loads(block.group(1)))
+    for name in marsplan.__all__:
+        assert hasattr(marsplan, name), name
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  root / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.TRACED.items():
+        module = importlib.import_module(f"marsplan.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"

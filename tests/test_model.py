@@ -38,7 +38,6 @@ def test_cell_order_is_row_major_bottom_up():
 
 def test_cell_arithmetic():
     assert Cell(2, 3) + (1, -1) == Cell(3, 2)
-    assert Cell(2, 3).translated(-2, 0) == Cell(0, 3)
     assert Cell(0, 0).manhattan(Cell(3, -4)) == 7
     assert set(Cell(1, 1).neighbors4()) == {Cell(1, 0), Cell(0, 1), Cell(2, 1), Cell(1, 2)}
 
@@ -97,7 +96,6 @@ def test_configuration_queries():
     assert cfg.state(Cell(1, 0)) is UNIT_FAULT
     with pytest.raises(CellNotOccupiedError):
         cfg.state(Cell(9, 9))
-    assert cfg.bounding_box() == (0, 0, 1, 1)
 
 
 def test_configuration_equality_ignores_input_order():
@@ -118,9 +116,6 @@ def test_attach_detach():
     assert Cell(0, 1) not in shrunk
     with pytest.raises(CellNotOccupiedError):
         cfg.detach(Cell(7, 7))
-    assert cfg.detach_set([Cell(0, 0), Cell(0, 1)]).n == 2
-    with pytest.raises(CellNotOccupiedError):
-        cfg.detach_set([Cell(0, 0), Cell(7, 7)])
 
 
 def test_translate_set_moves_states_and_allows_self_vacated_cells():
@@ -145,8 +140,6 @@ def test_translate_set_rejects_collisions():
 def test_empty_configuration_is_representable():
     cfg = Configuration({})
     assert cfg.n == 0
-    with pytest.raises(ValueError):
-        cfg.bounding_box()
 
 
 # -- connectivity ------------------------------------------------------------

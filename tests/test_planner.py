@@ -15,7 +15,7 @@ from marsplan.errors import (
     PlanningError,
     SafetyViolationError,
 )
-from marsplan.model import UNIT_FAULT, Cell, Configuration, cell_key
+from marsplan.model import UNIT_FAULT, Cell, Configuration, cell_key, rotor_fault
 from marsplan.paths import (
     Arena,
     GridPath,
@@ -23,13 +23,11 @@ from marsplan.paths import (
     arena_around,
     astar_subassembly,
     astar_unit,
-    footprint_fits,
     swept_cells,
 )
 from marsplan.planner import (
     Phase,
     StepKind,
-    assign_units,
     conflict_free_targets,
     lexicographic_min_assignment,
     plan,
@@ -40,6 +38,7 @@ from helpers import (
     bfs_footprint_length,
     bfs_unit_length,
     brute_force_assignment,
+    footprint_fits,
     random_connected_cells,
 )
 
@@ -139,14 +138,6 @@ def test_swept_cells_union():
     )
 
 
-def test_footprint_fits():
-    ar = Arena(0, 0, 4, 4)
-    foot = frozenset([Cell(0, 0), Cell(1, 0)])
-    assert footprint_fits(foot, (3, 4), frozenset(), ar)
-    assert not footprint_fits(foot, (4, 0), frozenset(), ar)  # (5,0) outside
-    assert not footprint_fits(foot, (0, 1), frozenset([Cell(1, 1)]), ar)
-
-
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_astar_unit_agrees_with_bfs_on_random_grids(seed):
@@ -176,6 +167,8 @@ def test_lexicographic_min_assignment_basics():
     assert lexicographic_min_assignment(cost) == [0, 1]
     cost = np.array([[10.0, 1.0], [1.0, 10.0]])
     assert lexicographic_min_assignment(cost) == [1, 0]
+    with pytest.raises(InfeasibleAssignmentError):
+        lexicographic_min_assignment(np.zeros((4, 3)))  # more targets than units
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 2))
@@ -221,22 +214,6 @@ def test_already_occupied_targets_are_not_pending():
     ar = arena_around([Cell(0, 0), Cell(1, 0), Cell(3, 0)], 2)
     assert conflict_free_targets(cfg, [Cell(0, 0), Cell(3, 0)], ar) == [Cell(3, 0)]
     assert conflict_free_targets(cfg, [], ar) == []
-
-
-# -- assign_units -----------------------------------------------------------------------
-
-
-def test_assign_units_prefers_short_paths_with_lex_ties():
-    row = Configuration.from_cells([Cell(0, 0), Cell(1, 0), Cell(2, 0)])
-    moves = assign_units(row, [Cell(3, 0), Cell(4, 0)])
-    assert moves == [(Cell(3, 0), Cell(1, 0)), (Cell(4, 0), Cell(2, 0))]
-
-
-def test_assign_units_skips_occupied_targets_and_checks_supply():
-    row = Configuration.from_cells([Cell(0, 0), Cell(1, 0), Cell(2, 0)])
-    assert assign_units(row, [Cell(2, 0), Cell(3, 0)]) == [(Cell(3, 0), Cell(1, 0))]
-    with pytest.raises(InfeasibleAssignmentError):
-        assign_units(row, [Cell(4, 0), Cell(5, 0), Cell(6, 0), Cell(7, 0)])
 
 
 # -- end-to-end planning ------------------------------------------------------------------
@@ -325,6 +302,18 @@ def test_plan_records_its_inputs():
     assert p.params.unit_mass == 0.032
 
 
+def test_fill_round_breaks_cost_ties_lexicographically():
+    # The fill round sends the parked units (0, -1) and (1, -1) to the vacant
+    # targets (2, 0) and (3, 0); both pairings cost 8 cells of flight, and the
+    # row-major smallest assignment wins.
+    row = Configuration.from_cells([Cell(x, 0) for x in range(4)], {Cell(2, 0): rotor_fault(0)})
+    p = plan(row)
+    fills = [(s.moved_cells, s.path.goal) for s in p.steps if s.phase is Phase.FILL_REMAINDER]
+    assert fills == [((Cell(0, -1),), Cell(2, 0)), ((Cell(1, -1),), Cell(3, 0))]
+    assert sum(s.path.length for s in p.steps if s.phase is Phase.FILL_REMAINDER) == 8
+    assert validate_plan(row, p) == p.target.config
+
+
 def test_plan_is_deterministic():
     start = rect32({Cell(1, 0): UNIT_FAULT, Cell(1, 1): UNIT_FAULT})
     assert plan(start).steps == plan(start).steps
@@ -358,6 +347,15 @@ def test_validate_plan_rejects_corruption():
     bad2 = dataclasses.replace(p, steps=[ghost_mover, *p.steps[1:]])
     with pytest.raises((PlanningError, SafetyViolationError)):
         validate_plan(start, bad2)
+    # step 0 (one donor) re-routed to start on a free cell beside its goal
+    start = rect32({Cell(2, 0): UNIT_FAULT})
+    p = plan(start)
+    goal = p.steps[0].path.goal
+    side = next(c for c in goal.neighbors4() if c not in start)
+    off_start = dataclasses.replace(p.steps[0], path=GridPath((side, goal)))
+    bad3 = dataclasses.replace(p, steps=[off_start, *p.steps[1:]])
+    with pytest.raises(PlanningError, match="does not start at the reference cell"):
+        validate_plan(start, bad3)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(3, 7))
