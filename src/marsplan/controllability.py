@@ -216,7 +216,7 @@ def _distance_to_zonotope(zono: WrenchZonotope, point: np.ndarray) -> float:
     return float(np.linalg.norm(zono.generators.T @ res.x - delta))
 
 
-def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray) -> float:
+def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray, floor: float = -math.inf) -> float:
     """Signed distance from the hover wrench to the boundary of the wrench set.
 
     Interior case: exact minimum over facet margins,
@@ -226,6 +226,12 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray) -> float:
     memory is bounded by one chunk, O(C(m - 1, 2) * m), not by all C(m, 3)
     triples. Exterior or degenerate case (generator rank < 4, empty
     interior): minus the projection distance onto the set.
+
+    A margin at or above `floor` is returned exactly. Below it the result
+    may instead be an upper bound u with margin <= u < floor - 1e-9: every
+    facet slack bounds the signed distance from above, so the first running
+    minimum under the floor settles the query without the projection. The
+    gap keeps u below every margin >= floor after rounding to 9 decimals.
     """
     g = np.asarray(g, dtype=float)
     scale = zono.scale() + float(np.linalg.norm(g)) + 1.0
@@ -244,6 +250,10 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray) -> float:
         products = normals @ probe
         np.abs(products, out=products)
         margin = min(margin, float((products @ weights / lens).min(initial=math.inf)))
+        # In [-tol, 0) the projection below may snap the margin to 0.0,
+        # which lies above this bound.
+        if margin < floor - tol and not -tol <= margin < 0.0:
+            return margin
         if margin < 0.0:
             break  # outside: the projection below gives the margin
     if margin >= 0.0:
@@ -252,44 +262,61 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray) -> float:
     return 0.0 if d <= tol else -d
 
 
-def subassembly_cm(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS) -> float:
+def subassembly_cm(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS,
+                   floor: float = -math.inf) -> float:
+    """Margin of one subassembly; `floor` as in cm_signed_distance."""
     zono = build_zonotope(sub, params)
-    return cm_signed_distance(zono, gravity_wrench(sub.n, params))
+    return cm_signed_distance(zono, gravity_wrench(sub.n, params), floor)
 
 
 # The margin only depends on the subassembly shape and fault pattern up to
 # translation, so results are memoized on the canonical form. Intermediate
-# planner configurations revisit the same shapes constantly.
-_CM_CACHE: dict[tuple, float] = {}
+# planner configurations revisit the same shapes constantly. Each entry is
+# (value, exact): only a value more than 1e-9 below the floor it was asked
+# with can be a bound.
+_CM_CACHE: dict[tuple, tuple[float, bool]] = {}
 
 
 def clear_cm_cache() -> None:
     _CM_CACHE.clear()
 
 
-def cached_subassembly_cm(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS) -> float:
+def cached_subassembly_cm(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS,
+                          floor: float = -math.inf) -> float:
+    """Memoized subassembly_cm, with the same `floor` contract.
+
+    A bound answers only a query whose floor lies more than 1e-9 above it;
+    any other query recomputes and replaces it.
+    """
     key = (params, sub.canonical())
-    try:
-        return _CM_CACHE[key]
-    except KeyError:
-        value = subassembly_cm(sub, params)
-        _CM_CACHE[key] = value
-        return value
+    entry = _CM_CACHE.get(key)
+    if entry is not None:
+        value, exact = entry
+        if exact or value < floor - 1e-9:
+            return value
+    value = subassembly_cm(sub, params, floor)
+    _CM_CACHE[key] = (value, value >= floor - 1e-9)
+    return value
 
 
-def system_cm(config: Configuration, params: PhysicalParams = DEFAULT_PARAMS) -> float:
+def system_cm(config: Configuration, params: PhysicalParams = DEFAULT_PARAMS,
+              floor: float = -math.inf) -> float:
     """Minimum margin over all subassemblies that contain a faulty unit.
 
     Fault-free subassemblies are not margin-limiting (a healthy connected
     assembly can always hover under the modeled thrust budget, and singleton
     healthy units in transit are routine), so a configuration with no faults
-    at all reports +inf.
+    at all reports +inf. A minimum at or above `floor` is exact; below it,
+    the result u satisfies minimum <= u < floor, and the scan stops at the
+    first subassembly below the floor.
     """
     worst = math.inf
     for sub in partition(config):
         if not sub.faulty_cells:
             continue
-        worst = min(worst, cached_subassembly_cm(sub, params))
+        worst = min(worst, cached_subassembly_cm(sub, params, floor))
+        if worst < floor:
+            break
     return worst
 
 

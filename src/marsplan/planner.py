@@ -44,10 +44,9 @@ from .model import Cell, Configuration, FaultState, Subassembly, cell_key
 from .paths import Arena, GridPath, arena_around, astar_subassembly, astar_unit, swept_cells
 from .vmcs import (
     TargetConfiguration,
-    identify_vmcs,
+    _smallest_supports,
     optimal_configuration,
     plan_vmcs_completion,
-    ranked_support_shapes,
 )
 
 _BIG = 10 ** 7
@@ -279,10 +278,10 @@ class _Pipeline:
         flying = [(c, self.work.state(c)) for c in moved]
         if any(s.is_faulty for _, s in flying):
             piece = Subassembly(tuple(flying))
-            if cached_subassembly_cm(piece, self.params) < self.epsilon:
+            if cached_subassembly_cm(piece, self.params, self.epsilon) < self.epsilon:
                 return None
         post = self.work.translate_set(moved, delta)
-        post_cm = system_cm(post, self.params)
+        post_cm = system_cm(post, self.params, self.epsilon)
         if post_cm < self.epsilon:
             return None
         return post, post_cm
@@ -362,11 +361,10 @@ class _Pipeline:
         for group in self.groups:
             own = set(group.faults)
             foreign_faults = all_fault_cells - own
-            spec = identify_vmcs(group.faults, self.params,
-                                 max_normal_units=self.work.n - self.work.n_faulty,
-                                 epsilon=self.epsilon)
+            _, ranked = _smallest_supports(group.faults, self.params,
+                                           self.work.n - self.work.n_faulty, self.epsilon)
             chosen = None
-            for shape, cm in ranked_support_shapes(group.faults, spec.k, self.params):
+            for shape, cm in ranked:
                 if cm < self.epsilon:
                     break
                 landing = frozenset(c + group.delta for c in shape)

@@ -14,6 +14,7 @@ cell set).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Mapping
@@ -22,7 +23,6 @@ from .controllability import (
     DEFAULT_PARAMS,
     PhysicalParams,
     cached_subassembly_cm,
-    quick_cm_upper,
     system_cm,
 )
 from .errors import NoFeasibleDonorError, NoPathError, VmcsSearchError
@@ -88,24 +88,27 @@ class VmcsSpec:
 
 
 def _shape_cm(shape: frozenset[Cell], faults: Mapping[Cell, FaultState],
-              params: PhysicalParams) -> float:
+              params: PhysicalParams, floor: float) -> float:
     units = tuple(
         (c, faults.get(c, HEALTHY)) for c in sorted(shape, key=cell_key)
     )
-    return cached_subassembly_cm(Subassembly(units), params)
+    return cached_subassembly_cm(Subassembly(units), params, floor)
 
 
 def ranked_support_shapes(faults: Mapping[Cell, FaultState], k: int,
                           params: PhysicalParams = DEFAULT_PARAMS,
+                          floor: float = -math.inf,
                           ) -> list[tuple[frozenset[Cell], float]]:
     """Shapes with k normal units around the given faults, best margin first.
 
     Anchored at the fault cells' own coordinates. Ties on margin fall back to
-    the canonical cell order, so the ranking is deterministic.
+    the canonical cell order, so the ranking is deterministic. Margins below
+    `floor` may be upper bounds (see cm_signed_distance); they still sort
+    after every margin at or above it, whose order is unchanged.
     """
     ranked = []
     for shape in enumerate_connected_shapes(faults.keys(), k):
-        cm = _shape_cm(shape, faults, params)
+        cm = _shape_cm(shape, faults, params, floor)
         ranked.append((shape, cm))
     ranked.sort(key=lambda it: (-round(it[1], _TIE_DECIMALS), _shape_key(it[0])))
     return ranked
@@ -122,13 +125,13 @@ def _canonical_spec(shape: frozenset[Cell], faults: Mapping[Cell, FaultState],
     return VmcsSpec(footprint=foot, faulty=flocal, k=k, cm=cm)
 
 
-def identify_vmcs(faults: Mapping[Cell, FaultState], params: PhysicalParams = DEFAULT_PARAMS,
-                  max_normal_units: int = 16, epsilon: float = 0.0) -> VmcsSpec:
-    """Smallest controllable support around a group of faulty units.
+def _smallest_supports(faults: Mapping[Cell, FaultState], params: PhysicalParams,
+                       max_normal_units: int, epsilon: float,
+                       ) -> tuple[int, list[tuple[frozenset[Cell], float]]]:
+    """The smallest k whose best shape reaches epsilon, and its ranked shapes.
 
-    Starting from k = 0, evaluates every connected shape with k normal units
-    plus the faults, and accepts the first k whose best shape has margin at
-    least epsilon. Raises when k would exceed the normal units available.
+    Margins are asked with floor epsilon, so shapes below it may carry upper
+    bounds; the shapes at or above epsilon lead the list with exact margins.
     """
     for cell, state in faults.items():
         if not state.is_faulty:
@@ -140,12 +143,23 @@ def identify_vmcs(faults: Mapping[Cell, FaultState], params: PhysicalParams = DE
                 f"no controllable support with up to {max_normal_units} normal units",
                 faults=tuple(sorted(faults, key=cell_key)),
             )
-        ranked = ranked_support_shapes(faults, k, params)
-        if ranked:
-            shape, cm = ranked[0]
-            if cm >= epsilon:
-                return _canonical_spec(shape, faults, k, cm)
+        ranked = ranked_support_shapes(faults, k, params, epsilon)
+        if ranked and ranked[0][1] >= epsilon:
+            return k, ranked
         k += 1
+
+
+def identify_vmcs(faults: Mapping[Cell, FaultState], params: PhysicalParams = DEFAULT_PARAMS,
+                  max_normal_units: int = 16, epsilon: float = 0.0) -> VmcsSpec:
+    """Smallest controllable support around a group of faulty units.
+
+    Starting from k = 0, evaluates every connected shape with k normal units
+    plus the faults, and accepts the first k whose best shape has margin at
+    least epsilon. Raises when k would exceed the normal units available.
+    """
+    k, ranked = _smallest_supports(faults, params, max_normal_units, epsilon)
+    shape, cm = ranked[0]
+    return _canonical_spec(shape, faults, k, cm)
 
 
 @dataclass(frozen=True)
@@ -168,7 +182,9 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
     footprint cells and maximizes the system margin. Ties prefer the
     lexicographically smallest faulty cell set (then the smallest
     cell/state pairing), evaluated in enumeration order so the first best
-    candidate wins. The footprint itself never changes.
+    candidate wins. The footprint itself never changes. Each candidate's
+    margin is asked with the best rounded margin so far as its floor, so a
+    candidate that cannot beat it may stop at a bound below it.
     """
     fault_states = sorted((s for _, s in config.items() if s.is_faulty), key=_state_key)
     if not fault_states:
@@ -181,25 +197,13 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
         for order in distinct_orders:
             placement = dict(zip(combo, order))
             candidate = Configuration.from_cells(cells, placement)
-            if best is not None and _quick_system_upper(candidate, params) <= best[0]:
-                continue
-            cm = round(system_cm(candidate, params), _TIE_DECIMALS)
+            floor = -math.inf if best is None else best[0]
+            cm = round(system_cm(candidate, params, floor), _TIE_DECIMALS)
             if best is None or cm > best[0]:
                 best = (cm, combo, candidate)
     assert best is not None
     cm, _, candidate = best
     return TargetConfiguration(candidate, system_cm(candidate, params))
-
-
-def _quick_system_upper(config: Configuration, params: PhysicalParams) -> float:
-    """Cheap upper bound on system_cm used to prune the placement search."""
-    from .model import partition
-
-    worst = float("inf")
-    for sub in partition(config):
-        if sub.faulty_cells:
-            worst = min(worst, round(quick_cm_upper(sub, params), _TIE_DECIMALS))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -264,4 +268,4 @@ def plan_vmcs_completion(config: Configuration, target_cm: float,
 
 
 def _any_faulty_below(config: Configuration, params: PhysicalParams, floor: float) -> bool:
-    return system_cm(config, params) < floor
+    return system_cm(config, params, floor) < floor

@@ -6,13 +6,16 @@ estimator (see helpers.sampling_cm); the two agree to well under 0.1% on
 every case in the table.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import lsq_linear
 
+import marsplan.controllability as controllability
 from marsplan.controllability import (
     DEFAULT_PARAMS,
     PhysicalParams,
@@ -300,6 +303,81 @@ def test_cached_margin_matches_direct_and_survives_cache_clear():
     assert cached_subassembly_cm(sub) == pytest.approx(first, abs=1e-15)
 
 
+def _count_evaluations(monkeypatch):
+    floors = []
+
+    def counting(*args):
+        floors.append(args[-1])
+        return subassembly_cm(*args)
+
+    monkeypatch.setattr(controllability, "subassembly_cm", counting)
+    clear_cm_cache()
+    return floors
+
+
+def test_floor_query_caches_a_bound_that_exact_queries_replace(monkeypatch):
+    sub = sub_of(*PINNED["unit_fault_plus_one"][:2])
+    exact = subassembly_cm(sub)
+    floors = _count_evaluations(monkeypatch)
+    bound = cached_subassembly_cm(sub, floor=0.0)
+    assert exact < bound < 0.0  # a facet slack, not the projection
+    assert cached_subassembly_cm(sub, floor=0.001) == bound
+    # within 1e-9 above the bound, its rounded value could tie a margin
+    # at the floor, so the query recomputes
+    assert cached_subassembly_cm(sub, floor=bound + 5e-10) == exact
+    assert cached_subassembly_cm(sub, floor=0.0) == exact
+    assert floors == [0.0, bound + 5e-10]
+    clear_cm_cache()
+    assert cached_subassembly_cm(sub, floor=0.0) == bound
+    assert cached_subassembly_cm(sub) == exact
+    assert floors[2:] == [0.0, -math.inf]
+
+
+def test_margin_just_below_its_floor_is_cached_as_exact(monkeypatch):
+    # Placement candidates that tie the best rounded margin sit a fraction of
+    # 1e-9 below it; no bound lies that close, so the value is exact and is
+    # not recomputed by later queries.
+    sub = sub_of(*PINNED["live_dead_live_row"][:2])
+    exact = subassembly_cm(sub)
+    floors = _count_evaluations(monkeypatch)
+    assert cached_subassembly_cm(sub, floor=exact + 5e-10) == exact
+    assert cached_subassembly_cm(sub, floor=exact - 0.01) == exact
+    assert cached_subassembly_cm(sub) == exact
+    assert floors == [exact + 5e-10]
+
+
+def test_system_cm_stops_at_the_first_subassembly_below_the_floor(monkeypatch):
+    # unit_fault_plus_one and dead_end_row, both below 0
+    cells = [Cell(0, 0), Cell(1, 0), Cell(5, 0), Cell(6, 0), Cell(7, 0)]
+    cfg = Configuration.from_cells(cells, {Cell(0, 0): UNIT_FAULT, Cell(5, 0): UNIT_FAULT})
+    floors = _count_evaluations(monkeypatch)
+    assert system_cm(cfg, floor=0.0) < 0.0
+    assert floors == [0.0]
+    assert system_cm(cfg) == pytest.approx(PINNED["unit_fault_plus_one"][2], abs=1e-9)
+
+
+def test_hover_wrench_within_tolerance_outside_is_not_certified_below_the_floor(monkeypatch):
+    # A healthy unit whose weight exceeds its full thrust by less than the
+    # kernel tolerance: the facet slacks are negative, yet a projection exact
+    # to rounding (the active-set solver) snaps the margin to 0.0, so a floor
+    # query must not stop at a slack. The default solver stops about 1e-7
+    # short there, which would hide the snap.
+    monkeypatch.setattr(controllability, "lsq_linear", functools.partial(lsq_linear, method="bvls"))
+    params = PhysicalParams(unit_mass=(4 * 0.15 + 5e-10) / 9.81)
+    sub = sub_of([Cell(0, 0)])
+    zono = build_zonotope(sub, params)
+    g = gravity_wrench(1, params)
+    assert 0.0 < g[0] - 4 * params.rotor_thrust_max < 1e-9
+    normals = facet_normal_candidates(zono.generators)
+    slack = np.abs(normals @ zono.generators.T).sum(axis=1) - np.abs(normals @ (zono.center - g))
+    assert -1e-9 < slack.min() < 0.0
+    assert cm_signed_distance(zono, g) == 0.0
+    for floor in (0.0, 1e-8):
+        assert cm_signed_distance(zono, g, floor) == 0.0
+        clear_cm_cache()
+        assert cached_subassembly_cm(sub, params, floor) == 0.0
+
+
 def test_quick_upper_bound_dominates_exact_margin():
     for cells, faults, expected, _ in PINNED.values():
         sub = sub_of(cells, faults)
@@ -351,6 +429,34 @@ def test_quick_upper_bound_property(seed, n, nf):
     rng = np.random.default_rng(seed)
     sub = random_faulty_subassembly(rng, n, nf)
     assert quick_cm_upper(sub) >= subassembly_cm(sub) - 1e-12
+
+
+def _honours_floor(value, exact, floor):
+    if exact >= floor:
+        assert value == exact
+    else:
+        # A facet slack equals the margin, up to rounding, when the nearest
+        # point of the wrench set lies on that facet.
+        assert exact - 1e-12 <= value < floor
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 2), st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_floor_queries_are_exact_above_the_floor_and_bounds_below(seed, n, nf, pick):
+    rng = np.random.default_rng(seed)
+    sub = random_faulty_subassembly(rng, n, nf)
+    zono = build_zonotope(sub)
+    g = gravity_wrench(sub.n)
+    exact = cm_signed_distance(zono, g)
+    floor = (-math.inf, -0.05, 0.0, exact - 1e-6, exact + 1e-6, exact + 0.01)[pick]
+    _honours_floor(cm_signed_distance(zono, g, floor), exact, floor)
+    clear_cm_cache()
+    _honours_floor(cached_subassembly_cm(sub, floor=floor), exact, floor)
+    config = Configuration.from_cells([c for c, _ in sub.units],
+                                      {c: s for c, s in sub.units if s.is_faulty})
+    system_exact = system_cm(config)
+    clear_cm_cache()
+    _honours_floor(system_cm(config, floor=floor), system_exact, floor)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 2),

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marsplan.controllability import system_cm
+import marsplan.controllability as controllability
+from marsplan.controllability import clear_cm_cache, system_cm
 from marsplan.errors import NoFeasibleDonorError, VmcsSearchError
 from marsplan.model import (
     UNIT_FAULT,
@@ -142,6 +143,26 @@ def test_margin_floor_raises_the_required_size():
     assert spec.k == 3
     assert spec.cm == pytest.approx(0.003265861213, abs=1e-9)
     assert spec.cm >= 0.0017
+
+
+@pytest.mark.parametrize("faults,k", [
+    ({Cell(0, 0): UNIT_FAULT}, 2),
+    ({Cell(0, 0): UNIT_FAULT, Cell(1, 0): UNIT_FAULT}, 3),
+])
+def test_support_search_runs_no_projection(monkeypatch, faults, k):
+    # Every shape below the floor is settled by a facet slack, so the
+    # search never projects a hover wrench onto a wrench set.
+    calls = []
+    solve = controllability.lsq_linear
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(controllability, "lsq_linear", counting)
+    clear_cm_cache()
+    assert identify_vmcs(faults, epsilon=0.0).k == k
+    assert calls == []
 
 
 def test_identify_vmcs_validation_and_budget():
