@@ -206,13 +206,14 @@ def facet_normal_candidates(generators: np.ndarray) -> np.ndarray:
 def _distance_to_zonotope(zono: WrenchZonotope, point: np.ndarray) -> float:
     """Euclidean distance from a point to the zonotope (0 if inside).
 
-    Solved as box-constrained least squares over the generator coefficients,
-    converged to ~1e-9 of the wrench scale.
+    Solved as box-constrained least squares over the generator coefficients
+    by the active-set solver, which ends on the exact optimum up to rounding.
     """
     delta = point - zono.center
     if zono.m == 0:
         return float(np.linalg.norm(delta))
-    res = lsq_linear(zono.generators.T, delta, bounds=(-1.0, 1.0), tol=1e-14, max_iter=400)
+    res = lsq_linear(zono.generators.T, delta, bounds=(-1.0, 1.0), method="bvls",
+                     tol=1e-14, max_iter=400)
     return float(np.linalg.norm(zono.generators.T @ res.x - delta))
 
 

@@ -1,10 +1,11 @@
 """Grid path planning for single units and rigid subassemblies.
 
-Both planners run A* with the Manhattan heuristic on 4-connected moves inside
-a finite planning arena (the relevant bounding box inflated by two cells).
-Ties are broken deterministically: among equal f-scores the state whose
-reference cell has the smaller (y, x) key is expanded first, so identical
-inputs always yield identical paths.
+One A* search with the Manhattan heuristic moves a rigid footprint on
+4-connected steps inside a finite planning arena (the relevant bounding box
+inflated by two cells); a single unit is the one-cell footprint. Ties are
+broken deterministically: among equal f-scores the state whose reference cell
+has the smaller (y, x) key is expanded first, so identical inputs always yield
+identical paths.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NoPathError
-from .model import Cell, cell_key
+from .model import Cell
 
 __all__ = [
     "Arena", "GridPath", "NoPathError", "arena_around", "astar_unit",
@@ -34,16 +35,15 @@ class Arena:
     def __contains__(self, cell: Cell) -> bool:
         return self.min_x <= cell.x <= self.max_x and self.min_y <= cell.y <= self.max_y
 
+    def cells(self) -> list[Cell]:
+        """Every cell of the rectangle in (y, x) order."""
+        return [Cell(x, y) for y in range(self.min_y, self.max_y + 1)
+                for x in range(self.min_x, self.max_x + 1)]
+
     def cells_on_ring(self) -> list[Cell]:
         """Perimeter cells of the rectangle in (y, x) order."""
-        ring = set()
-        for x in range(self.min_x, self.max_x + 1):
-            ring.add(Cell(x, self.min_y))
-            ring.add(Cell(x, self.max_y))
-        for y in range(self.min_y, self.max_y + 1):
-            ring.add(Cell(self.min_x, y))
-            ring.add(Cell(self.max_x, y))
-        return sorted(ring, key=cell_key)
+        return [c for c in self.cells()
+                if c.x in (self.min_x, self.max_x) or c.y in (self.min_y, self.max_y)]
 
 
 def arena_around(cells: Iterable[Cell], margin: int = 2) -> Arena:
@@ -98,38 +98,7 @@ def astar_unit(start: Cell, goal: Cell, obstacles: frozenset[Cell] | set[Cell],
     the occupied set minus the mover). A zero-length path is returned when
     start == goal.
     """
-    if start not in arena or goal not in arena:
-        raise NoPathError(f"{start} -> {goal} leaves the planning arena")
-    if goal in obstacles:
-        raise NoPathError(f"goal {goal} is occupied")
-    if start == goal:
-        return GridPath((start,))
-    open_heap: list[tuple[int, tuple[int, int], Cell]] = []
-    g_score = {start: 0}
-    parent: dict[Cell, Cell] = {}
-    blocking: set[Cell] = set()
-    heapq.heappush(open_heap, (start.manhattan(goal), start.key(), start))
-    closed: set[Cell] = set()
-    while open_heap:
-        f, _, cur = heapq.heappop(open_heap)
-        if cur in closed:
-            continue
-        if cur == goal:
-            return GridPath(tuple(_reconstruct(parent, cur)))
-        closed.add(cur)
-        g = g_score[cur]
-        for nb in cur.neighbors4():
-            if nb not in arena:
-                continue
-            if nb in obstacles:
-                blocking.add(nb)
-                continue
-            tentative = g + 1
-            if tentative < g_score.get(nb, 1 << 30):
-                g_score[nb] = tentative
-                parent[nb] = cur
-                heapq.heappush(open_heap, (tentative + nb.manhattan(goal), nb.key(), nb))
-    raise NoPathError(f"no path {start} -> {goal}", frozenset(blocking))
+    return _rigid_search((start,), start, goal, obstacles, arena)
 
 
 def astar_subassembly(footprint: frozenset[Cell] | set[Cell], ref: Cell, goal_ref: Cell,
@@ -141,60 +110,68 @@ def astar_subassembly(footprint: frozenset[Cell] | set[Cell], ref: Cell, goal_re
     inside the arena. `ref` is one cell of the footprint whose waypoints are
     recorded; the move ends when ref reaches `goal_ref`.
     """
-    footprint = frozenset(footprint)
     if ref not in footprint:
         raise ValueError("reference cell must belong to the footprint")
-    target_delta = (goal_ref.x - ref.x, goal_ref.y - ref.y)
-    start_delta = (0, 0)
+    return _rigid_search(footprint, ref, goal_ref, obstacles, arena)
 
-    def fits(delta: tuple[int, int]) -> bool:
-        ok = True
-        for c in footprint:
-            dest = c + delta
-            if dest not in arena:
-                ok = False
-            elif dest in obstacles:
-                blocking.add(dest)
+
+def _rigid_search(footprint: Iterable[Cell], ref: Cell, goal_ref: Cell,
+                  obstacles: frozenset[Cell] | set[Cell], arena: Arena) -> GridPath:
+    """A* over the positions of the reference cell of a rigid footprint.
+
+    A single unit is the one-cell footprint whose reference is itself. A
+    position fits when every footprint cell lies in the arena and off the
+    obstacles; the arena test is one range check on the reference cell.
+    """
+    others = tuple((c.x - ref.x, c.y - ref.y) for c in footprint if c != ref)
+    dxs = [0] + [dx for dx, _ in others]
+    dys = [0] + [dy for _, dy in others]
+    lo_x, hi_x = arena.min_x - min(dxs), arena.max_x - max(dxs)
+    lo_y, hi_y = arena.min_y - min(dys), arena.max_y - max(dys)
+    blocking: set[Cell] = set()
+
+    def fits(pos: Cell) -> bool:
+        ok = lo_x <= pos.x <= hi_x and lo_y <= pos.y <= hi_y
+        if pos in obstacles:
+            blocking.add(pos)
+            ok = False
+        for dx, dy in others:
+            cell = Cell(pos.x + dx, pos.y + dy)
+            if cell in obstacles:
+                blocking.add(cell)
                 ok = False
         return ok
 
-    blocking: set[Cell] = set()
-    if not fits(start_delta):
-        raise NoPathError("footprint start placement collides", frozenset(blocking))
-    if not fits(target_delta):
-        raise NoPathError("footprint goal placement collides or leaves arena", frozenset(blocking))
-    if target_delta == start_delta:
+    if not fits(ref):
+        raise NoPathError(f"start placement at {ref} collides or leaves the arena",
+                          frozenset(blocking))
+    if not fits(goal_ref):
+        raise NoPathError(f"goal placement at {goal_ref} collides or leaves the arena",
+                          frozenset(blocking))
+    if ref == goal_ref:
         return GridPath((ref,))
-
-    def h(delta: tuple[int, int]) -> int:
-        return abs(delta[0] - target_delta[0]) + abs(delta[1] - target_delta[1])
-
-    g_score = {start_delta: 0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    open_heap: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
-    heapq.heappush(open_heap, (h(start_delta), (ref + start_delta).key(), start_delta))
-    closed: set[tuple[int, int]] = set()
+    open_heap: list[tuple[int, tuple[int, int], Cell]] = []
+    g_score = {ref: 0}
+    parent: dict[Cell, Cell] = {}
+    heapq.heappush(open_heap, (ref.manhattan(goal_ref), ref.key(), ref))
+    closed: set[Cell] = set()
     while open_heap:
-        f, _, cur = heapq.heappop(open_heap)
+        _, _, cur = heapq.heappop(open_heap)
         if cur in closed:
             continue
-        if cur == target_delta:
-            deltas = _reconstruct(parent, cur)
-            return GridPath(tuple(ref + d for d in deltas))
+        if cur == goal_ref:
+            return GridPath(tuple(_reconstruct(parent, cur)))
         closed.add(cur)
         g = g_score[cur]
-        for step in ((0, -1), (-1, 0), (1, 0), (0, 1)):
-            nd = (cur[0] + step[0], cur[1] + step[1])
-            if not fits(nd):
+        for nb in cur.neighbors4():
+            if not fits(nb):
                 continue
             tentative = g + 1
-            if tentative < g_score.get(nd, 1 << 30):
-                g_score[nd] = tentative
-                parent[nd] = cur
-                heapq.heappush(open_heap, (tentative + h(nd), (ref + nd).key(), nd))
-    raise NoPathError(
-        f"no rigid path moving ref {ref} -> {goal_ref}", frozenset(blocking)
-    )
+            if tentative < g_score.get(nb, 1 << 30):
+                g_score[nb] = tentative
+                parent[nb] = cur
+                heapq.heappush(open_heap, (tentative + nb.manhattan(goal_ref), nb.key(), nb))
+    raise NoPathError(f"no path moving {ref} -> {goal_ref}", frozenset(blocking))
 
 
 def swept_cells(footprint: Iterable[Cell], ref: Cell, path: GridPath) -> frozenset[Cell]:

@@ -9,16 +9,20 @@ Pipeline, in order:
 3. For each group, pick the best feasible support shape anchored at the
    faults' current cells and fly donor units into its vacant cells.
 4. Clear every stationary unit off the planned transfer corridors. With the
-   relocation rule on, blockers park directly on vacant target cells off the
-   corridors (so they never move again); with it off they park in their own
-   row, off-target, and must be fetched later.
+   relocation rule on, a blocker parks on the vacant target cell off the
+   corridors with the shortest gated flight (so it never moves again); with
+   it off, on the gated free cell of its own row nearest by |dx|, and is
+   fetched later if that cell is off the target. Failing that, it parks on
+   the free cell off the corridors and off the target with the shortest
+   gated flight.
 5. Rigidly transfer each support group so its faults land on their goals.
 6. Fill the remaining vacant target cells with conflict-free assignment
    rounds until the configuration equals the target exactly.
 
-Every step is gated: the configuration with the movers detached, the flying
-piece itself (when it carries faults), and the configuration after the move
-must all keep a system margin at or above the floor.
+Every step is gated: the flying piece itself (when it carries faults) and the
+configuration after the move must keep a margin at or above the floor. The
+structure left behind while the piece is in flight is not gated, except for
+donor flights of support completion, whose donor search checks it.
 """
 
 from __future__ import annotations
@@ -257,8 +261,8 @@ class _Pipeline:
         self._form_groups()
         self._select_supports()
         self._build_supports()
-        trajectories = self._plan_trajectories()
-        self._clear_corridors(trajectories)
+        self._plan_corridor()
+        self._clear_corridor()
         self._transfer_groups()
         self._fill_remainder()
         if self.work != self.target.config:
@@ -386,12 +390,11 @@ class _Pipeline:
             claimed |= group.shape | group.landing
 
     def _build_supports(self) -> None:
-        reserved = frozenset().union(*(g.shape for g in self.groups)) | set(self.work.faulty_cells) \
-            if self.groups else frozenset(self.work.faulty_cells)
+        reserved = frozenset(self.work.faulty_cells).union(*(g.shape for g in self.groups))
         for group in self.groups:
             moves, after = plan_vmcs_completion(
                 self.work, self.target.cm, group.shape, group.faults, self.params,
-                self.c1, self.c2, reserved=frozenset(reserved), arena=self.arena,
+                self.c1, self.c2, reserved=reserved, arena=self.arena,
                 epsilon=self.epsilon,
             )
             for mv in moves:
@@ -401,7 +404,7 @@ class _Pipeline:
 
     # -- phase 4: corridor clearance ---------------------------------------
 
-    def _plan_trajectories(self) -> dict[int, GridPath]:
+    def _plan_corridor(self) -> None:
         """Nominal transfer corridors, ignoring movable healthy units.
 
         Only immovable cells are obstacles here: faults staying in place and
@@ -409,9 +412,8 @@ class _Pipeline:
         by a corridor become blockers and are evacuated before the transfer
         re-plans against the true occupancy.
         """
-        grouped_faults = set().union(*(g.faults for g in self.groups)) if self.groups else set()
+        grouped_faults = set().union(*(g.faults for g in self.groups))
         settled = frozenset(set(self.work.faulty_cells) - grouped_faults)
-        trajectories: dict[int, GridPath] = {}
         swept: set[Cell] = set()
         for i, group in enumerate(self.groups):
             ref = _reference(group.shape)
@@ -422,13 +424,11 @@ class _Pipeline:
                     obstacles |= other.shape | other.landing
             path = astar_subassembly(group.shape, ref, goal_ref,
                                      frozenset(obstacles - group.shape), self.arena)
-            trajectories[i] = path
             swept |= swept_cells(group.shape, ref, path)
         self.corridor = frozenset(swept)
-        return trajectories
 
-    def _clear_corridors(self, trajectories: dict[int, GridPath]) -> None:
-        members = frozenset().union(*(g.shape for g in self.groups)) if self.groups else frozenset()
+    def _clear_corridor(self) -> None:
+        members = frozenset().union(*(g.shape for g in self.groups))
         blockers = sorted(
             (c for c in self.corridor
              if c in self.work and not self.work.state(c).is_faulty and c not in members),
@@ -439,43 +439,43 @@ class _Pipeline:
 
     def _relocate_blocker(self, blocker: Cell) -> None:
         occupied = self.work.cell_set
-        obstacles = frozenset(occupied - {blocker})
+        free = [w for w in self.arena.cells() if w not in occupied and w not in self.corridor]
         target_cells = self.target.config.cell_set
         note = None
-        best: tuple[int, tuple[int, int], GridPath] | None = None
         if self.relocation_rule:
-            waiting = sorted(
-                (w for w in target_cells
-                 if w not in occupied and w not in self.corridor),
-                key=cell_key,
-            )
-            for w in waiting:
-                path = self._gated_unit_path(blocker, w, obstacles)
-                if path is None:
-                    continue
-                key = (path.length, w.key())
-                if best is None or key < (best[0], best[1]):
-                    best = (path.length, w.key(), path)
+            path = self._park(blocker, [w for w in free if w in target_cells], by_length=True)
         else:
-            row = [
-                w for w in self._arena_cells_in_row(blocker.y)
-                if w not in occupied and w not in self.corridor and w != blocker
-            ]
-            row.sort(key=lambda w: (abs(w.x - blocker.x), w.key()))
-            for w in row:
-                path = self._gated_unit_path(blocker, w, obstacles)
-                if path is not None:
-                    best = (path.length, w.key(), path)
-                    break
-        if best is None:
+            path = self._park(blocker, [w for w in free if w.y == blocker.y], by_length=False)
+        if path is None:
             # fall back to any free cell off the corridors and off the target
             note = "off-target-parking"
-            for w in self._fallback_parking(blocker, obstacles, target_cells):
-                best = w
-                break
-            if best is None:
+            path = self._park(blocker, [w for w in free if w not in target_cells],
+                              by_length=True)
+            if path is None:
                 raise NoPathError(f"blocker {blocker} has nowhere to park")
-        self._execute((blocker,), best[2], Phase.PATH_CLEARANCE, note=note)
+        self._execute((blocker,), path, Phase.PATH_CLEARANCE, note=note)
+
+    def _park(self, blocker: Cell, spots: list[Cell], by_length: bool) -> GridPath | None:
+        """Gated path to the spot of least rank, or None when no spot passes the gate.
+
+        The rank is (flight length, (y, x)) with `by_length`, otherwise
+        (Manhattan distance, (y, x)). Spots are tried in (Manhattan distance,
+        (y, x)) order; the Manhattan distance bounds the flight length from
+        below, so no spot after one whose bound exceeds the best rank can win.
+        """
+        obstacles = frozenset(self.work.cell_set - {blocker})
+        best: GridPath | None = None
+        best_rank = None
+        for bound, w in sorted(((blocker.manhattan(w), w.key()), w) for w in spots):
+            if best_rank is not None and bound > best_rank:
+                break
+            path = self._gated_unit_path(blocker, w, obstacles)
+            if path is None:
+                continue
+            rank = (path.length, w.key()) if by_length else bound
+            if best_rank is None or rank < best_rank:
+                best, best_rank = path, rank
+        return best
 
     def _gated_unit_path(self, start: Cell, goal: Cell,
                          obstacles: frozenset[Cell]) -> GridPath | None:
@@ -487,26 +487,6 @@ class _Pipeline:
         if self._post_state((start,), (goal.x - start.x, goal.y - start.y)) is None:
             return None
         return path
-
-    def _arena_cells_in_row(self, y: int) -> list[Cell]:
-        return [Cell(x, y) for x in range(self.arena.min_x, self.arena.max_x + 1)]
-
-    def _fallback_parking(self, blocker: Cell, obstacles: frozenset[Cell],
-                          target_cells: frozenset[Cell]):
-        candidates = []
-        for y in range(self.arena.min_y, self.arena.max_y + 1):
-            for x in range(self.arena.min_x, self.arena.max_x + 1):
-                w = Cell(x, y)
-                if w in obstacles or w == blocker or w in self.corridor or w in target_cells:
-                    continue
-                candidates.append(w)
-        scored = []
-        for w in sorted(candidates, key=cell_key):
-            path = self._gated_unit_path(blocker, w, obstacles)
-            if path is not None:
-                scored.append((path.length, w.key(), path))
-        scored.sort(key=lambda it: (it[0], it[1]))
-        return scored
 
     # -- phase 5: rigid transfers ------------------------------------------
 
@@ -525,10 +505,7 @@ class _Pipeline:
 
     def _fill_remainder(self) -> None:
         target_cells = self.target.config.cell_set
-        while True:
-            vacant = sorted((t for t in target_cells if t not in self.work), key=cell_key)
-            if not vacant:
-                break
+        while not target_cells <= self.work.cell_set:
             round_targets = conflict_free_targets(self.work, target_cells, self.arena)
             if not round_targets:
                 raise InfeasibleAssignmentError("no fill target is reachable")

@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the library's own algorithms: margins are
 estimated by random direction sampling against the support function only,
-paths by breadth-first search, assignments by permutation enumeration, and
-shape counts by brute-force subset growth. The one exception is the margin
-kernel's reference: the library's earlier facet enumeration (all triples at
-once, sign-canonicalized and deduplicated), kept here so that the streaming
-kernel can be checked against it.
+paths by breadth-first search, assignments by permutation enumeration,
+parking spots by gating every spot, and shape counts by brute-force subset
+growth. The one exception is the margin kernel's reference: the library's
+earlier facet enumeration (all triples at once, sign-canonicalized and
+deduplicated), kept here so that the streaming kernel can be checked against
+it.
 """
 
 from __future__ import annotations
@@ -296,6 +297,23 @@ def bfs_footprint_length(footprint: frozenset[Cell], ref: Cell, goal_ref: Cell,
             seen.add(nb)
             queue.append((nb, dist + 1))
     return None
+
+
+def exhaustive_parking(blocker: Cell, spots: list[Cell], gate, by_length: bool):
+    """Gated path to the parking spot of least rank, gating every spot.
+
+    `gate(spot)` returns the gated path or None. The rank is (path length,
+    (y, x)) with `by_length`, otherwise (Manhattan distance, (y, x)).
+    """
+    best = None
+    for spot in spots:
+        path = gate(spot)
+        if path is None:
+            continue
+        rank = (path.length if by_length else blocker.manhattan(spot), cell_key(spot))
+        if best is None or rank < best[0]:
+            best = (rank, path)
+    return None if best is None else best[1]
 
 
 def brute_force_assignment(cost: np.ndarray) -> tuple[float, list[int]]:

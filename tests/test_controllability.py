@@ -6,14 +6,12 @@ estimator (see helpers.sampling_cm); the two agree to well under 0.1% on
 every case in the table.
 """
 
-import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import lsq_linear
 
 import marsplan.controllability as controllability
 from marsplan.controllability import (
@@ -356,13 +354,21 @@ def test_system_cm_stops_at_the_first_subassembly_below_the_floor(monkeypatch):
     assert system_cm(cfg) == pytest.approx(PINNED["unit_fault_plus_one"][2], abs=1e-9)
 
 
-def test_hover_wrench_within_tolerance_outside_is_not_certified_below_the_floor(monkeypatch):
+def test_exterior_margin_is_the_exact_projection_distance():
+    # A healthy unit 1e-6 N heavier than its full thrust: the nearest point
+    # of the wrench set is all four rotors at full thrust, so the margin is
+    # minus the excess weight, to rounding.
+    params = PhysicalParams(unit_mass=(4 * 0.15 + 1e-6) / 9.81)
+    zono = build_zonotope(sub_of([Cell(0, 0)]), params)
+    g = gravity_wrench(1, params)
+    excess = g[0] - 4 * params.rotor_thrust_max
+    assert abs(cm_signed_distance(zono, g) + excess) <= 1e-12
+
+
+def test_hover_wrench_within_tolerance_outside_is_not_certified_below_the_floor():
     # A healthy unit whose weight exceeds its full thrust by less than the
-    # kernel tolerance: the facet slacks are negative, yet a projection exact
-    # to rounding (the active-set solver) snaps the margin to 0.0, so a floor
-    # query must not stop at a slack. The default solver stops about 1e-7
-    # short there, which would hide the snap.
-    monkeypatch.setattr(controllability, "lsq_linear", functools.partial(lsq_linear, method="bvls"))
+    # kernel tolerance: the facet slacks are negative, yet the projection
+    # snaps the margin to 0.0, so a floor query must not stop at a slack.
     params = PhysicalParams(unit_mass=(4 * 0.15 + 5e-10) / 9.81)
     sub = sub_of([Cell(0, 0)])
     zono = build_zonotope(sub, params)

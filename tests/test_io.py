@@ -230,16 +230,28 @@ GOLDEN_PLAN_DIGESTS = {
         "01bf961e6549a73f8451be4f4b2957f4c01231706866cfa0ed169cb2d25a2593",
     ("hollow3x3", True):
         "16f32f5ece9ab74fdb1f5bd92e7514e7a148c1e2b89f4f128a9b8fed7dc605bb",
+    ("hollow3x3", False):
+        "6274d80f8ad8883dc423eb408b6026ece014c77b9dc76a8bef9117f042f9aa4e",
     ("icra_letters", True):
         "66f8f847bdf3e7fdbfda4ddf199ead269201b1090622db09b42a48e06be98d2b",
+    ("icra_letters", False):
+        "71b88db0a03a9313a0c3ef35164915fe7ad37fe52c0929a7a2d272b389c436bf",
     ("rect3x2_2fault", True):
         "e1fcb53b2e420fb66f565f0f23db37b08ec29cf407811de31b0a1de4488b7066",
+    ("rect3x2_2fault", False):
+        "b53b609b819230f8583f428f5e21f04411c6bdc6f8e786d95ce1f5bc103b8ec9",
     ("rect3x2_fault3", True):
         "147ff0025a11c983aed854fae14e7fbd17130437c14238fae8a08b91ad7c3e40",
+    ("rect3x2_fault3", False):
+        "a507172ebceefbe601757274c18aff0e75c658804610a22b18d7b2fe9e96dad4",
     ("rect3x3_fault8", True):
         "8e06c3ee19a08f3c6df67416597b61ff51e144872a8262b764b442c7b635868a",
+    ("rect3x3_fault8", False):
+        "6ce84129b9f24eee722e84f419491771ab134ada5f04d864125a92320cbb9fdb",
     ("triangle9_2fault", True):
         "87dfd1126a594a788e2d27323a3672ac14b57d484e0560cfd88f42ef44340c1d",
+    ("triangle9_2fault", False):
+        "6bc5dad5d3e02c9b0c16dd4b8441f7dd60e5b81daaa24aebe480194a50ae045a",
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marsplan.controllability import system_cm
+from marsplan.controllability import DEFAULT_PARAMS, system_cm
 from marsplan.errors import (
     InfeasibleAssignmentError,
     InfeasibleTargetError,
@@ -28,16 +28,19 @@ from marsplan.paths import (
 from marsplan.planner import (
     Phase,
     StepKind,
+    _Pipeline,
     conflict_free_targets,
     lexicographic_min_assignment,
     plan,
     validate_plan,
 )
+from marsplan.vmcs import optimal_configuration
 
 from helpers import (
     bfs_footprint_length,
     bfs_unit_length,
     brute_force_assignment,
+    exhaustive_parking,
     footprint_fits,
     random_connected_cells,
 )
@@ -214,6 +217,40 @@ def test_already_occupied_targets_are_not_pending():
     ar = arena_around([Cell(0, 0), Cell(1, 0), Cell(3, 0)], 2)
     assert conflict_free_targets(cfg, [Cell(0, 0), Cell(3, 0)], ar) == [Cell(3, 0)]
     assert conflict_free_targets(cfg, [], ar) == []
+
+
+# -- blocker parking ---------------------------------------------------------------
+
+
+def test_parking_search_matches_an_exhaustive_scan():
+    # Fault-free assemblies with scattered single units: every spot the
+    # blocker can reach passes the gate, so detours around the scattered
+    # units and (y, x) ties decide which spot wins.
+    rng = np.random.default_rng(41)
+    detours = 0
+    for _ in range(60):
+        cells = set(random_connected_cells(rng, int(rng.integers(3, 9))))
+        free = [c for c in arena_around(cells).cells() if c not in cells]
+        cells.update(free[int(i)] for i in rng.choice(len(free), len(free) // 4, replace=False))
+        config = Configuration.from_cells(sorted(cells, key=cell_key))
+        pipeline = _Pipeline(config, optimal_configuration(config), DEFAULT_PARAMS,
+                             2.0, -0.1, True, 0.0)
+        blocker = sorted(cells, key=cell_key)[int(rng.integers(len(cells)))]
+        obstacles = frozenset(cells - {blocker})
+        free = [c for c in pipeline.arena.cells() if c not in cells]
+        spots = [free[int(i)] for i in sorted(rng.choice(len(free), len(free) // 5, replace=False))]
+
+        def gate(spot):
+            return pipeline._gated_unit_path(blocker, spot, obstacles)
+
+        chosen = []
+        for by_length in (True, False):
+            got = pipeline._park(blocker, spots, by_length)
+            want = exhaustive_parking(blocker, spots, gate, by_length)
+            assert (got and got.waypoints) == (want and want.waypoints)
+            chosen.append(got and got.goal)
+        detours += chosen[0] != chosen[1]
+    assert detours
 
 
 # -- end-to-end planning ------------------------------------------------------------------
