@@ -83,8 +83,7 @@ def _parse_cell(raw: Any, where: str) -> Cell:
     return Cell(int(raw[0]), int(raw[1]))
 
 
-def _parse_fault(raw: Any, index: int) -> tuple[Cell, FaultState]:
-    where = f"faults[{index}]"
+def _parse_fault(raw: Any, where: str) -> tuple[Cell, FaultState]:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where} must be an object")
     _reject_unknown(raw, _FAULT_KEYS, where)
@@ -102,6 +101,28 @@ def _parse_fault(raw: Any, index: int) -> tuple[Cell, FaultState]:
             raise ScenarioError(f"{where}.rotor_index must be an integer in 0..3")
         return cell, rotor_fault(idx)
     raise ScenarioError(f"{where}.kind must be 'unit' or 'rotor', got {kind!r}")
+
+
+def _parse_config(data: dict, prefix: str) -> Configuration:
+    """The `cells` and `faults` of `data`, rejecting repeated or stray cells.
+
+    `prefix` locates the two keys in messages.
+    """
+    cells: dict[Cell, None] = {}
+    for i, rc in enumerate(_list(data.get("cells", []), f"{prefix}cells")):
+        cell = _parse_cell(rc, f"{prefix}cells[{i}]")
+        if cell in cells:
+            raise ScenarioError(f"duplicate cell [{cell.x}, {cell.y}] in '{prefix}cells'")
+        cells[cell] = None
+    faults: dict[Cell, FaultState] = {}
+    for i, rf in enumerate(_list(data.get("faults", []), f"{prefix}faults")):
+        cell, state = _parse_fault(rf, f"{prefix}faults[{i}]")
+        if cell in faults:
+            raise ScenarioError(f"duplicate fault cell [{cell.x}, {cell.y}] in '{prefix}faults'")
+        if cell not in cells:
+            raise ScenarioError(f"fault cell [{cell.x}, {cell.y}] is not in '{prefix}cells'")
+        faults[cell] = state
+    return Configuration.from_cells(cells, faults)
 
 
 def _parse_params(raw: Any, base: PhysicalParams) -> PhysicalParams:
@@ -134,18 +155,7 @@ def parse_scenario(data: Any, base_params: PhysicalParams = DEFAULT_PARAMS) -> S
     raw_cells = data["cells"]
     if not isinstance(raw_cells, list) or not raw_cells:
         raise ScenarioError("'cells' must be a non-empty list of [x, y] pairs")
-    cells = [_parse_cell(rc, f"cells[{i}]") for i, rc in enumerate(raw_cells)]
-    if len(set(cells)) != len(cells):
-        dup = next(c for c in cells if cells.count(c) > 1)
-        raise ScenarioError(f"duplicate cell [{dup.x}, {dup.y}] in 'cells'")
-    faults: dict[Cell, FaultState] = {}
-    for i, rf in enumerate(data.get("faults", []) or []):
-        cell, state = _parse_fault(rf, i)
-        if cell in faults:
-            raise ScenarioError(f"duplicate fault cell [{cell.x}, {cell.y}] in 'faults'")
-        if cell not in set(cells):
-            raise ScenarioError(f"fault cell [{cell.x}, {cell.y}] is not in 'cells'")
-        faults[cell] = state
+    config = _parse_config(data, "")
     params = _parse_params(data["params"], base_params) if "params" in data else base_params
 
     weights = data.get("weights", {})
@@ -171,7 +181,6 @@ def parse_scenario(data: Any, base_params: PhysicalParams = DEFAULT_PARAMS) -> S
     if notes is not None and not isinstance(notes, str):
         raise ScenarioError("'notes' must be a string")
 
-    config = Configuration.from_cells(cells, faults)
     return Scenario(
         config=config, params=params, name=name,
         c1=float(weights["c1"]) if "c1" in weights else None,
@@ -225,14 +234,7 @@ def config_from_json(data: Any, where: str = "config") -> Configuration:
     if not isinstance(data, dict):
         raise ScenarioError(f"{where} must be an object")
     _reject_unknown(data, {"cells", "faults"}, where)
-    cells = [_parse_cell(rc, f"{where}.cells[{i}]")
-             for i, rc in enumerate(_list(data.get("cells", []), f"{where}.cells"))]
-    faults = dict(_parse_fault(rf, i)
-                  for i, rf in enumerate(_list(data.get("faults", []), f"{where}.faults")))
-    try:
-        return Configuration.from_cells(cells, faults)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+    return _parse_config(data, f"{where}.")
 
 
 def params_to_json(params: PhysicalParams) -> dict:

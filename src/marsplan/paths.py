@@ -46,13 +46,18 @@ class Arena:
                 if c.x in (self.min_x, self.max_x) or c.y in (self.min_y, self.max_y)]
 
 
-def arena_around(cells: Iterable[Cell], margin: int = 2) -> Arena:
+# Free cells the arena keeps on every side of the cells it is built around.
+_ARENA_MARGIN = 2
+
+
+def arena_around(cells: Iterable[Cell]) -> Arena:
     cells = list(cells)
     if not cells:
         raise ValueError("cannot build an arena around no cells")
     xs = [c.x for c in cells]
     ys = [c.y for c in cells]
-    return Arena(min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
+    return Arena(min(xs) - _ARENA_MARGIN, min(ys) - _ARENA_MARGIN,
+                 max(xs) + _ARENA_MARGIN, max(ys) + _ARENA_MARGIN)
 
 
 @dataclass(frozen=True)

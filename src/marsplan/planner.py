@@ -19,15 +19,16 @@ Pipeline, in order:
 6. Fill the remaining vacant target cells with conflict-free assignment
    rounds until the configuration equals the target exactly.
 
-Every step is gated: the flying piece itself (when it carries faults) and the
-configuration after the move must keep a margin at or above the floor. The
-structure left behind while the piece is in flight is not gated, except for
-donor flights of support completion, whose donor search checks it.
+Every step passes one gate, `_Pipeline._step`: the flying piece itself (when
+it carries faults) and the configuration after the move must keep a margin at
+or above the floor. Searches commit the step the gate built for their winner;
+support transfers and donor flights are gated as they execute. The structure
+left behind while the piece is in flight is not gated, except for donor
+flights of support completion, whose donor search checks it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -49,6 +50,7 @@ from .paths import Arena, GridPath, arena_around, astar_subassembly, astar_unit,
 from .vmcs import (
     TargetConfiguration,
     _smallest_supports,
+    _state_key,
     optimal_configuration,
     plan_vmcs_completion,
 )
@@ -117,7 +119,6 @@ class _Group:
     goals: dict[Cell, Cell]              # current -> goal
     delta: tuple[int, int]
     shape: frozenset[Cell] = field(default_factory=frozenset)
-    cm: float = math.nan
 
     @property
     def sort_cell(self) -> Cell:
@@ -271,42 +272,52 @@ class _Pipeline:
 
     # -- step emission with the safety gate --------------------------------
 
-    def _post_state(self, moved: tuple[Cell, ...], delta: tuple[int, int]
-                    ) -> tuple[Configuration, float] | None:
-        """State after the move and its margin, or None below the floor.
+    def _step(self, moved: Sequence[Cell], path: GridPath, phase: Phase,
+              note: str | None = None) -> PlanStep | None:
+        """The step flying `moved` along `path` from `self.work`, or None.
 
-        The gate applies to the configuration each relocation leaves behind;
-        a flying piece that carries faults must additionally be controllable
-        on its own (support shapes are, by construction).
+        This is the one gate: a flying piece that carries faults must be
+        controllable on its own (support shapes are, by construction), and
+        the configuration after the move must keep its margin at or above
+        the floor. `path` runs from the smallest moved cell.
         """
+        moved = tuple(sorted(moved, key=cell_key))
         flying = [(c, self.work.state(c)) for c in moved]
         if any(s.is_faulty for _, s in flying):
             piece = Subassembly(tuple(flying))
             if cached_subassembly_cm(piece, self.params, self.epsilon) < self.epsilon:
                 return None
-        post = self.work.translate_set(moved, delta)
+        ref = moved[0]
+        post = self.work.translate_set(moved, (path.goal.x - ref.x, path.goal.y - ref.y))
         post_cm = system_cm(post, self.params, self.epsilon)
         if post_cm < self.epsilon:
             return None
-        return post, post_cm
-
-    def _execute(self, moved: Sequence[Cell], path: GridPath, phase: Phase,
-                 note: str | None = None) -> None:
-        moved = tuple(sorted(moved, key=cell_key))
-        ref = moved[0]
-        delta = (path.goal.x - ref.x, path.goal.y - ref.y)
-        gated = self._post_state(moved, delta)
-        if gated is None:
-            raise SafetyViolationError(
-                f"move of {tuple(c.key() for c in moved)} would leave the system "
-                f"below the margin floor", phase=phase.value,
-            )
-        post, post_cm = gated
         kind = StepKind.MOVE_UNIT if len(moved) == 1 else StepKind.MOVE_SUBASSEMBLY
-        self.steps.append(PlanStep(kind=kind, phase=phase, moved_cells=moved,
-                                   path=path, post_config=post, post_cm=post_cm,
-                                   note=note))
-        self.work = post
+        return PlanStep(kind=kind, phase=phase, moved_cells=moved, path=path,
+                        post_config=post, post_cm=post_cm, note=note)
+
+    def _unit_step(self, start: Cell, goal: Cell, obstacles: frozenset[Cell],
+                   phase: Phase, note: str | None = None) -> PlanStep | None:
+        """Gated step of a single unit, or None when unreachable or rejected."""
+        try:
+            path = astar_unit(start, goal, obstacles, self.arena)
+        except NoPathError:
+            return None
+        return self._step((start,), path, phase, note)
+
+    def _commit(self, step: PlanStep) -> None:
+        self.steps.append(step)
+        self.work = step.post_config
+
+    def _execute(self, moved: Sequence[Cell], path: GridPath, phase: Phase) -> None:
+        """Gate and commit a move that no search has gated."""
+        step = self._step(moved, path, phase)
+        if step is None:
+            raise SafetyViolationError(
+                f"move of {tuple(c.key() for c in sorted(moved, key=cell_key))} would "
+                f"leave the system below the margin floor", phase=phase.value,
+            )
+        self._commit(step)
 
     # -- phase 2: goals and groups ----------------------------------------
 
@@ -347,8 +358,7 @@ class _Pipeline:
         goal_pool = sorted(self.target.config.faulty_cells, key=cell_key)
         goals: dict[Cell, Cell] = {}
         # match within each fault-state class so kinds are preserved
-        states = sorted({self.work.state(c) for c in current},
-                        key=lambda s: (s.kind.value, s.rotor_index or -1))
+        states = sorted({self.work.state(c) for c in current}, key=_state_key)
         for state in states:
             cur = [c for c in current if self.work.state(c) == state]
             tgt = [c for c in goal_pool if self.target.config.state(c) == state]
@@ -376,17 +386,14 @@ class _Pipeline:
                     continue
                 if (shape | landing) & (foreign_faults | claimed):
                     continue
-                if any(c in self.work and self.work.state(c).is_faulty and c not in own
-                       for c in shape):
-                    continue
-                chosen = (shape, cm)
+                chosen = shape
                 break
             if chosen is None:
                 raise NoVmcsPlacementError(
                     "no support shape fits around the faults without conflicts",
                     faults=tuple(sorted(own, key=cell_key)),
                 )
-            group.shape, group.cm = chosen
+            group.shape = chosen
             claimed |= group.shape | group.landing
 
     def _build_supports(self) -> None:
@@ -441,22 +448,21 @@ class _Pipeline:
         occupied = self.work.cell_set
         free = [w for w in self.arena.cells() if w not in occupied and w not in self.corridor]
         target_cells = self.target.config.cell_set
-        note = None
         if self.relocation_rule:
-            path = self._park(blocker, [w for w in free if w in target_cells], by_length=True)
+            step = self._park(blocker, [w for w in free if w in target_cells], by_length=True)
         else:
-            path = self._park(blocker, [w for w in free if w.y == blocker.y], by_length=False)
-        if path is None:
+            step = self._park(blocker, [w for w in free if w.y == blocker.y], by_length=False)
+        if step is None:
             # fall back to any free cell off the corridors and off the target
-            note = "off-target-parking"
-            path = self._park(blocker, [w for w in free if w not in target_cells],
-                              by_length=True)
-            if path is None:
+            step = self._park(blocker, [w for w in free if w not in target_cells],
+                              by_length=True, note="off-target-parking")
+            if step is None:
                 raise NoPathError(f"blocker {blocker} has nowhere to park")
-        self._execute((blocker,), path, Phase.PATH_CLEARANCE, note=note)
+        self._commit(step)
 
-    def _park(self, blocker: Cell, spots: list[Cell], by_length: bool) -> GridPath | None:
-        """Gated path to the spot of least rank, or None when no spot passes the gate.
+    def _park(self, blocker: Cell, spots: list[Cell], by_length: bool,
+              note: str | None = None) -> PlanStep | None:
+        """Gated step to the spot of least rank, or None when no spot passes the gate.
 
         The rank is (flight length, (y, x)) with `by_length`, otherwise
         (Manhattan distance, (y, x)). Spots are tried in (Manhattan distance,
@@ -464,29 +470,18 @@ class _Pipeline:
         below, so no spot after one whose bound exceeds the best rank can win.
         """
         obstacles = frozenset(self.work.cell_set - {blocker})
-        best: GridPath | None = None
+        best: PlanStep | None = None
         best_rank = None
         for bound, w in sorted(((blocker.manhattan(w), w.key()), w) for w in spots):
             if best_rank is not None and bound > best_rank:
                 break
-            path = self._gated_unit_path(blocker, w, obstacles)
-            if path is None:
+            step = self._unit_step(blocker, w, obstacles, Phase.PATH_CLEARANCE, note)
+            if step is None:
                 continue
-            rank = (path.length, w.key()) if by_length else bound
+            rank = (step.path.length, w.key()) if by_length else bound
             if best_rank is None or rank < best_rank:
-                best, best_rank = path, rank
+                best, best_rank = step, rank
         return best
-
-    def _gated_unit_path(self, start: Cell, goal: Cell,
-                         obstacles: frozenset[Cell]) -> GridPath | None:
-        """Path for a single unit, or None when unreachable or gate-failing."""
-        try:
-            path = astar_unit(start, goal, obstacles, self.arena)
-        except NoPathError:
-            return None
-        if self._post_state((start,), (goal.x - start.x, goal.y - start.y)) is None:
-            return None
-        return path
 
     # -- phase 5: rigid transfers ------------------------------------------
 
@@ -497,8 +492,6 @@ class _Pipeline:
             goal_ref = ref + group.delta
             obstacles = frozenset(self.work.cells) - current_cells
             path = astar_subassembly(current_cells, ref, goal_ref, obstacles, self.arena)
-            if path.length == 0:
-                continue
             self._execute(tuple(current_cells), path, Phase.VMCS_TRANSFER)
 
     # -- phase 6: fill rounds ----------------------------------------------
@@ -526,9 +519,9 @@ class _Pipeline:
         for j, cand in enumerate(candidates):
             obstacles = frozenset(self.work.cell_set - {cand})
             for i, t in enumerate(targets):
-                path = self._gated_unit_path(cand, t, obstacles)
-                if path is not None:
-                    cost[i, j] = path.length
+                step = self._unit_step(cand, t, obstacles, Phase.FILL_REMAINDER)
+                if step is not None:
+                    cost[i, j] = step.path.length
         cols = lexicographic_min_assignment(cost)
         pairs = []
         for i, j in enumerate(cols):
@@ -544,16 +537,13 @@ class _Pipeline:
         pending = [t for t, _ in pairs]
         for t, cand in pairs:
             pending.remove(t)
-            if cand not in self.work or t in self.work:
-                continue
             obstacles = frozenset(self.work.cell_set - {cand})
             # keep this round's still-unfilled targets clear of the path
-            path = self._gated_unit_path(cand, t, obstacles | frozenset(pending))
-            if path is None:
-                path = self._gated_unit_path(cand, t, obstacles)
-            if path is None:
+            step = (self._unit_step(cand, t, obstacles | frozenset(pending), Phase.FILL_REMAINDER)
+                    or self._unit_step(cand, t, obstacles, Phase.FILL_REMAINDER))
+            if step is None:
                 continue  # deferred; a later round retries with a fresh state
-            self._execute((cand,), path, Phase.FILL_REMAINDER)
+            self._commit(step)
             executed += 1
         return executed
 

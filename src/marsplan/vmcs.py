@@ -192,7 +192,7 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
     cells = sorted(config.cells, key=cell_key)
     distinct_orders = sorted(set(permutations(fault_states)),
                              key=lambda p: tuple(_state_key(s) for s in p))
-    best: tuple[float, tuple, Configuration] | None = None
+    best: tuple[float, Configuration] | None = None
     for combo in combinations(cells, len(fault_states)):
         for order in distinct_orders:
             placement = dict(zip(combo, order))
@@ -200,9 +200,9 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
             floor = -math.inf if best is None else best[0]
             cm = round(system_cm(candidate, params, floor), _TIE_DECIMALS)
             if best is None or cm > best[0]:
-                best = (cm, combo, candidate)
+                best = (cm, candidate)
     assert best is not None
-    cm, _, candidate = best
+    _, candidate = best
     return TargetConfiguration(candidate, system_cm(candidate, params))
 
 
@@ -242,7 +242,9 @@ def plan_vmcs_completion(config: Configuration, target_cm: float,
             if work.state(donor).is_faulty or donor in reserved or donor in vmcs_cells:
                 continue
             after = work.detach(donor)
-            if _any_faulty_below(after, params, epsilon):
+            # exact whenever it clears the floor, so it also scores the donor
+            after_cm = system_cm(after, params, epsilon)
+            if after_cm < epsilon:
                 continue
             obstacles = frozenset(after.cells)
             try:
@@ -250,9 +252,9 @@ def plan_vmcs_completion(config: Configuration, target_cm: float,
             except NoPathError:
                 continue
             landed = after.attach(vacancy, HEALTHY)
-            if _any_faulty_below(landed, params, epsilon):
+            if system_cm(landed, params, epsilon) < epsilon:
                 continue
-            delta = system_cm(after, params) - target_cm
+            delta = after_cm - target_cm
             objective = round(c1 * delta * delta - c2 * path.length, _TIE_DECIMALS)
             key = (objective, donor.key())
             if best is None or key < (best[0], best[1]):
@@ -265,7 +267,3 @@ def plan_vmcs_completion(config: Configuration, target_cm: float,
         _, _, donor, path, work = best
         moves.append(CompletionMove(donor=donor, vacancy=vacancy, path=path))
     return moves, work
-
-
-def _any_faulty_below(config: Configuration, params: PhysicalParams, floor: float) -> bool:
-    return system_cm(config, params, floor) < floor

@@ -87,6 +87,7 @@ def test_full_scenario_parses():
         ({"cells": [[0, 0], [1, True]]}, "cells[1]"),
         ({"cells": [[0, 0], [1.5, 0]]}, "cells[1]"),
         ({"cells": [[0, 0], [0, 0]]}, "duplicate cell [0, 0]"),
+        ({"cells": [[0, 0]], "faults": None}, "faults must be a list"),
         ({"cells": [[0, 0]], "faults": ["x"]}, "faults[0] must be an object"),
         ({"cells": [[0, 0]], "faults": [{"cell": [0, 0], "kind": "unit", "extra": 1}]},
          "'extra'"),
@@ -326,6 +327,25 @@ def test_replay_rejects_sweeps_through_occupied_cells():
     with pytest.raises(PlanningError) as exc:
         replay_document(doc)
     assert "sweeps through" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "config,fragment",
+    [
+        ({"cells": [[0, 0], [1, 0]],
+          "faults": [{"cell": [0, 0], "kind": "unit"},
+                     {"cell": [0, 0], "kind": "rotor", "rotor_index": 1}]},
+         "duplicate fault cell [0, 0] in 'start_config.faults'"),
+        ({"cells": [[0, 0], [0, 0]], "faults": []},
+         "duplicate cell [0, 0] in 'start_config.cells'"),
+        ({"cells": [[0, 0]], "faults": [{"cell": [1, 0], "kind": "unit"}]},
+         "fault cell [1, 0] is not in 'start_config.cells'"),
+    ],
+)
+def test_plan_document_configurations_are_checked_like_scenarios(config, fragment):
+    with pytest.raises(ScenarioError) as exc:
+        replay_document({"start_config": config, "steps": []})
+    assert fragment in str(exc.value)
 
 
 def test_cm_trace_csv(tmp_path, rect_plan):

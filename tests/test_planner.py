@@ -62,7 +62,7 @@ def test_arena_membership_and_ring():
 
 
 def test_arena_around_inflates_bounds():
-    ar = arena_around([Cell(0, 0), Cell(3, 1)], margin=2)
+    ar = arena_around([Cell(0, 0), Cell(3, 1)])
     assert ar == Arena(-2, -2, 5, 3)
     with pytest.raises(ValueError):
         arena_around([])
@@ -199,22 +199,22 @@ def test_dead_end_corridor_keeps_only_the_deepest_target():
     )
     cfg = Configuration.from_cells(walls)
     targets = [Cell(x, 0) for x in range(4)]
-    survivors = conflict_free_targets(cfg, targets, arena_around(walls + targets, 2))
+    survivors = conflict_free_targets(cfg, targets, arena_around(walls + targets))
     assert survivors == [Cell(0, 0)]
 
 
 def test_reachable_vacancy_survives_enclosed_one_does_not():
     open_cfg = Configuration.from_cells([Cell(1, 0), Cell(0, 1), Cell(1, 2)])
-    ar = arena_around(list(open_cfg.cells) + [Cell(1, 1)], 2)
+    ar = arena_around(list(open_cfg.cells) + [Cell(1, 1)])
     assert conflict_free_targets(open_cfg, [Cell(1, 1)], ar) == [Cell(1, 1)]
     closed_cfg = Configuration.from_cells([Cell(1, 0), Cell(0, 1), Cell(2, 1), Cell(1, 2)])
-    ar2 = arena_around(list(closed_cfg.cells), 2)
+    ar2 = arena_around(list(closed_cfg.cells))
     assert conflict_free_targets(closed_cfg, [Cell(1, 1)], ar2) == []
 
 
 def test_already_occupied_targets_are_not_pending():
     cfg = Configuration.from_cells([Cell(0, 0), Cell(1, 0)])
-    ar = arena_around([Cell(0, 0), Cell(1, 0), Cell(3, 0)], 2)
+    ar = arena_around([Cell(0, 0), Cell(1, 0), Cell(3, 0)])
     assert conflict_free_targets(cfg, [Cell(0, 0), Cell(3, 0)], ar) == [Cell(3, 0)]
     assert conflict_free_targets(cfg, [], ar) == []
 
@@ -241,11 +241,13 @@ def test_parking_search_matches_an_exhaustive_scan():
         spots = [free[int(i)] for i in sorted(rng.choice(len(free), len(free) // 5, replace=False))]
 
         def gate(spot):
-            return pipeline._gated_unit_path(blocker, spot, obstacles)
+            step = pipeline._unit_step(blocker, spot, obstacles, Phase.PATH_CLEARANCE)
+            return step and step.path
 
         chosen = []
         for by_length in (True, False):
             got = pipeline._park(blocker, spots, by_length)
+            got = got and got.path
             want = exhaustive_parking(blocker, spots, gate, by_length)
             assert (got and got.waypoints) == (want and want.waypoints)
             chosen.append(got and got.goal)
@@ -371,6 +373,21 @@ def test_locked_in_fault_pair_raises_no_feasible_donor():
     with pytest.raises(NoFeasibleDonorError) as exc:
         plan(start)
     assert exc.value.reason == "no-feasible-donor"
+
+
+def test_transfer_below_the_floor_raises_a_typed_safety_violation():
+    # Criterion-8 draw #50. Without the relocation rule the corridor blocker
+    # parks off the assembly on its own row, and the support's landing then
+    # leaves the system below the floor: the transfer is the gated move that
+    # fails. With the rule the blocker parks on the target and the plan holds.
+    cells = [Cell(0, -1), Cell(-1, 0), Cell(0, 0), Cell(1, 0),
+             Cell(-1, 1), Cell(0, 1), Cell(1, 1)]
+    start = Configuration.from_cells(cells, {Cell(0, 1): UNIT_FAULT, Cell(-1, 0): UNIT_FAULT})
+    with pytest.raises(SafetyViolationError) as exc:
+        plan(start, relocation_rule=False)
+    assert exc.value.reason == "safety-violation"
+    assert exc.value.info["phase"] == Phase.VMCS_TRANSFER.value
+    assert plan(start, relocation_rule=True).step_count == 5
 
 
 def test_validate_plan_rejects_corruption():

@@ -251,7 +251,7 @@ def row_scenario(n, fault_x):
     cells = [Cell(x, 0) for x in range(n)]
     cfg = Configuration.from_cells(cells, {Cell(fault_x, 0): UNIT_FAULT})
     vm = frozenset([Cell(fault_x, -1), Cell(fault_x, 0), Cell(fault_x, 1)])
-    arena = arena_around(list(cfg.cells) + list(vm), margin=2)
+    arena = arena_around(list(cfg.cells) + list(vm))
     return cfg, vm, arena
 
 
