@@ -87,7 +87,6 @@ def test_full_scenario_parses():
         ({"cells": [[0, 0], [1, True]]}, "cells[1]"),
         ({"cells": [[0, 0], [1.5, 0]]}, "cells[1]"),
         ({"cells": [[0, 0], [0, 0]]}, "duplicate cell [0, 0]"),
-        ({"cells": [[0, 0]], "faults": None}, "faults must be a list"),
         ({"cells": [[0, 0]], "faults": ["x"]}, "faults[0] must be an object"),
         ({"cells": [[0, 0]], "faults": [{"cell": [0, 0], "kind": "unit", "extra": 1}]},
          "'extra'"),
@@ -123,6 +122,7 @@ def test_full_scenario_parses():
         ({"cells": [[0, 0]], "flags": {"relocation_rule": 1}}, "must be a boolean"),
         ({"cells": [[0, 0]], "name": 7}, "'name' must be a string"),
         ({"cells": [[0, 0]], "notes": 7}, "'notes' must be a string"),
+        ({"cells": [[0, 0]], "faults": None}, "faults must be a list"),
     ],
 )
 def test_scenario_rejections_name_the_problem(data, fragment):
