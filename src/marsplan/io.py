@@ -104,12 +104,16 @@ def _parse_fault(raw: Any, where: str) -> tuple[Cell, FaultState]:
 
 
 def _parse_config(data: dict, prefix: str) -> Configuration:
-    """The `cells` and `faults` of `data`, rejecting repeated or stray cells.
+    """The `cells` and `faults` of `data`: `cells` must be a non-empty list, and
+    repeated or stray cells are rejected.
 
     `prefix` locates the two keys in messages.
     """
+    raw_cells = data.get("cells")
+    if not isinstance(raw_cells, list) or not raw_cells:
+        raise ScenarioError(f"'{prefix}cells' must be a non-empty list of [x, y] pairs")
     cells: dict[Cell, None] = {}
-    for i, rc in enumerate(_list(data.get("cells", []), f"{prefix}cells")):
+    for i, rc in enumerate(raw_cells):
         cell = _parse_cell(rc, f"{prefix}cells[{i}]")
         if cell in cells:
             raise ScenarioError(f"duplicate cell [{cell.x}, {cell.y}] in '{prefix}cells'")
@@ -150,11 +154,6 @@ def parse_scenario(data: Any, base_params: PhysicalParams = DEFAULT_PARAMS) -> S
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     _reject_unknown(data, _SCENARIO_KEYS, "scenario")
-    if "cells" not in data:
-        raise ScenarioError("missing key 'cells' in scenario")
-    raw_cells = data["cells"]
-    if not isinstance(raw_cells, list) or not raw_cells:
-        raise ScenarioError("'cells' must be a non-empty list of [x, y] pairs")
     config = _parse_config(data, "")
     params = _parse_params(data["params"], base_params) if "params" in data else base_params
 

@@ -247,6 +247,7 @@ def connected_components(cells: Iterable[Cell]) -> list[tuple[Cell, ...]]:
     """4-connected components of a cell set, sorted by their minimal cell."""
     remaining = set(cells)
     comps: list[tuple[Cell, ...]] = []
+    # each seed is its component's smallest cell, so components come out sorted
     for seed in sorted(remaining, key=cell_key):
         if seed not in remaining:
             continue
@@ -261,7 +262,6 @@ def connected_components(cells: Iterable[Cell]) -> list[tuple[Cell, ...]]:
                     comp.add(nb)
                     queue.append(nb)
         comps.append(tuple(sorted(comp, key=cell_key)))
-    comps.sort(key=lambda comp: comp[0].key())
     return comps
 
 

@@ -3,8 +3,8 @@
 Pipeline, in order:
 
 1. Choose the optimal fault placement on the fixed footprint.
-2. Assign each faulty unit a goal cell; faults whose goals are 4-adjacent and
-   whose current relative offsets already match the goal offsets share one
+2. Assign each faulty unit a goal cell; moving faults with the same
+   displacement (goal minus cell) whose cells are 4-connected share one
    support group.
 3. For each group, pick the best feasible support shape anchored at the
    faults' current cells and fly donor units into its vacant cells.
@@ -19,12 +19,14 @@ Pipeline, in order:
 6. Fill the remaining vacant target cells with conflict-free assignment
    rounds until the configuration equals the target exactly.
 
-Every step passes one gate, `_Pipeline._step`: the flying piece itself (when
-it carries faults) and the configuration after the move must keep a margin at
-or above the floor. Searches commit the step the gate built for their winner;
-support transfers and donor flights are gated as they execute. The structure
-left behind while the piece is in flight is not gated, except for donor
-flights of support completion, whose donor search checks it.
+Every step passes one gate: the flying piece itself (when it carries faults)
+and the configuration after the move must keep a margin at or above the
+floor. Donor flights of support completion are gated by the donor search in
+`plan_vmcs_completion`, which carries each landing and its margin to the
+plan. Every other step is gated by `_Pipeline._step`: searches commit the step
+it built for their winner, and support transfers are gated as they execute.
+The structure left behind while the piece is in flight is not gated, except
+for donor flights, whose donor search checks it.
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ from .errors import (
     PlanningError,
     SafetyViolationError,
 )
-from .model import Cell, Configuration, FaultState, Subassembly, cell_key
+from .model import Cell, Configuration, FaultState, Subassembly, cell_key, connected_components
 from .paths import Arena, GridPath, arena_around, astar_subassembly, astar_unit, swept_cells
 from .vmcs import (
     TargetConfiguration,
+    _shape_key,
     _smallest_supports,
     _state_key,
     optimal_configuration,
@@ -116,13 +119,13 @@ class _Group:
     """Faults that ride one rigid support together."""
 
     faults: dict[Cell, FaultState]       # current cells
-    goals: dict[Cell, Cell]              # current -> goal
-    delta: tuple[int, int]
+    delta: tuple[int, int]               # goal minus current cell, one per group
     shape: frozenset[Cell] = field(default_factory=frozenset)
 
     @property
     def sort_cell(self) -> Cell:
-        return min(self.goals.values(), key=cell_key)
+        """The smallest goal cell."""
+        return min(self.faults, key=cell_key) + self.delta
 
     @property
     def landing(self) -> frozenset[Cell]:
@@ -309,48 +312,19 @@ class _Pipeline:
         self.steps.append(step)
         self.work = step.post_config
 
-    def _execute(self, moved: Sequence[Cell], path: GridPath, phase: Phase) -> None:
-        """Gate and commit a move that no search has gated."""
-        step = self._step(moved, path, phase)
-        if step is None:
-            raise SafetyViolationError(
-                f"move of {tuple(c.key() for c in sorted(moved, key=cell_key))} would "
-                f"leave the system below the margin floor", phase=phase.value,
-            )
-        self._commit(step)
-
     # -- phase 2: goals and groups ----------------------------------------
 
     def _form_groups(self) -> None:
-        goals = self._fault_goals()
-        moving = {c: g for c, g in goals.items() if c != g}
-        # union-find over faults whose goals touch and whose current offsets
-        # already equal the goal offsets (they can ride one rigid support)
-        parents = {c: c for c in moving}
-
-        def find(c: Cell) -> Cell:
-            while parents[c] != c:
-                parents[c] = parents[parents[c]]
-                c = parents[c]
-            return c
-
-        items = sorted(moving.items(), key=lambda it: it[0].key())
-        for i, (ca, ga) in enumerate(items):
-            for cb, gb in items[i + 1:]:
-                if ga.manhattan(gb) == 1 and (cb.x - ca.x, cb.y - ca.y) == (gb.x - ga.x, gb.y - ga.y):
-                    parents[find(ca)] = find(cb)
-        clusters: dict[Cell, list[Cell]] = {}
-        for c in moving:
-            clusters.setdefault(find(c), []).append(c)
-        for members in clusters.values():
-            members.sort(key=cell_key)
-            first = members[0]
-            delta = (moving[first].x - first.x, moving[first].y - first.y)
-            self.groups.append(_Group(
-                faults={c: self.work.state(c) for c in members},
-                goals={c: moving[c] for c in members},
-                delta=delta,
-            ))
+        """Moving faults with one displacement ride one rigid support when
+        their cells touch (with equal displacements, their goals touch
+        exactly when their cells do)."""
+        by_delta: dict[tuple[int, int], list[Cell]] = {}
+        for c, g in self._fault_goals().items():
+            if c != g:
+                by_delta.setdefault((g.x - c.x, g.y - c.y), []).append(c)
+        for delta, cells in by_delta.items():
+            for comp in connected_components(cells):
+                self.groups.append(_Group({c: self.work.state(c) for c in comp}, delta))
         self.groups.sort(key=lambda g: g.sort_cell.key())
 
     def _fault_goals(self) -> dict[Cell, Cell]:
@@ -399,15 +373,15 @@ class _Pipeline:
     def _build_supports(self) -> None:
         reserved = frozenset(self.work.faulty_cells).union(*(g.shape for g in self.groups))
         for group in self.groups:
-            moves, after = plan_vmcs_completion(
-                self.work, self.target.cm, group.shape, group.faults, self.params,
+            moves, _ = plan_vmcs_completion(
+                self.work, self.target.cm, group.shape, self.params,
                 self.c1, self.c2, reserved=reserved, arena=self.arena,
                 epsilon=self.epsilon,
             )
+            # the donor search gated each landing; commit it as it is
             for mv in moves:
-                self._execute((mv.donor,), mv.path, Phase.VMCS_BUILD)
-            if self.work != after:
-                raise PlanningError("support completion lost track of the configuration")
+                self._commit(PlanStep(StepKind.MOVE_UNIT, Phase.VMCS_BUILD, (mv.donor,),
+                                      mv.path, mv.post_config, mv.post_cm))
 
     # -- phase 4: corridor clearance ---------------------------------------
 
@@ -492,7 +466,13 @@ class _Pipeline:
             goal_ref = ref + group.delta
             obstacles = frozenset(self.work.cells) - current_cells
             path = astar_subassembly(current_cells, ref, goal_ref, obstacles, self.arena)
-            self._execute(tuple(current_cells), path, Phase.VMCS_TRANSFER)
+            step = self._step(tuple(current_cells), path, Phase.VMCS_TRANSFER)
+            if step is None:
+                raise SafetyViolationError(
+                    f"move of {_shape_key(current_cells)} would leave the system below "
+                    f"the margin floor", phase=Phase.VMCS_TRANSFER.value,
+                )
+            self._commit(step)
 
     # -- phase 6: fill rounds ----------------------------------------------
 
@@ -567,14 +547,8 @@ def validate_plan(start: Configuration, plan: Plan) -> Configuration:
         occupied = work.cell_set
         if not occupied.issuperset(moved):
             raise PlanningError(f"step {idx} moves an unoccupied cell", step=idx)
-        stationary = occupied - set(moved)
-        for wp in step.path.waypoints:
-            delta = (wp.x - ref.x, wp.y - ref.y)
-            placed = {c + delta for c in moved}
-            if placed & stationary:
-                raise SafetyViolationError(
-                    f"step {idx} sweeps through occupied cells", step=idx
-                )
+        if swept_cells(moved, ref, step.path) & (occupied - set(moved)):
+            raise SafetyViolationError(f"step {idx} sweeps through occupied cells", step=idx)
         goal = step.path.goal
         delta = (goal.x - ref.x, goal.y - ref.y)
         work = work.translate_set(moved, delta)

@@ -87,12 +87,9 @@ class VmcsSpec:
     cm: float
 
 
-def _shape_cm(shape: frozenset[Cell], faults: Mapping[Cell, FaultState],
-              params: PhysicalParams, floor: float) -> float:
-    units = tuple(
-        (c, faults.get(c, HEALTHY)) for c in sorted(shape, key=cell_key)
-    )
-    return cached_subassembly_cm(Subassembly(units), params, floor)
+def _support(shape: frozenset[Cell], faults: Mapping[Cell, FaultState]) -> Subassembly:
+    """The shape as a subassembly: the given faults, healthy units elsewhere."""
+    return Subassembly(tuple((c, faults.get(c, HEALTHY)) for c in sorted(shape, key=cell_key)))
 
 
 def ranked_support_shapes(faults: Mapping[Cell, FaultState], k: int,
@@ -108,21 +105,9 @@ def ranked_support_shapes(faults: Mapping[Cell, FaultState], k: int,
     """
     ranked = []
     for shape in enumerate_connected_shapes(faults.keys(), k):
-        cm = _shape_cm(shape, faults, params, floor)
-        ranked.append((shape, cm))
+        ranked.append((shape, cached_subassembly_cm(_support(shape, faults), params, floor)))
     ranked.sort(key=lambda it: (-round(it[1], _TIE_DECIMALS), _shape_key(it[0])))
     return ranked
-
-
-def _canonical_spec(shape: frozenset[Cell], faults: Mapping[Cell, FaultState],
-                    k: int, cm: float) -> VmcsSpec:
-    mx = min(c.x for c in shape)
-    my = min(c.y for c in shape)
-    foot = tuple(sorted((Cell(c.x - mx, c.y - my) for c in shape), key=cell_key))
-    flocal = tuple(
-        sorted(((Cell(c.x - mx, c.y - my), s) for c, s in faults.items()), key=lambda it: it[0].key())
-    )
-    return VmcsSpec(footprint=foot, faulty=flocal, k=k, cm=cm)
 
 
 def _smallest_supports(faults: Mapping[Cell, FaultState], params: PhysicalParams,
@@ -159,7 +144,10 @@ def identify_vmcs(faults: Mapping[Cell, FaultState], params: PhysicalParams = DE
     """
     k, ranked = _smallest_supports(faults, params, max_normal_units, epsilon)
     shape, cm = ranked[0]
-    return _canonical_spec(shape, faults, k, cm)
+    units = _support(shape, faults).canonical()
+    return VmcsSpec(footprint=tuple(Cell(x, y) for x, y, _ in units),
+                    faulty=tuple((Cell(x, y), s) for x, y, s in units if s.is_faulty),
+                    k=k, cm=cm)
 
 
 @dataclass(frozen=True)
@@ -208,16 +196,18 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
 
 @dataclass(frozen=True)
 class CompletionMove:
-    """One donor flight filling a vacant support cell."""
+    """One donor flight filling a vacant support cell, with the configuration
+    it lands in and that configuration's margin."""
 
     donor: Cell
     vacancy: Cell
     path: GridPath
+    post_config: Configuration
+    post_cm: float
 
 
 def plan_vmcs_completion(config: Configuration, target_cm: float,
                          vmcs_cells: frozenset[Cell],
-                         vmcs_faults: Mapping[Cell, FaultState],
                          params: PhysicalParams = DEFAULT_PARAMS,
                          c1: float = 2.0, c2: float = -0.1, *,
                          reserved: frozenset[Cell] = frozenset(),
@@ -230,14 +220,16 @@ def plan_vmcs_completion(config: Configuration, target_cm: float,
     the minimizer is flown in immediately, so later selections see the
     updated configuration. Candidates are rejected when their removal pushes
     any faulty subassembly below the floor, when no flight path exists, or
-    when the state after the attach sits below the floor. Returns the moves
-    and the configuration after all of them.
+    when the state after the attach sits below the floor. That last check is
+    the move's gate: each move carries its landed configuration and that
+    configuration's margin, exact since it clears the floor. Returns the
+    moves and the configuration after all of them.
     """
     vacancies = sorted((c for c in vmcs_cells if c not in config), key=cell_key)
     moves: list[CompletionMove] = []
     work = config
     for vacancy in vacancies:
-        best: tuple[float, tuple[int, int], Cell, GridPath, Configuration] | None = None
+        best: tuple[tuple[float, tuple[int, int]], CompletionMove] | None = None
         for donor in work.cells:
             if work.state(donor).is_faulty or donor in reserved or donor in vmcs_cells:
                 continue
@@ -252,18 +244,19 @@ def plan_vmcs_completion(config: Configuration, target_cm: float,
             except NoPathError:
                 continue
             landed = after.attach(vacancy, HEALTHY)
-            if system_cm(landed, params, epsilon) < epsilon:
+            landed_cm = system_cm(landed, params, epsilon)
+            if landed_cm < epsilon:
                 continue
             delta = after_cm - target_cm
             objective = round(c1 * delta * delta - c2 * path.length, _TIE_DECIMALS)
             key = (objective, donor.key())
-            if best is None or key < (best[0], best[1]):
-                best = (objective, donor.key(), donor, path, landed)
+            if best is None or key < best[0]:
+                best = (key, CompletionMove(donor, vacancy, path, landed, landed_cm))
         if best is None:
             raise NoFeasibleDonorError(
                 f"no donor can reach vacancy {vacancy} without breaking support",
                 vacancy=vacancy,
             )
-        _, _, donor, path, work = best
-        moves.append(CompletionMove(donor=donor, vacancy=vacancy, path=path))
+        moves.append(best[1])
+        work = best[1].post_config
     return moves, work

@@ -340,6 +340,8 @@ def test_replay_rejects_sweeps_through_occupied_cells():
          "duplicate cell [0, 0] in 'start_config.cells'"),
         ({"cells": [[0, 0]], "faults": [{"cell": [1, 0], "kind": "unit"}]},
          "fault cell [1, 0] is not in 'start_config.cells'"),
+        ({}, "'start_config.cells' must be a non-empty list"),
+        ({"cells": [], "faults": []}, "'start_config.cells' must be a non-empty list"),
     ],
 )
 def test_plan_document_configurations_are_checked_like_scenarios(config, fragment):

@@ -1,6 +1,7 @@
 """Path planning, assignment, and the end-to-end reconfiguration planner."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from marsplan.errors import (
     PlanningError,
     SafetyViolationError,
 )
+from marsplan.io import document_to_bytes, plan_to_document
 from marsplan.model import UNIT_FAULT, Cell, Configuration, cell_key, rotor_fault
 from marsplan.paths import (
     Arena,
@@ -34,7 +36,7 @@ from marsplan.planner import (
     plan,
     validate_plan,
 )
-from marsplan.vmcs import optimal_configuration
+from marsplan.vmcs import TargetConfiguration, optimal_configuration
 
 from helpers import (
     bfs_footprint_length,
@@ -43,6 +45,7 @@ from helpers import (
     exhaustive_parking,
     footprint_fits,
     random_connected_cells,
+    random_fault_states,
 )
 
 RECT32 = [Cell(x, y) for y in range(2) for x in range(3)]
@@ -426,3 +429,53 @@ def test_random_single_fault_plans_reach_the_computed_optimum(seed, n):
     check_step_chain(start, p)
     assert p.target.cm == pytest.approx(system_cm(p.target.config), abs=1e-12)
     assert validate_plan(start, p) == p.target.config
+
+
+@pytest.mark.parametrize("faults, goals, groups", [
+    # touching faults with one displacement ride one support
+    ([(0, 0), (1, 0)], [(0, 1), (1, 1)], [([(0, 0), (1, 0)], (0, 1))]),
+    # the same displacement across a gap: one support each
+    ([(0, 0), (2, 0)], [(0, 1), (2, 1)], [([(0, 0)], (0, 1)), ([(2, 0)], (0, 1))]),
+    # touching faults with different displacements, ordered by goal cell
+    ([(0, 0), (1, 0)], [(0, 1), (2, 0)], [([(1, 0)], (1, 0)), ([(0, 0)], (0, 1))]),
+])
+def test_fault_groups_share_a_displacement_and_touch(faults, goals, groups):
+    def rect(fault_cells):
+        return rect32({Cell(*c): UNIT_FAULT for c in fault_cells})
+
+    pipeline = _Pipeline(rect(faults), TargetConfiguration(rect(goals), 0.0), DEFAULT_PARAMS,
+                         2.0, -0.1, True, 0.0)
+    pipeline._form_groups()
+    assert [(list(g.faults), g.delta) for g in pipeline.groups] == [
+        ([Cell(*c) for c in cells], delta) for cells, delta in groups
+    ]
+
+
+# sha256 over the criterion-8 outcomes, one line per case: the plan
+# document's sha256, or `type:reason` for a typed failure. Update a digest
+# only together with a stated reason for the changed outcomes.
+GOLDEN_FUZZ_DIGESTS = {
+    True: "382becc79a69ae9ae7c60857929ced5957fe46dd5b36f60e4f028f7f97c95475",
+    False: "32f039e440efaae3ab8666ae543fe088999e0c02e3f959f783c3eb38094ef542",
+}
+
+
+@pytest.mark.parametrize("rule", [True, False])
+def test_fuzz_outcomes_match_golden_digests(rule):
+    rng = np.random.default_rng(777)     # the criterion-8 draw
+    lines = []
+    for _ in range(200):
+        n = int(rng.integers(2, 13))
+        n_faults = min(int(rng.integers(0, 3)), n - 1)
+        cells = random_connected_cells(rng, n)
+        config = Configuration.from_cells(
+            cells, random_fault_states(rng, cells, n_faults, unit_only=True))
+        try:
+            result = plan(config, DEFAULT_PARAMS, relocation_rule=rule)
+        except (InfeasibleTargetError, PlanningError) as exc:
+            lines.append(f"{type(exc).__name__}:{getattr(exc, 'reason', 'infeasible-target')}")
+        else:
+            blob = document_to_bytes(plan_to_document(result, config))
+            lines.append(hashlib.sha256(blob).hexdigest())
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_FUZZ_DIGESTS[rule]

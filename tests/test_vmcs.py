@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marsplan.controllability as controllability
-from marsplan.controllability import clear_cm_cache, system_cm
+from marsplan.controllability import DEFAULT_PARAMS, clear_cm_cache, system_cm
 from marsplan.errors import NoFeasibleDonorError, VmcsSearchError
 from marsplan.model import (
     UNIT_FAULT,
@@ -257,12 +257,17 @@ def row_scenario(n, fault_x):
 
 def test_completion_fills_vacancies_in_scan_order():
     cfg, vm, arena = row_scenario(5, 2)
-    moves, after = plan_vmcs_completion(
-        cfg, LIVE_DEAD_LIVE_CM, vm, {Cell(2, 0): UNIT_FAULT}, arena=arena
-    )
+    moves, after = plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, vm, arena=arena)
     assert [m.vacancy for m in moves] == [Cell(2, -1), Cell(2, 1)]
     assert [m.donor for m in moves] == [Cell(0, 0), Cell(4, 0)]
     assert all(m.path.start == m.donor and m.path.goal == m.vacancy for m in moves)
+    # each move carries the landing its gate checked, and the landings chain
+    work = cfg
+    for m in moves:
+        assert m.post_config == work.detach(m.donor).attach(m.vacancy)
+        assert m.post_cm == system_cm(m.post_config, DEFAULT_PARAMS, 0.0) >= 0
+        work = m.post_config
+    assert work == after
     assert vm <= after.cell_set
     assert system_cm(after) == pytest.approx(0.004982310, abs=1e-8)
 
@@ -272,9 +277,7 @@ def test_completion_scores_detach_margin_against_target():
     # path length; the one whose removal keeps the margin closer to the
     # target wins even though it is lexicographically later.
     cfg, vm, arena = row_scenario(6, 2)
-    moves, _ = plan_vmcs_completion(
-        cfg, LIVE_DEAD_LIVE_CM, vm, {Cell(2, 0): UNIT_FAULT}, arena=arena
-    )
+    moves, _ = plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, vm, arena=arena)
     assert [(m.donor, m.vacancy) for m in moves] == [
         (Cell(4, 0), Cell(2, -1)),
         (Cell(0, 0), Cell(2, 1)),
@@ -285,8 +288,7 @@ def test_completion_scores_detach_margin_against_target():
 def test_completion_respects_reserved_cells():
     cfg, vm, arena = row_scenario(6, 2)
     moves, after = plan_vmcs_completion(
-        cfg, LIVE_DEAD_LIVE_CM, vm, {Cell(2, 0): UNIT_FAULT},
-        arena=arena, reserved=frozenset([Cell(0, 0)]),
+        cfg, LIVE_DEAD_LIVE_CM, vm, arena=arena, reserved=frozenset([Cell(0, 0)]),
     )
     assert all(m.donor != Cell(0, 0) for m in moves)
     assert [(m.donor, m.vacancy) for m in moves] == [
@@ -301,8 +303,7 @@ def test_complete_support_needs_no_moves():
         [Cell(0, 0), Cell(0, 1), Cell(0, 2)], {Cell(0, 1): UNIT_FAULT}
     )
     moves, after = plan_vmcs_completion(
-        cfg, 0.0, frozenset(cfg.cells), {Cell(0, 1): UNIT_FAULT},
-        arena=arena_around(cfg.cells),
+        cfg, 0.0, frozenset(cfg.cells), arena=arena_around(cfg.cells),
     )
     assert moves == [] and after == cfg
 
@@ -312,9 +313,7 @@ def test_completion_rejects_donors_that_break_the_support():
     # removing any of them drops some faulty subassembly below the floor.
     cfg, vm, arena = row_scenario(4, 0)
     with pytest.raises(NoFeasibleDonorError) as exc:
-        plan_vmcs_completion(
-            cfg, LIVE_DEAD_LIVE_CM, vm, {Cell(0, 0): UNIT_FAULT}, arena=arena
-        )
+        plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, vm, arena=arena)
     assert exc.value.reason == "no-feasible-donor"
 
 
