@@ -25,7 +25,7 @@ from pathlib import Path
 from .controllability import DEFAULT_PARAMS, PhysicalParams, system_cm, cached_subassembly_cm
 from .errors import InfeasibleTargetError, PlanningError, ScenarioError
 from .io import _parse_params, load_scenario, save_plan, write_cm_trace
-from .model import cell_key, partition
+from .model import partition
 from .planner import plan as compute_plan
 from .render import render_plan_svgs
 
@@ -115,7 +115,7 @@ def _cmd_cm(args: argparse.Namespace) -> int:
     for sub in partition(scenario.config):
         if not sub.faulty_cells:
             continue
-        anchor = min(sub.cells, key=cell_key)
+        anchor = sub.cells[0]
         value = cached_subassembly_cm(sub, scenario.params)
         print(f"subassembly [{anchor.x}, {anchor.y}] n={sub.n} {value:.6f}")
     return 0
@@ -124,6 +124,10 @@ def _cmd_cm(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for name in ("c1", "c2", "epsilon"):
+        value = getattr(args, name, None)     # the cm command has no weights
+        if value is not None and not math.isfinite(value):
+            parser.error(f"argument --{name}: expected a finite number, got {value}")
     try:
         if args.command == "plan":
             return _cmd_plan(args)

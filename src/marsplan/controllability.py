@@ -44,8 +44,8 @@ class PhysicalParams:
 
     def __post_init__(self) -> None:
         for name in ("unit_mass", "module_pitch", "arm_offset", "rotor_thrust_max", "yaw_torque_coeff", "gravity"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if 2 * self.arm_offset >= self.module_pitch:
             raise ValueError("rotors of neighboring units would overlap: need 2*arm_offset < module_pitch")
         if sorted(self.spin) != [-1, -1, 1, 1]:

@@ -25,13 +25,9 @@ class PlanningError(Exception):
 
 
 class NoPathError(PlanningError):
-    """Goal unreachable; `blocking` holds obstacle cells that refused expansions."""
+    """Goal unreachable, or the start or goal placement does not fit."""
 
     reason = "no-path"
-
-    def __init__(self, msg: str, blocking: frozenset = frozenset(), **info):
-        super().__init__(msg, **info)
-        self.blocking = blocking
 
 
 class NoFeasibleDonorError(PlanningError):

@@ -137,9 +137,9 @@ def _parse_params(raw: Any, base: PhysicalParams) -> PhysicalParams:
     for key, value in raw.items():
         if key == "spin":
             if (not isinstance(value, (list, tuple)) or len(value) != 4
-                    or not all(v in (1, -1) for v in value)):
+                    or not all(type(v) is int and v in (1, -1) for v in value)):
                 raise ScenarioError("params.spin must be four entries of +1/-1")
-            overrides[key] = tuple(int(v) for v in value)
+            overrides[key] = tuple(value)
         else:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ScenarioError(f"params.{key} must be a number")
@@ -162,8 +162,8 @@ def parse_scenario(data: Any, base_params: PhysicalParams = DEFAULT_PARAMS) -> S
         raise ScenarioError("'weights' must be an object")
     _reject_unknown(weights, _WEIGHT_KEYS, "weights")
     for key, value in weights.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioError(f"weights.{key} must be a number")
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ScenarioError(f"weights.{key} must be a finite number")
 
     flags = data.get("flags", {})
     if not isinstance(flags, dict):
@@ -213,10 +213,8 @@ def _cm_value(x: float) -> float | None:
 
 
 def config_to_json(config: Configuration) -> dict:
-    cells = sorted(config.cells, key=cell_key)
     faults = []
-    for cell in cells:
-        state = config.state(cell)
+    for cell, state in config.items():
         if not state.is_faulty:
             continue
         entry: dict[str, Any] = {"cell": [cell.x, cell.y]}
@@ -226,7 +224,7 @@ def config_to_json(config: Configuration) -> dict:
             entry["kind"] = "rotor"
             entry["rotor_index"] = state.rotor_index
         faults.append(entry)
-    return {"cells": [[c.x, c.y] for c in cells], "faults": faults}
+    return {"cells": [[c.x, c.y] for c in config.cells], "faults": faults}
 
 
 def config_from_json(data: Any, where: str = "config") -> Configuration:
@@ -327,8 +325,7 @@ def _step_from_json(raw: Any, index: int) -> PlanStep:
     if not cells:
         raise ScenarioError(f"{where}.moved_cells must not be empty")
     post_cm = raw["post_cm"]
-    if post_cm is not None and (not isinstance(post_cm, (int, float))
-                                or isinstance(post_cm, bool)):
+    if post_cm is not None and type(post_cm) not in (int, float):
         raise ScenarioError(f"{where}.post_cm must be a number or null")
     waypoints = tuple(_parse_cell(c, f"{where}.path")
                       for c in _list(raw["path"], f"{where}.path"))

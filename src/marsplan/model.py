@@ -99,9 +99,10 @@ class DestinationCollisionError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Subassembly:
-    """One 4-connected component of a configuration, with unit states."""
+    """One 4-connected component of a configuration, with unit states; its
+    units, and so its `cells`, are in (y, x) order, as `partition` builds them."""
 
-    units: tuple[tuple[Cell, FaultState], ...]  # sorted by (y, x)
+    units: tuple[tuple[Cell, FaultState], ...]
 
     @property
     def cells(self) -> tuple[Cell, ...]:
@@ -115,12 +116,6 @@ class Subassembly:
     def n(self) -> int:
         return len(self.units)
 
-    def state(self, cell: Cell) -> FaultState:
-        for c, s in self.units:
-            if c == cell:
-                return s
-        raise CellNotOccupiedError(f"{cell} not in subassembly")
-
     def canonical(self) -> tuple[tuple[int, int, FaultState], ...]:
         """Translation-normalized signature (used as a cache key downstream)."""
         mx = min(c.x for c, _ in self.units)
@@ -129,7 +124,8 @@ class Subassembly:
 
 
 class Configuration:
-    """Immutable assignment of fault states to occupied grid cells.
+    """Immutable assignment of fault states to occupied grid cells; `cells`,
+    `faulty_cells` and `items()` are in (y, x) order whatever the input order.
 
     Edits (attach/detach/translate_set) return new Configuration values. An
     empty configuration is permitted so that transient states with a whole

@@ -133,26 +133,19 @@ def _rigid_search(footprint: Iterable[Cell], ref: Cell, goal_ref: Cell,
     dys = [0] + [dy for _, dy in others]
     lo_x, hi_x = arena.min_x - min(dxs), arena.max_x - max(dxs)
     lo_y, hi_y = arena.min_y - min(dys), arena.max_y - max(dys)
-    blocking: set[Cell] = set()
 
     def fits(pos: Cell) -> bool:
-        ok = lo_x <= pos.x <= hi_x and lo_y <= pos.y <= hi_y
-        if pos in obstacles:
-            blocking.add(pos)
-            ok = False
+        if not (lo_x <= pos.x <= hi_x and lo_y <= pos.y <= hi_y) or pos in obstacles:
+            return False
         for dx, dy in others:
-            cell = Cell(pos.x + dx, pos.y + dy)
-            if cell in obstacles:
-                blocking.add(cell)
-                ok = False
-        return ok
+            if Cell(pos.x + dx, pos.y + dy) in obstacles:
+                return False
+        return True
 
     if not fits(ref):
-        raise NoPathError(f"start placement at {ref} collides or leaves the arena",
-                          frozenset(blocking))
+        raise NoPathError(f"start placement at {ref} collides or leaves the arena")
     if not fits(goal_ref):
-        raise NoPathError(f"goal placement at {goal_ref} collides or leaves the arena",
-                          frozenset(blocking))
+        raise NoPathError(f"goal placement at {goal_ref} collides or leaves the arena")
     if ref == goal_ref:
         return GridPath((ref,))
     open_heap: list[tuple[int, tuple[int, int], Cell]] = []
@@ -176,7 +169,7 @@ def _rigid_search(footprint: Iterable[Cell], ref: Cell, goal_ref: Cell,
                 g_score[nb] = tentative
                 parent[nb] = cur
                 heapq.heappush(open_heap, (tentative + nb.manhattan(goal_ref), nb.key(), nb))
-    raise NoPathError(f"no path moving {ref} -> {goal_ref}", frozenset(blocking))
+    raise NoPathError(f"no path moving {ref} -> {goal_ref}")
 
 
 def swept_cells(footprint: Iterable[Cell], ref: Cell, path: GridPath) -> frozenset[Cell]:

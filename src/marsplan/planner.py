@@ -190,29 +190,22 @@ def conflict_free_targets(config: Configuration, target_cells: Iterable[Cell],
     if not pending:
         return []
     target_set = set(target_cells)
-    entry = None
-    for cell in arena.cells_on_ring():
-        if cell not in occupied and cell not in target_set:
-            entry = cell
-            break
+    entry = next((c for c in arena.cells_on_ring()
+                  if c not in occupied and c not in target_set), None)
     if entry is None:
         raise NoPathError("no free entry cell on the arena ring")
-    alive = dict.fromkeys(pending, True)
-    reachable: dict[Cell, GridPath] = {}
+    reached: list[Cell] = []
+    crossed: set[Cell] = set()       # cells on entry paths, short of their goals
     for t in pending:
-        if not alive[t]:
+        if t in crossed:
             continue
         try:
             path = astar_unit(entry, t, occupied, arena)
         except NoPathError:
-            alive[t] = False
             continue
-        reachable[t] = path
-        on_path = set(path.waypoints)
-        for other in pending:
-            if other != t and alive[other] and other in on_path:
-                alive[other] = False
-    return [t for t in pending if alive[t] and t in reachable]
+        reached.append(t)
+        crossed.update(path.waypoints[:-1])
+    return [t for t in reached if t not in crossed]
 
 
 def _reference(cells: Iterable[Cell]) -> Cell:
@@ -328,14 +321,12 @@ class _Pipeline:
         self.groups.sort(key=lambda g: g.sort_cell.key())
 
     def _fault_goals(self) -> dict[Cell, Cell]:
-        current = sorted(self.work.faulty_cells, key=cell_key)
-        goal_pool = sorted(self.target.config.faulty_cells, key=cell_key)
         goals: dict[Cell, Cell] = {}
         # match within each fault-state class so kinds are preserved
-        states = sorted({self.work.state(c) for c in current}, key=_state_key)
+        states = sorted({s for _, s in self.work.items() if s.is_faulty}, key=_state_key)
         for state in states:
-            cur = [c for c in current if self.work.state(c) == state]
-            tgt = [c for c in goal_pool if self.target.config.state(c) == state]
+            cur = [c for c, s in self.work.items() if s == state]
+            tgt = [c for c, s in self.target.config.items() if s == state]
             cost = np.array([[a.manhattan(b) for b in tgt] for a in cur], dtype=float)
             for i, col in enumerate(lexicographic_min_assignment(cost)):
                 goals[cur[i]] = tgt[col]
@@ -373,7 +364,7 @@ class _Pipeline:
     def _build_supports(self) -> None:
         reserved = frozenset(self.work.faulty_cells).union(*(g.shape for g in self.groups))
         for group in self.groups:
-            moves, _ = plan_vmcs_completion(
+            moves = plan_vmcs_completion(
                 self.work, self.target.cm, group.shape, self.params,
                 self.c1, self.c2, reserved=reserved, arena=self.arena,
                 epsilon=self.epsilon,
@@ -483,9 +474,7 @@ class _Pipeline:
             if not round_targets:
                 raise InfeasibleAssignmentError("no fill target is reachable")
             # as many units stand off the target as target cells are vacant
-            candidates = sorted(
-                (c for c in self.work.cells if c not in target_cells), key=cell_key
-            )
+            candidates = [c for c in self.work.cells if c not in target_cells]
             pairs = self._assign_fill_moves(round_targets, candidates)
             executed = self._execute_fill_round(pairs)
             if executed == 0:

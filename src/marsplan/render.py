@@ -87,7 +87,7 @@ def render_step_svg(canvas: _Canvas, config: Configuration,
         f'height="{canvas.height:.1f}" viewBox="0 0 {canvas.width:.1f} {canvas.height:.1f}">',
         f'<rect x="0" y="0" width="{canvas.width:.1f}" height="{canvas.height:.1f}" fill="#ffffff"/>',
     ]
-    for cell in sorted(config.cells, key=cell_key):
+    for cell in config.cells:
         if config.state(cell).is_faulty:
             parts.append(_cell_rect(canvas, cell, _FAULTY_FILL, _FAULTY_EDGE))
         else:

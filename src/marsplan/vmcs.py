@@ -172,26 +172,26 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
     cell/state pairing), evaluated in enumeration order so the first best
     candidate wins. The footprint itself never changes. Each candidate's
     margin is asked with the best rounded margin so far as its floor, so a
-    candidate that cannot beat it may stop at a bound below it.
+    candidate that cannot beat it may stop at a bound below it; the winner
+    beat its floor, so the margin returned with it is exact.
     """
     fault_states = sorted((s for _, s in config.items() if s.is_faulty), key=_state_key)
     if not fault_states:
         return TargetConfiguration(config, float("inf"))
-    cells = sorted(config.cells, key=cell_key)
+    cells = config.cells
     distinct_orders = sorted(set(permutations(fault_states)),
                              key=lambda p: tuple(_state_key(s) for s in p))
-    best: tuple[float, Configuration] | None = None
+    best: tuple[float, float, Configuration] | None = None   # (rounded cm, cm, candidate)
     for combo in combinations(cells, len(fault_states)):
         for order in distinct_orders:
             placement = dict(zip(combo, order))
             candidate = Configuration.from_cells(cells, placement)
             floor = -math.inf if best is None else best[0]
-            cm = round(system_cm(candidate, params, floor), _TIE_DECIMALS)
-            if best is None or cm > best[0]:
-                best = (cm, candidate)
+            cm = system_cm(candidate, params, floor)
+            if best is None or round(cm, _TIE_DECIMALS) > best[0]:
+                best = (round(cm, _TIE_DECIMALS), cm, candidate)
     assert best is not None
-    _, candidate = best
-    return TargetConfiguration(candidate, system_cm(candidate, params))
+    return TargetConfiguration(best[2], best[1])
 
 
 @dataclass(frozen=True)
@@ -207,12 +207,11 @@ class CompletionMove:
 
 
 def plan_vmcs_completion(config: Configuration, target_cm: float,
-                         vmcs_cells: frozenset[Cell],
-                         params: PhysicalParams = DEFAULT_PARAMS,
-                         c1: float = 2.0, c2: float = -0.1, *,
+                         vmcs_cells: frozenset[Cell], params: PhysicalParams,
+                         c1: float, c2: float, *,
                          reserved: frozenset[Cell] = frozenset(),
-                         arena: Arena, epsilon: float = 0.0,
-                         ) -> tuple[list[CompletionMove], Configuration]:
+                         arena: Arena, epsilon: float,
+                         ) -> list[CompletionMove]:
     """Fly donor units into the vacant cells of an anchored support shape.
 
     For each vacancy (in (y, x) order) every healthy, unreserved unit is
@@ -223,7 +222,8 @@ def plan_vmcs_completion(config: Configuration, target_cm: float,
     when the state after the attach sits below the floor. That last check is
     the move's gate: each move carries its landed configuration and that
     configuration's margin, exact since it clears the floor. Returns the
-    moves and the configuration after all of them.
+    moves; the last one's `post_config` is the configuration after all of
+    them.
     """
     vacancies = sorted((c for c in vmcs_cells if c not in config), key=cell_key)
     moves: list[CompletionMove] = []
@@ -259,4 +259,4 @@ def plan_vmcs_completion(config: Configuration, target_cm: float,
             )
         moves.append(best[1])
         work = best[1].post_config
-    return moves, work
+    return moves

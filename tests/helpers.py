@@ -4,10 +4,12 @@ Everything here deliberately avoids the library's own algorithms: margins are
 estimated by random direction sampling against the support function only,
 paths by breadth-first search, assignments by permutation enumeration,
 parking spots by gating every spot, and shape counts by brute-force subset
-growth. The one exception is the margin kernel's reference: the library's
-earlier facet enumeration (all triples at once, sign-canonicalized and
-deduplicated), kept here so that the streaming kernel can be checked against
-it.
+growth. There are two exceptions. The margin kernel's reference is the
+library's earlier facet enumeration (all triples at once, sign-canonicalized
+and deduplicated), kept here so that the streaming kernel can be checked
+against it. The fill-target reference is the library's earlier
+`conflict_free_targets`, which kept every entry path; it runs the library's
+A*, and the leaner version is checked against it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from marsplan.model import (
     partition,
     rotor_fault,
 )
-from marsplan.paths import Arena
+from marsplan.errors import NoPathError
+from marsplan.paths import Arena, GridPath, astar_unit
 
 _ZOOM_SIGMAS = (0.1, 0.02, 4e-3, 8e-4, 1.6e-4)
 _POLISH_SIGMAS = (4e-4, 8e-5, 1.6e-5)
@@ -297,6 +300,39 @@ def bfs_footprint_length(footprint: frozenset[Cell], ref: Cell, goal_ref: Cell,
             seen.add(nb)
             queue.append((nb, dist + 1))
     return None
+
+
+def reference_conflict_free_targets(config: Configuration, target_cells,
+                                    arena: Arena) -> list[Cell]:
+    """`conflict_free_targets` as it was when it stored every entry path."""
+    occupied = config.cell_set
+    pending = sorted((t for t in target_cells if t not in occupied), key=cell_key)
+    if not pending:
+        return []
+    target_set = set(target_cells)
+    entry = None
+    for cell in arena.cells_on_ring():
+        if cell not in occupied and cell not in target_set:
+            entry = cell
+            break
+    if entry is None:
+        raise NoPathError("no free entry cell on the arena ring")
+    alive = dict.fromkeys(pending, True)
+    reachable: dict[Cell, GridPath] = {}
+    for t in pending:
+        if not alive[t]:
+            continue
+        try:
+            path = astar_unit(entry, t, occupied, arena)
+        except NoPathError:
+            alive[t] = False
+            continue
+        reachable[t] = path
+        on_path = set(path.waypoints)
+        for other in pending:
+            if other != t and alive[other] and other in on_path:
+                alive[other] = False
+    return [t for t in pending if alive[t] and t in reachable]
 
 
 def exhaustive_parking(blocker: Cell, spots: list[Cell], gate, by_length: bool):

@@ -87,6 +87,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         PhysicalParams(gravity=-9.81)
     with pytest.raises(ValueError):
+        PhysicalParams(gravity=math.nan)
+    with pytest.raises(ValueError):
+        PhysicalParams(rotor_thrust_max=math.inf)
+    with pytest.raises(ValueError):
         PhysicalParams(arm_offset=0.075, module_pitch=0.15)  # rotors would touch
     with pytest.raises(ValueError):
         PhysicalParams(spin=(1, 1, 1, -1))

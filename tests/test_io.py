@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import re
 from pathlib import Path
 
@@ -123,6 +124,10 @@ def test_full_scenario_parses():
         ({"cells": [[0, 0]], "name": 7}, "'name' must be a string"),
         ({"cells": [[0, 0]], "notes": 7}, "'notes' must be a string"),
         ({"cells": [[0, 0]], "faults": None}, "faults must be a list"),
+        ({"cells": [[0, 0]], "params": {"gravity": math.nan}}, "invalid params"),
+        ({"cells": [[0, 0]], "params": {"rotor_thrust_max": math.inf}}, "invalid params"),
+        ({"cells": [[0, 0]], "weights": {"epsilon": math.nan}}, "weights.epsilon"),
+        ({"cells": [[0, 0]], "params": {"spin": [True, -1, 1, -1]}}, "spin"),
     ],
 )
 def test_scenario_rejections_name_the_problem(data, fragment):
@@ -479,7 +484,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "no-feasible-donor" in capsys.readouterr().err
 
 
-def test_cli_usage_errors_exit_with_input_error_code(capsys):
+def test_cli_usage_errors_exit_with_input_error_code(tmp_path, capsys):
+    inp = scenario_file(tmp_path, RECT32)
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--input", inp, "--output", str(tmp_path / "o.json"), "--c1", "nan"])
+    assert exc.value.code == 1
+    assert "--c1" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
     with pytest.raises(SystemExit) as exc:
         main(["plan"])  # missing required arguments
     assert exc.value.code == 1

@@ -164,9 +164,7 @@ def test_partition_preserves_states():
     parts = partition(cfg)
     assert [p.cells for p in parts] == [(Cell(0, 0), Cell(1, 0)), (Cell(4, 4),)]
     assert parts[1].faulty_cells == (Cell(4, 4),)
-    assert parts[0].state(Cell(1, 0)) is HEALTHY
-    with pytest.raises(CellNotOccupiedError):
-        parts[0].state(Cell(4, 4))
+    assert parts[0].units == ((Cell(0, 0), HEALTHY), (Cell(1, 0), HEALTHY))
 
 
 def test_subassembly_canonical_is_translation_invariant():
