@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .model import Cell, Configuration, Subassembly, partition
+from .model import Cell, Configuration, FaultKind, FaultState, Subassembly, partition
 
 # Rotor slots sit on the diagonals of each unit (X layout). Slot i is offset
 # arm_offset * ROTOR_DIAGONALS[i] from the unit center; opposite corners spin
@@ -270,9 +270,66 @@ def subassembly_cm(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS,
     return cm_signed_distance(zono, gravity_wrench(sub.n, params), floor)
 
 
+# The eight rigid motions of the grid about the origin, as (a, b, c, d):
+# (x, y) -> (a x + b y, c x + d y).
+_GRID_MOTIONS = (tuple((sx, 0, 0, sy) for sx in (1, -1) for sy in (1, -1))
+                 + tuple((0, sx, sy, 0) for sx in (1, -1) for sy in (1, -1)))
+# Image coordinate a x + b y, normalized into the bounding box, as an index
+# into (x, w - x, y, h - y).
+_AXIS = {(1, 0): 0, (-1, 0): 1, (0, 1): 2, (0, -1): 3}
+
+
+@lru_cache
+def _margin_symmetries(spin: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The grid motions that keep every margin under a spin layout.
+
+    A motion carries rotor slot i to the slot pi(i) on the moved diagonal,
+    and a rotor fault moves with it. It turns or mirrors the torques of every
+    generator; when spin[pi(i)] = sigma * spin[i] for one sigma, it also
+    scales yaw by sigma, so the wrench set moves by an isometry that fixes
+    the hover wrench and the margin does not change. That holds for all
+    eight motions under the alternating layouts, (1, -1, 1, -1) and its
+    reverse, and for the half turn and the two mirrors under the others.
+
+    Each motion is coded for _symmetric_key: the _AXIS indices of its
+    image's x and y, and the image of each state code.
+    """
+    kept = []
+    for a, b, c, d in _GRID_MOTIONS:
+        slots = [ROTOR_DIAGONALS.index((a * dx + b * dy, c * dx + d * dy))
+                 for dx, dy in ROTOR_DIAGONALS]
+        if len({spin[j] * spin[i] for i, j in enumerate(slots)}) == 1:
+            kept.append((_AXIS[a, b], _AXIS[c, d], (0, 1, *(2 + j for j in slots))))
+    return tuple(kept)
+
+
+def _symmetric_key(canonical: tuple[tuple[int, int, FaultState], ...],
+                   spin: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Key of a subassembly, given by its translation key, shared by its images
+    under _margin_symmetries(spin).
+
+    Each unit of an image codes as (y * size + x) * 6 + state, with size the
+    longer side of the bounding box plus one (the same for every image) and
+    state 0 for a healthy unit, 1 for a unit fault and 2 + slot for a rotor
+    fault. The key is size and the smallest sorted code list of all images.
+    """
+    xs, ys, units = zip(*canonical)
+    states = [0 if s.kind is FaultKind.HEALTHY else 1 if s.kind is FaultKind.UNIT
+              else 2 + s.rotor_index for s in units]
+    w, h = max(xs), max(ys)
+    size = max(w, h) + 1
+    axes = (xs, [w - x for x in xs], ys, [h - y for y in ys])
+    return size, tuple(min(
+        sorted([(y * size + x) * 6 + image[s] for x, y, s in zip(axes[i], axes[j], states)])
+        for i, j, image in _margin_symmetries(spin)))
+
+
 # The margin only depends on the subassembly shape and fault pattern up to
-# translation, so results are memoized on the canonical form. Intermediate
-# planner configurations revisit the same shapes constantly. Each entry is
+# translation and the grid motions of _margin_symmetries, so each result is
+# memoized twice: under `Subassembly.canonical()`, which normalizes
+# translation only and which repeated queries hit, and under the symmetric
+# key, which turned and mirrored copies share. Intermediate planner
+# configurations revisit the same shapes constantly. Each entry is
 # (value, exact): only a value more than 1e-9 below the floor it was asked
 # with can be a bound.
 _CM_CACHE: dict[tuple, tuple[float, bool]] = {}
@@ -282,22 +339,30 @@ def clear_cm_cache() -> None:
     _CM_CACHE.clear()
 
 
+def _answers(entry: tuple[float, bool] | None, floor: float) -> bool:
+    return entry is not None and (entry[1] or entry[0] < floor - 1e-9)
+
+
 def cached_subassembly_cm(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS,
                           floor: float = -math.inf) -> float:
     """Memoized subassembly_cm, with the same `floor` contract.
 
     A bound answers only a query whose floor lies more than 1e-9 above it;
-    any other query recomputes and replaces it.
+    any other query recomputes and replaces it under both keys. The
+    symmetric key is computed only when the translation key does not answer.
     """
-    key = (params, sub.canonical())
+    canonical = sub.canonical()
+    key = (params, canonical)
     entry = _CM_CACHE.get(key)
-    if entry is not None:
-        value, exact = entry
-        if exact or value < floor - 1e-9:
-            return value
-    value = subassembly_cm(sub, params, floor)
-    _CM_CACHE[key] = (value, value >= floor - 1e-9)
-    return value
+    if not _answers(entry, floor):
+        symmetric = (params, *_symmetric_key(canonical, params.spin))
+        entry = _CM_CACHE.get(symmetric)
+        if not _answers(entry, floor):
+            value = subassembly_cm(sub, params, floor)
+            entry = (value, value >= floor - 1e-9)
+            _CM_CACHE[symmetric] = entry
+        _CM_CACHE[key] = entry
+    return entry[0]
 
 
 def system_cm(config: Configuration, params: PhysicalParams = DEFAULT_PARAMS,

@@ -15,7 +15,8 @@ Scenario schema::
 
 Unknown keys are rejected by name at every level. Plan files serialize every
 controllability margin with six decimal digits and carry each step's full
-post-move configuration so a plan can be re-simulated and checked bit-exactly.
+post-move configuration so a plan can be re-simulated and checked bit-exactly;
+replay also checks each recorded margin against its configuration.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any
 
-from .controllability import DEFAULT_PARAMS, PhysicalParams
+from .controllability import DEFAULT_PARAMS, PhysicalParams, system_cm
 from .errors import PlanningError, ScenarioError
 from .model import (
     UNIT_FAULT,
@@ -325,8 +326,8 @@ def _step_from_json(raw: Any, index: int) -> PlanStep:
     if not cells:
         raise ScenarioError(f"{where}.moved_cells must not be empty")
     post_cm = raw["post_cm"]
-    if post_cm is not None and type(post_cm) not in (int, float):
-        raise ScenarioError(f"{where}.post_cm must be a number or null")
+    if post_cm is not None and (type(post_cm) not in (int, float) or not math.isfinite(post_cm)):
+        raise ScenarioError(f"{where}.post_cm must be a finite number or null")
     waypoints = tuple(_parse_cell(c, f"{where}.path")
                       for c in _list(raw["path"], f"{where}.path"))
     try:
@@ -345,16 +346,26 @@ def replay_document(doc: dict) -> Configuration:
 
     A malformed document raises ScenarioError; a step that does not fit the
     state it starts from (wrong reference cell, collision, or a post-move
-    configuration that differs from the recorded one) raises PlanningError.
+    configuration that differs from the recorded one) or whose recorded
+    margin is not the margin of its post-move configuration under the
+    document's params, to six decimals, raises PlanningError.
     """
     if not isinstance(doc, dict):
         raise ScenarioError("plan document must be an object")
     for key in ("start_config", "steps"):
         if key not in doc:
             raise ScenarioError(f"missing key {key!r} in plan document")
+    params = _parse_params(doc["params"], DEFAULT_PARAMS) if "params" in doc else DEFAULT_PARAMS
     start = config_from_json(doc["start_config"], "start_config")
     steps = [_step_from_json(raw, i) for i, raw in enumerate(_list(doc["steps"], "steps"))]
-    return validate_plan(start, SimpleNamespace(steps=steps))
+    final = validate_plan(start, SimpleNamespace(steps=steps))
+    for i, step in enumerate(steps):
+        # a recorded margin is rounded to six decimals, +inf recorded as null
+        margin = system_cm(step.post_config, params)
+        if not (margin == step.post_cm or abs(margin - step.post_cm) <= 5e-7 + 1e-12):
+            raise PlanningError(f"step {i} records margin {step.post_cm!r}, "
+                                f"its configuration has {margin!r}", step=i)
+    return final
 
 
 def write_cm_trace(plan: Plan, path: str | Path) -> None:

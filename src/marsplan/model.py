@@ -117,7 +117,8 @@ class Subassembly:
         return len(self.units)
 
     def canonical(self) -> tuple[tuple[int, int, FaultState], ...]:
-        """Translation-normalized signature (used as a cache key downstream)."""
+        """Translation-normalized signature: the margin cache's translation
+        key. Turned and mirrored copies have other signatures."""
         mx = min(c.x for c, _ in self.units)
         my = min(c.y for c, _ in self.units)
         return tuple((c.x - mx, c.y - my, s) for c, s in self.units)

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.optimize import lsq_linear
 
 from marsplan.controllability import (
+    ROTOR_DIAGONALS,
     PhysicalParams,
     WrenchZonotope,
     build_zonotope,
@@ -247,6 +248,39 @@ def random_faulty_subassembly(rng: np.random.Generator, n: int,
     cells = random_connected_cells(rng, n)
     faults = random_fault_states(rng, cells, min(n_faults, n - 1))
     return partition(Configuration.from_cells(cells, faults))[0]
+
+
+# The eight rigid motions of the grid about the origin, as (a, b, c, d):
+# (x, y) -> (a x + b y, c x + d y). QUARTER_TURN turns counterclockwise and
+# MIRROR maps x to -x.
+QUARTER_TURN = (0, -1, 1, 0)
+MIRROR = (-1, 0, 0, 1)
+GRID_MOTIONS = ((1, 0, 0, 1), QUARTER_TURN, (-1, 0, 0, -1), (0, 1, -1, 0),
+                MIRROR, (1, 0, 0, -1), (0, 1, 1, 0), (0, -1, -1, 0))
+
+
+def grid_image(sub: Subassembly, motion: tuple[int, int, int, int],
+               offset: tuple[int, int] = (0, 0), move_rotors: bool = True) -> Subassembly:
+    """`sub` moved by a grid motion, then shifted by `offset`.
+
+    A rotor fault moves with its rotor: to the slot whose diagonal offset is
+    the moved diagonal offset of the failed slot. With `move_rotors` off it
+    keeps its slot, which in general gives a subassembly that is not
+    congruent to `sub`.
+    """
+    a, b, c, d = motion
+
+    def move(x: int, y: int) -> tuple[int, int]:
+        return a * x + b * y, c * x + d * y
+
+    units = {}
+    for cell, state in sub.units:
+        if move_rotors and state.rotor_index is not None:
+            state = rotor_fault(ROTOR_DIAGONALS.index(move(*ROTOR_DIAGONALS[state.rotor_index])))
+        x, y = move(cell.x, cell.y)
+        units[Cell(x + offset[0], y + offset[1])] = state
+    (image,) = partition(Configuration(units))
+    return image
 
 
 def bfs_unit_length(start: Cell, goal: Cell, obstacles: frozenset[Cell],

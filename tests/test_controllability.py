@@ -7,6 +7,7 @@ every case in the table.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,15 +30,22 @@ from marsplan.controllability import (
     subassembly_cm,
     system_cm,
 )
+from marsplan.io import load_scenario
 from marsplan.model import (
     UNIT_FAULT,
     Cell,
     Configuration,
+    FaultKind,
     partition,
     rotor_fault,
 )
+from marsplan.planner import plan
 
 from helpers import (
+    GRID_MOTIONS,
+    MIRROR,
+    QUARTER_TURN,
+    grid_image,
     random_faulty_subassembly,
     reference_cm_signed_distance,
     reference_facet_normals,
@@ -301,6 +309,9 @@ def test_cached_margin_matches_direct_and_survives_cache_clear():
         {c + (3, 9): s for c, s in PINNED["rotor_plus_one"][1].items()},
     )
     assert cached_subassembly_cm(moved) == first  # canonical-form cache hit
+    turned = grid_image(sub, QUARTER_TURN, (4, -2))
+    assert cached_subassembly_cm(turned) == first  # symmetric-key cache hit
+    assert subassembly_cm(turned) == pytest.approx(first, abs=1e-12)
     clear_cm_cache()
     assert cached_subassembly_cm(sub) == pytest.approx(first, abs=1e-15)
 
@@ -333,6 +344,88 @@ def test_floor_query_caches_a_bound_that_exact_queries_replace(monkeypatch):
     assert cached_subassembly_cm(sub, floor=0.0) == bound
     assert cached_subassembly_cm(sub) == exact
     assert floors[2:] == [0.0, -math.inf]
+
+
+def test_a_bound_cached_for_one_image_answers_its_mirror_image(monkeypatch):
+    sub = sub_of(*PINNED["unit_fault_plus_one"][:2])
+    mirrored = grid_image(sub, MIRROR)
+    assert mirrored.canonical() != sub.canonical()
+    exact = subassembly_cm(mirrored)
+    floors = _count_evaluations(monkeypatch)
+    bound = cached_subassembly_cm(sub, floor=0.0)
+    assert exact < bound < 0.0
+    assert cached_subassembly_cm(mirrored, floor=0.0) == bound
+    assert cached_subassembly_cm(mirrored, floor=0.001) == bound
+    assert floors == [0.0]
+    # the exact query recomputes once, on the mirrored image, and its value
+    # then answers the first image under either key
+    assert cached_subassembly_cm(mirrored) == exact
+    assert floors == [0.0, -math.inf]
+    assert cached_subassembly_cm(sub) == exact
+    assert cached_subassembly_cm(sub, floor=0.0) == exact
+    assert floors == [0.0, -math.inf]
+
+
+SPIN_LAYOUTS = ((1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+
+
+@pytest.mark.parametrize("spin", SPIN_LAYOUTS,
+                         ids=lambda spin: "".join("+" if v > 0 else "-" for v in spin))
+def test_congruent_images_get_their_own_margins_under_every_spin_layout(spin):
+    # Which grid motions keep the margin depends on the spin layout: a
+    # quarter turn does under the alternating layout only. However the
+    # cache shares values between images, each must get its direct margin,
+    # and so must the copies whose rotor faults keep their slots.
+    params = PhysicalParams(spin=spin)
+    rng = np.random.default_rng(31)
+    kinds = set()
+    for _ in range(25):
+        sub = random_faulty_subassembly(rng, int(rng.integers(1, 8)), int(rng.integers(0, 3)))
+        kinds |= {state.kind for _, state in sub.units}
+        images = [grid_image(sub, motion, (int(rng.integers(-4, 5)), int(rng.integers(-4, 5))),
+                             move_rotors)
+                  for move_rotors in (True, False) for motion in GRID_MOTIONS]
+        warm = int(rng.integers(len(GRID_MOTIONS)))
+        clear_cm_cache()
+        cached_subassembly_cm(images[warm], params)
+        for image in images[:warm] + images[warm + 1:]:
+            assert cached_subassembly_cm(image, params) == pytest.approx(
+                subassembly_cm(image, params), abs=1e-12)
+    assert kinds == set(FaultKind)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def test_bundled_plans_evaluate_each_congruent_subassembly_once(monkeypatch):
+    # The 7 bundled scenarios and the heart11 rule-off ablation, each from a
+    # cold cache. A key on translation alone evaluated the kernel 566 times.
+    requests = [(path, True) for path in sorted(SCENARIOS.glob("*.json"))]
+    requests.append((SCENARIOS / "heart11.json", False))
+    assert len(requests) == 8
+    floors = _count_evaluations(monkeypatch)
+    for path, rule in requests:
+        scenario = load_scenario(path)
+        clear_cm_cache()
+        plan(scenario.config, scenario.params, relocation_rule=rule)
+    assert len(floors) == 317
+
+
+def test_a_warm_replan_evaluates_no_margin_and_no_symmetric_key(monkeypatch):
+    scenario = load_scenario(SCENARIOS / "icra_letters.json")
+    clear_cm_cache()
+    first = plan(scenario.config, scenario.params)
+    calls = []
+
+    def counting(name):
+        original = getattr(controllability, name)
+        monkeypatch.setattr(controllability, name,
+                            lambda *args: calls.append(name) or original(*args))
+
+    counting("subassembly_cm")
+    counting("_symmetric_key")
+    assert plan(scenario.config, scenario.params).steps == first.steps
+    assert calls == []
 
 
 def test_margin_just_below_its_floor_is_cached_as_exact(monkeypatch):

@@ -1,5 +1,6 @@
 """Scenario parsing, plan files, replay, CSV trace, SVG rendering, and the CLI."""
 
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -312,6 +313,30 @@ def test_replay_rejects_corrupted_documents(rect_plan):
     ghost["steps"][0]["path"] = [[7, 7]]
     with pytest.raises(PlanningError):
         replay_document(ghost)
+    # a recorded margin must be finite (json reads NaN) and must be the
+    # margin of its step's configuration
+    for margin, error, fragment in ((math.nan, ScenarioError, r"steps\[0\]\.post_cm"),
+                                    (-5.0, PlanningError, "step 0 records margin"),
+                                    (1e9, PlanningError, "step 0 records margin")):
+        edited = json.loads(document_to_bytes(doc).decode())
+        edited["steps"][0]["post_cm"] = margin
+        with pytest.raises(error, match=fragment):
+            replay_document(edited)
+
+
+def test_replay_checks_margins_under_the_documents_params():
+    start = Configuration.from_cells(
+        [Cell(x, y) for y in range(2) for x in range(3)], {Cell(2, 0): UNIT_FAULT})
+    params = dataclasses.replace(DEFAULT_PARAMS, spin=(1, 1, -1, -1))
+    p = plan(start, params)
+    doc = plan_to_document(p, start)
+    assert replay_document(doc) == p.target.config
+    # without params the document is replayed under the defaults, whose
+    # margin of the last configuration differs from the recorded one
+    del doc["params"]
+    with pytest.raises(PlanningError, match="records margin") as exc:
+        replay_document(doc)
+    assert exc.value.info == {"step": p.step_count - 1}
 
 
 def test_replay_rejects_sweeps_through_occupied_cells():
