@@ -312,10 +312,11 @@ def _step_from_json(raw: Any, index: int) -> PlanStep:
     where = f"steps[{index}]"
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where} must be an object")
+    _reject_unknown(raw, _STEP_KEYS | {"note"}, where)
     missing = _STEP_KEYS - raw.keys()
     if missing:
         raise ScenarioError(f"missing key {min(missing)!r} in {where}")
-    if raw["index"] != index:
+    if type(raw["index"]) is not int or raw["index"] != index:
         raise ScenarioError(f"{where}.index must be {index}, got {raw['index']!r}")
     try:
         kind, phase = StepKind(raw["kind"]), Phase(raw["phase"])
@@ -325,6 +326,11 @@ def _step_from_json(raw: Any, index: int) -> PlanStep:
              for c in _list(raw["moved_cells"], f"{where}.moved_cells")]
     if not cells:
         raise ScenarioError(f"{where}.moved_cells must not be empty")
+    if (kind is StepKind.MOVE_UNIT) != (len(cells) == 1):
+        raise ScenarioError(f"{where}.kind {kind.value!r} does not fit {len(cells)} moved cells")
+    note = raw.get("note")
+    if note is not None and not isinstance(note, str):
+        raise ScenarioError(f"{where}.note must be a string")
     post_cm = raw["post_cm"]
     if post_cm is not None and (type(post_cm) not in (int, float) or not math.isfinite(post_cm)):
         raise ScenarioError(f"{where}.post_cm must be a finite number or null")
@@ -338,7 +344,7 @@ def _step_from_json(raw: Any, index: int) -> PlanStep:
                     moved_cells=tuple(sorted(cells, key=cell_key)), path=path,
                     post_config=config_from_json(raw["post_config"], f"{where}.post_config"),
                     post_cm=math.inf if post_cm is None else float(post_cm),
-                    note=raw.get("note"))
+                    note=note)
 
 
 def replay_document(doc: dict) -> Configuration:

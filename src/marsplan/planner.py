@@ -21,12 +21,12 @@ Pipeline, in order:
 
 Every step passes one gate: the flying piece itself (when it carries faults)
 and the configuration after the move must keep a margin at or above the
-floor. Donor flights of support completion are gated by the donor search in
-`plan_vmcs_completion`, which carries each landing and its margin to the
-plan. Every other step is gated by `_Pipeline._step`: searches commit the step
-it built for their winner, and support transfers are gated as they execute.
-The structure left behind while the piece is in flight is not gated, except
-for donor flights, whose donor search checks it.
+floor. That gate is `_Pipeline._step`, for every step of every phase: searches
+commit the step it built for their winner, support completion commits the
+best-ranked donor flight that passes it, and support transfers are gated as
+they execute. The structure left behind while the piece is in flight is not
+gated; only the donor ranking (`plan_vmcs_completion`) skips donors whose
+removal drops a faulty subassembly below the floor.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .controllability import DEFAULT_PARAMS, PhysicalParams, cached_subassembly_
 from .errors import (
     InfeasibleAssignmentError,
     InfeasibleTargetError,
+    NoFeasibleDonorError,
     NoPathError,
     NoVmcsPlacementError,
     PlanningError,
@@ -362,17 +363,23 @@ class _Pipeline:
             claimed |= group.shape | group.landing
 
     def _build_supports(self) -> None:
+        """Fill each support's vacant cells in (y, x) order, each with the
+        best-ranked donor flight that passes the gate."""
         reserved = frozenset(self.work.faulty_cells).union(*(g.shape for g in self.groups))
         for group in self.groups:
-            moves = plan_vmcs_completion(
-                self.work, self.target.cm, group.shape, self.params,
-                self.c1, self.c2, reserved=reserved, arena=self.arena,
-                epsilon=self.epsilon,
-            )
-            # the donor search gated each landing; commit it as it is
-            for mv in moves:
-                self._commit(PlanStep(StepKind.MOVE_UNIT, Phase.VMCS_BUILD, (mv.donor,),
-                                      mv.path, mv.post_config, mv.post_cm))
+            for vacancy in sorted(group.shape - self.work.cell_set, key=cell_key):
+                flights = plan_vmcs_completion(
+                    self.work, self.target.cm, vacancy, self.params, self.c1, self.c2,
+                    reserved=reserved, arena=self.arena, epsilon=self.epsilon,
+                )
+                gated = (self._step((path.start,), path, Phase.VMCS_BUILD) for path in flights)
+                step = next((s for s in gated if s is not None), None)
+                if step is None:
+                    raise NoFeasibleDonorError(
+                        f"no donor can reach vacancy {vacancy} without breaking support",
+                        vacancy=vacancy,
+                    )
+                self._commit(step)
 
     # -- phase 4: corridor clearance ---------------------------------------
 

@@ -25,7 +25,7 @@ from .controllability import (
     cached_subassembly_cm,
     system_cm,
 )
-from .errors import NoFeasibleDonorError, NoPathError, VmcsSearchError
+from .errors import NoPathError, VmcsSearchError
 from .model import (
     HEALTHY,
     Cell,
@@ -194,69 +194,34 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
     return TargetConfiguration(best[2], best[1])
 
 
-@dataclass(frozen=True)
-class CompletionMove:
-    """One donor flight filling a vacant support cell, with the configuration
-    it lands in and that configuration's margin."""
-
-    donor: Cell
-    vacancy: Cell
-    path: GridPath
-    post_config: Configuration
-    post_cm: float
-
-
-def plan_vmcs_completion(config: Configuration, target_cm: float,
-                         vmcs_cells: frozenset[Cell], params: PhysicalParams,
-                         c1: float, c2: float, *,
+def plan_vmcs_completion(config: Configuration, target_cm: float, vacancy: Cell,
+                         params: PhysicalParams, c1: float, c2: float, *,
                          reserved: frozenset[Cell] = frozenset(),
                          arena: Arena, epsilon: float,
-                         ) -> list[CompletionMove]:
-    """Fly donor units into the vacant cells of an anchored support shape.
+                         ) -> list[GridPath]:
+    """Flights of donor units into `vacancy`, best donor first.
 
-    For each vacancy (in (y, x) order) every healthy, unreserved unit is
-    scored with c1 * (cm_after_detach - target_cm)^2 - c2 * path_length and
-    the minimizer is flown in immediately, so later selections see the
-    updated configuration. Candidates are rejected when their removal pushes
-    any faulty subassembly below the floor, when no flight path exists, or
-    when the state after the attach sits below the floor. That last check is
-    the move's gate: each move carries its landed configuration and that
-    configuration's margin, exact since it clears the floor. Returns the
-    moves; the last one's `post_config` is the configuration after all of
-    them.
+    A donor is a healthy unit off `reserved` whose removal keeps every faulty
+    subassembly at or above the floor and that has a flight path to the
+    vacancy. Donors rank by c1 * (cm_after_detach - target_cm)^2 -
+    c2 * path_length, then by (y, x). The landing is not gated here: the
+    caller gates each flight as a step and commits the first that passes.
     """
-    vacancies = sorted((c for c in vmcs_cells if c not in config), key=cell_key)
-    moves: list[CompletionMove] = []
-    work = config
-    for vacancy in vacancies:
-        best: tuple[tuple[float, tuple[int, int]], CompletionMove] | None = None
-        for donor in work.cells:
-            if work.state(donor).is_faulty or donor in reserved or donor in vmcs_cells:
-                continue
-            after = work.detach(donor)
-            # exact whenever it clears the floor, so it also scores the donor
-            after_cm = system_cm(after, params, epsilon)
-            if after_cm < epsilon:
-                continue
-            obstacles = frozenset(after.cells)
-            try:
-                path = astar_unit(donor, vacancy, obstacles, arena)
-            except NoPathError:
-                continue
-            landed = after.attach(vacancy, HEALTHY)
-            landed_cm = system_cm(landed, params, epsilon)
-            if landed_cm < epsilon:
-                continue
-            delta = after_cm - target_cm
-            objective = round(c1 * delta * delta - c2 * path.length, _TIE_DECIMALS)
-            key = (objective, donor.key())
-            if best is None or key < best[0]:
-                best = (key, CompletionMove(donor, vacancy, path, landed, landed_cm))
-        if best is None:
-            raise NoFeasibleDonorError(
-                f"no donor can reach vacancy {vacancy} without breaking support",
-                vacancy=vacancy,
-            )
-        moves.append(best[1])
-        work = best[1].post_config
-    return moves
+    ranked: list[tuple[tuple[float, tuple[int, int]], GridPath]] = []
+    for donor in config.cells:
+        if config.state(donor).is_faulty or donor in reserved:
+            continue
+        after = config.detach(donor)
+        # exact whenever it clears the floor, so it also scores the donor
+        after_cm = system_cm(after, params, epsilon)
+        if after_cm < epsilon:
+            continue
+        try:
+            path = astar_unit(donor, vacancy, frozenset(after.cells), arena)
+        except NoPathError:
+            continue
+        delta = after_cm - target_cm
+        ranked.append(((round(c1 * delta * delta - c2 * path.length, _TIE_DECIMALS),
+                        donor.key()), path))
+    ranked.sort(key=lambda entry: entry[0])
+    return [path for _, path in ranked]

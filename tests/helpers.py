@@ -40,7 +40,7 @@ from marsplan.model import (
     rotor_fault,
 )
 from marsplan.errors import NoPathError
-from marsplan.paths import Arena, GridPath, astar_unit
+from marsplan.paths import Arena, GridPath, arena_around, astar_unit
 
 _ZOOM_SIGMAS = (0.1, 0.02, 4e-3, 8e-4, 1.6e-4)
 _POLISH_SIGMAS = (4e-4, 8e-5, 1.6e-5)
@@ -248,6 +248,20 @@ def random_faulty_subassembly(rng: np.random.Generator, n: int,
     cells = random_connected_cells(rng, n)
     faults = random_fault_states(rng, cells, min(n_faults, n - 1))
     return partition(Configuration.from_cells(cells, faults))[0]
+
+
+# Margin of a healthy-dead-healthy column, the support a lone unit fault needs.
+LIVE_DEAD_LIVE_CM = 0.001549412110
+
+
+def row_scenario(n: int, fault_x: int):
+    """An n-unit row with a unit fault at x = fault_x, the vertical support
+    column through the fault, and an arena around both."""
+    cells = [Cell(x, 0) for x in range(n)]
+    cfg = Configuration.from_cells(cells, {Cell(fault_x, 0): UNIT_FAULT})
+    vm = frozenset([Cell(fault_x, -1), Cell(fault_x, 0), Cell(fault_x, 1)])
+    arena = arena_around(list(cfg.cells) + list(vm))
+    return cfg, vm, arena
 
 
 # The eight rigid motions of the grid about the origin, as (a, b, c, d):

@@ -322,6 +322,19 @@ def test_replay_rejects_corrupted_documents(rect_plan):
         edited["steps"][0]["post_cm"] = margin
         with pytest.raises(error, match=fragment):
             replay_document(edited)
+    # a step has only its known keys, a string note, an integer index and
+    # the kind that fits its number of moved cells
+    for i, key, value, fragment in ((0, "bogus", 1, r"unknown key 'bogus' in steps\[0\]"),
+                                    (1, "note", 5, r"steps\[1\]\.note"),
+                                    (1, "note", [1], r"steps\[1\]\.note"),
+                                    (1, "index", True, r"steps\[1\]\.index"),
+                                    (1, "index", 1.0, r"steps\[1\]\.index"),
+                                    (0, "kind", "move-subassembly", r"steps\[0\]\.kind"),
+                                    (2, "kind", "move-unit", r"steps\[2\]\.kind")):
+        edited = json.loads(document_to_bytes(doc).decode())
+        edited["steps"][i][key] = value
+        with pytest.raises(ScenarioError, match=fragment):
+            replay_document(edited)
 
 
 def test_replay_checks_margins_under_the_documents_params():

@@ -30,15 +30,17 @@ from marsplan.paths import (
 from marsplan.planner import (
     Phase,
     StepKind,
+    _Group,
     _Pipeline,
     conflict_free_targets,
     lexicographic_min_assignment,
     plan,
     validate_plan,
 )
-from marsplan.vmcs import TargetConfiguration, optimal_configuration
+from marsplan.vmcs import TargetConfiguration, optimal_configuration, plan_vmcs_completion
 
 from helpers import (
+    LIVE_DEAD_LIVE_CM,
     bfs_footprint_length,
     bfs_unit_length,
     brute_force_assignment,
@@ -47,6 +49,7 @@ from helpers import (
     random_connected_cells,
     random_fault_states,
     reference_conflict_free_targets,
+    row_scenario,
 )
 
 RECT32 = [Cell(x, y) for y in range(2) for x in range(3)]
@@ -289,6 +292,87 @@ def test_parking_search_matches_an_exhaustive_scan():
             chosen.append(got and got.goal)
         detours += chosen[0] != chosen[1]
     assert detours
+
+
+# -- support completion ------------------------------------------------------------
+
+
+def row_pipeline(n, fault_x):
+    """A pipeline on `row_scenario(n, fault_x)` whose one group is the fault
+    with the support column through it."""
+    cfg, vm, arena = row_scenario(n, fault_x)
+    pipeline = _Pipeline(cfg, TargetConfiguration(cfg, LIVE_DEAD_LIVE_CM), DEFAULT_PARAMS,
+                         2.0, -0.1, True, 0.0)
+    pipeline.arena = arena
+    pipeline.groups = [_Group({Cell(fault_x, 0): UNIT_FAULT}, (0, 0), vm)]
+    return pipeline
+
+
+def test_support_completion_fills_vacancies_in_scan_order():
+    pipeline = row_pipeline(5, 2)
+    work = pipeline.work
+    pipeline._build_supports()
+    assert [s.moved_cells for s in pipeline.steps] == [(Cell(0, 0),), (Cell(4, 0),)]
+    assert [s.path.goal for s in pipeline.steps] == [Cell(2, -1), Cell(2, 1)]
+    # each step lands where its gate checked, and the landings chain
+    for s in pipeline.steps:
+        assert (s.kind, s.phase) == (StepKind.MOVE_UNIT, Phase.VMCS_BUILD)
+        assert s.path.start == s.moved_cells[0]
+        assert s.post_config == work.detach(s.path.start).attach(s.path.goal)
+        assert s.post_cm == system_cm(s.post_config, DEFAULT_PARAMS, 0.0) >= 0
+        work = s.post_config
+    assert pipeline.work == work and pipeline.groups[0].shape <= work.cell_set
+    assert system_cm(work) == pytest.approx(0.004982310, abs=1e-8)
+
+
+def test_a_complete_support_needs_no_completion_steps():
+    cfg = Configuration.from_cells([Cell(0, 0), Cell(0, 1), Cell(0, 2)],
+                                   {Cell(0, 1): UNIT_FAULT})
+    pipeline = _Pipeline(cfg, TargetConfiguration(cfg, 0.0), DEFAULT_PARAMS,
+                         2.0, -0.1, True, 0.0)
+    pipeline.groups = [_Group({Cell(0, 1): UNIT_FAULT}, (1, 0), frozenset(cfg.cells))]
+    pipeline._build_supports()
+    assert pipeline.steps == [] and pipeline.work == cfg
+
+
+def test_support_completion_raises_when_every_donor_is_load_bearing():
+    pipeline = row_pipeline(4, 0)
+    with pytest.raises(NoFeasibleDonorError) as exc:
+        pipeline._build_supports()
+    assert exc.value.reason == "no-feasible-donor"
+    assert exc.value.info == {"vacancy": Cell(0, -1)}
+    assert pipeline.steps == []
+
+
+@pytest.mark.parametrize("reject_all", [False, True])
+def test_support_completion_commits_the_best_ranked_landing_the_gate_approves(
+        monkeypatch, reject_all):
+    pipeline = row_pipeline(5, 2)
+    vacancy = Cell(2, -1)
+    ranked = [p.start for p in plan_vmcs_completion(
+        pipeline.work, LIVE_DEAD_LIVE_CM, vacancy, DEFAULT_PARAMS, 2.0, -0.1,
+        reserved=pipeline.groups[0].shape, arena=pipeline.arena, epsilon=0.0)]
+    assert len(ranked) >= 2
+    gate, tried = pipeline._step, []
+
+    def rejecting(moved, path, phase, note=None):
+        if path.goal == vacancy:
+            tried.append(moved[0])
+            if reject_all or moved[0] == ranked[0]:
+                return None
+        return gate(moved, path, phase, note)
+
+    monkeypatch.setattr(pipeline, "_step", rejecting)
+    if reject_all:
+        with pytest.raises(NoFeasibleDonorError) as exc:
+            pipeline._build_supports()
+        assert exc.value.info == {"vacancy": vacancy}
+        assert tried == ranked and pipeline.steps == []
+    else:
+        pipeline._build_supports()
+        assert tried == ranked[:2]
+        assert pipeline.steps[0].moved_cells == (ranked[1],)
+        assert pipeline.steps[0].path.goal == vacancy
 
 
 # -- end-to-end planning ------------------------------------------------------------------

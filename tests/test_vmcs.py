@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import marsplan.controllability as controllability
 from marsplan.controllability import DEFAULT_PARAMS, clear_cm_cache, system_cm
-from marsplan.errors import NoFeasibleDonorError, VmcsSearchError
+from marsplan.errors import VmcsSearchError
 from marsplan.model import (
     UNIT_FAULT,
     Cell,
@@ -17,7 +17,6 @@ from marsplan.model import (
     is_connected,
     rotor_fault,
 )
-from marsplan.paths import arena_around
 from marsplan.vmcs import (
     enumerate_connected_shapes,
     identify_vmcs,
@@ -26,9 +25,7 @@ from marsplan.vmcs import (
     ranked_support_shapes,
 )
 
-from helpers import enumerate_shapes_brute_force
-
-LIVE_DEAD_LIVE_CM = 0.001549412110
+from helpers import LIVE_DEAD_LIVE_CM, enumerate_shapes_brute_force, row_scenario
 
 
 # -- shape enumeration ----------------------------------------------------------
@@ -248,82 +245,42 @@ def test_optimal_configuration_of_fault_free_assembly_is_identity():
     assert tc.config == cfg and tc.cm == math.inf
 
 
-# -- plan_vmcs_completion ---------------------------------------------------------------
+# -- donor ranking (plan_vmcs_completion) ---------------------------------------------
 
 
-def row_scenario(n, fault_x):
-    cells = [Cell(x, 0) for x in range(n)]
-    cfg = Configuration.from_cells(cells, {Cell(fault_x, 0): UNIT_FAULT})
-    vm = frozenset([Cell(fault_x, -1), Cell(fault_x, 0), Cell(fault_x, 1)])
-    arena = arena_around(list(cfg.cells) + list(vm))
-    return cfg, vm, arena
-
-
-def test_completion_fills_vacancies_in_scan_order():
-    cfg, vm, arena = row_scenario(5, 2)
-    moves = plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, vm, DEFAULT_PARAMS, 2.0, -0.1,
-                                 arena=arena, epsilon=0.0)
-    assert [m.vacancy for m in moves] == [Cell(2, -1), Cell(2, 1)]
-    assert [m.donor for m in moves] == [Cell(0, 0), Cell(4, 0)]
-    assert all(m.path.start == m.donor and m.path.goal == m.vacancy for m in moves)
-    # each move carries the landing its gate checked, and the landings chain
-    work = cfg
-    for m in moves:
-        assert m.post_config == work.detach(m.donor).attach(m.vacancy)
-        assert m.post_cm == system_cm(m.post_config, DEFAULT_PARAMS, 0.0) >= 0
-        work = m.post_config
-    after = moves[-1].post_config
-    assert vm <= after.cell_set
-    assert system_cm(after) == pytest.approx(0.004982310, abs=1e-8)
-
-
-def test_completion_scores_detach_margin_against_target():
+def test_donor_ranking_scores_detach_margin_against_target():
     # On the 6-row the two end donors reach the first vacancy at the same
     # path length; the one whose removal keeps the margin closer to the
-    # target wins even though it is lexicographically later.
+    # target ranks first even though it is lexicographically later.
     cfg, vm, arena = row_scenario(6, 2)
-    moves = plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, vm, DEFAULT_PARAMS, 2.0, -0.1,
-                                 arena=arena, epsilon=0.0)
-    assert [(m.donor, m.vacancy) for m in moves] == [
-        (Cell(4, 0), Cell(2, -1)),
-        (Cell(0, 0), Cell(2, 1)),
-    ]
-    assert [m.path.length for m in moves] == [3, 3]
+    flights = plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, Cell(2, -1), DEFAULT_PARAMS,
+                                   2.0, -0.1, arena=arena, epsilon=0.0)
+    assert all(p.goal == Cell(2, -1) for p in flights)
+    assert [(p.start, p.length) for p in flights[:2]] == [(Cell(4, 0), 3), (Cell(0, 0), 3)]
 
 
-def test_completion_respects_reserved_cells():
+def test_donor_ranking_skips_reserved_cells():
+    # Filling both vacancies with the top-ranked flight of each ranking,
+    # with the end donor (0, 0) reserved.
     cfg, vm, arena = row_scenario(6, 2)
-    moves = plan_vmcs_completion(
-        cfg, LIVE_DEAD_LIVE_CM, vm, DEFAULT_PARAMS, 2.0, -0.1, arena=arena,
-        reserved=frozenset([Cell(0, 0)]), epsilon=0.0,
-    )
-    assert all(m.donor != Cell(0, 0) for m in moves)
-    assert [(m.donor, m.vacancy) for m in moves] == [
-        (Cell(4, 0), Cell(2, -1)),
-        (Cell(5, 0), Cell(2, 1)),
-    ]
-    assert Cell(0, 0) in moves[-1].post_config
+    reserved = frozenset([Cell(0, 0)])
+    work, donors = cfg, []
+    for vacancy in (Cell(2, -1), Cell(2, 1)):
+        flights = plan_vmcs_completion(work, LIVE_DEAD_LIVE_CM, vacancy, DEFAULT_PARAMS,
+                                       2.0, -0.1, reserved=reserved, arena=arena, epsilon=0.0)
+        assert flights and all(p.start not in reserved for p in flights)
+        donors.append(flights[0].start)
+        work = work.detach(flights[0].start).attach(vacancy)
+    assert donors == [Cell(4, 0), Cell(5, 0)]
+    assert Cell(0, 0) in work
 
 
-def test_complete_support_needs_no_moves():
-    cfg = Configuration.from_cells(
-        [Cell(0, 0), Cell(0, 1), Cell(0, 2)], {Cell(0, 1): UNIT_FAULT}
-    )
-    moves = plan_vmcs_completion(
-        cfg, 0.0, frozenset(cfg.cells), DEFAULT_PARAMS, 2.0, -0.1,
-        arena=arena_around(cfg.cells), epsilon=0.0,
-    )
-    assert moves == []
-
-
-def test_completion_rejects_donors_that_break_the_support():
+def test_donor_ranking_skips_donors_that_break_the_support():
     # Every healthy unit in the 4-row is load-bearing for the dead end unit:
     # removing any of them drops some faulty subassembly below the floor.
     cfg, vm, arena = row_scenario(4, 0)
-    with pytest.raises(NoFeasibleDonorError) as exc:
-        plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, vm, DEFAULT_PARAMS, 2.0, -0.1,
-                             arena=arena, epsilon=0.0)
-    assert exc.value.reason == "no-feasible-donor"
+    assert plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, Cell(0, -1), DEFAULT_PARAMS,
+                                2.0, -0.1, arena=arena, epsilon=0.0) == []
 
 
 # -- properties -------------------------------------------------------------------------
