@@ -16,7 +16,8 @@ Scenario schema::
 Unknown keys are rejected by name at every level. Plan files serialize every
 controllability margin with six decimal digits and carry each step's full
 post-move configuration so a plan can be re-simulated and checked bit-exactly;
-replay also checks each recorded margin against its configuration.
+replay certifies every step with the planner's gate, under the file's params
+and floor, and checks the file's summary.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any
 
 from .controllability import DEFAULT_PARAMS, PhysicalParams, system_cm
@@ -42,7 +42,8 @@ from .model import (
     rotor_fault,
 )
 from .paths import GridPath
-from .planner import Phase, Plan, PlanStep, StepKind, validate_plan
+from .planner import DEFAULT_EPSILON, Phase, Plan, PlanStep, StepKind, validate_plan
+from .vmcs import TargetConfiguration
 
 _SCENARIO_KEYS = {"name", "notes", "cells", "faults", "params", "weights", "flags"}
 _FAULT_KEYS = {"cell", "kind", "rotor_index"}
@@ -50,6 +51,8 @@ _WEIGHT_KEYS = {"c1", "c2", "epsilon"}
 _FLAG_KEYS = {"relocation_rule"}
 _PARAM_KEYS = {f.name for f in dataclasses.fields(PhysicalParams)}
 _STEP_KEYS = {"index", "kind", "phase", "moved_cells", "path", "post_cm", "post_config"}
+_PLAN_KEYS = {"format", "name", "params", "weights", "flags", "start_config", "steps", "summary"}
+_PLAN_FORMAT = "marsplan-plan-v1"
 
 
 @dataclass
@@ -151,13 +154,8 @@ def _parse_params(raw: Any, base: PhysicalParams) -> PhysicalParams:
         raise ScenarioError(f"invalid params: {exc}") from None
 
 
-def parse_scenario(data: Any, base_params: PhysicalParams = DEFAULT_PARAMS) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    _reject_unknown(data, _SCENARIO_KEYS, "scenario")
-    config = _parse_config(data, "")
-    params = _parse_params(data["params"], base_params) if "params" in data else base_params
-
+def _parse_weights(data: dict) -> dict[str, float]:
+    """The `weights` of a scenario or plan document: any subset of c1, c2, epsilon."""
     weights = data.get("weights", {})
     if not isinstance(weights, dict):
         raise ScenarioError("'weights' must be an object")
@@ -165,7 +163,10 @@ def parse_scenario(data: Any, base_params: PhysicalParams = DEFAULT_PARAMS) -> S
     for key, value in weights.items():
         if type(value) not in (int, float) or not math.isfinite(value):
             raise ScenarioError(f"weights.{key} must be a finite number")
+    return {key: float(value) for key, value in weights.items()}
 
+
+def _parse_relocation_rule(data: dict) -> bool | None:
     flags = data.get("flags", {})
     if not isinstance(flags, dict):
         raise ScenarioError("'flags' must be an object")
@@ -173,6 +174,16 @@ def parse_scenario(data: Any, base_params: PhysicalParams = DEFAULT_PARAMS) -> S
     rule = flags.get("relocation_rule")
     if rule is not None and not isinstance(rule, bool):
         raise ScenarioError("flags.relocation_rule must be a boolean")
+    return rule
+
+
+def parse_scenario(data: Any, base_params: PhysicalParams = DEFAULT_PARAMS) -> Scenario:
+    if not isinstance(data, dict):
+        raise ScenarioError("scenario must be a JSON object")
+    _reject_unknown(data, _SCENARIO_KEYS, "scenario")
+    config = _parse_config(data, "")
+    params = _parse_params(data["params"], base_params) if "params" in data else base_params
+    weights = _parse_weights(data)
 
     name = data.get("name")
     if name is not None and not isinstance(name, str):
@@ -181,13 +192,9 @@ def parse_scenario(data: Any, base_params: PhysicalParams = DEFAULT_PARAMS) -> S
     if notes is not None and not isinstance(notes, str):
         raise ScenarioError("'notes' must be a string")
 
-    return Scenario(
-        config=config, params=params, name=name,
-        c1=float(weights["c1"]) if "c1" in weights else None,
-        c2=float(weights["c2"]) if "c2" in weights else None,
-        epsilon=float(weights["epsilon"]) if "epsilon" in weights else None,
-        relocation_rule=rule,
-    )
+    return Scenario(config=config, params=params, name=name, c1=weights.get("c1"),
+                    c2=weights.get("c2"), epsilon=weights.get("epsilon"),
+                    relocation_rule=_parse_relocation_rule(data))
 
 
 def load_scenario(path: str | Path,
@@ -261,7 +268,7 @@ def step_to_json(index: int, step: PlanStep) -> dict:
 def plan_to_document(plan: Plan, start: Configuration,
                      name: str | None = None) -> dict:
     """Canonical JSON document for a plan (stable key order, 6-decimal CMs)."""
-    doc: dict[str, Any] = {"format": "marsplan-plan-v1"}
+    doc: dict[str, Any] = {"format": _PLAN_FORMAT}
     if name is not None:
         doc["name"] = name
     doc["params"] = params_to_json(plan.params)
@@ -269,7 +276,12 @@ def plan_to_document(plan: Plan, start: Configuration,
     doc["flags"] = {"relocation_rule": plan.relocation_rule}
     doc["start_config"] = config_to_json(start)
     doc["steps"] = [step_to_json(i, s) for i, s in enumerate(plan.steps)]
-    doc["summary"] = {
+    doc["summary"] = _summary(plan)
+    return doc
+
+
+def _summary(plan: Plan) -> dict:
+    return {
         "step_count": plan.step_count,
         "detach_attach_count": plan.detach_attach_count,
         "total_path_length": plan.total_path_length,
@@ -277,7 +289,6 @@ def plan_to_document(plan: Plan, start: Configuration,
         "target_cm": _cm_value(plan.target.cm),
         "target_config": config_to_json(plan.target.config),
     }
-    return doc
 
 
 _PAIR = re.compile(r"\[\s+(-?\d+),\s+(-?\d+)\s+\]")
@@ -302,7 +313,7 @@ def load_plan_document(path: str | Path) -> dict:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot load plan file {path}: {exc}") from None
-    if not isinstance(data, dict) or data.get("format") != "marsplan-plan-v1":
+    if not isinstance(data, dict) or data.get("format") != _PLAN_FORMAT:
         raise ScenarioError(f"{path} is not a marsplan plan file")
     return data
 
@@ -350,27 +361,32 @@ def _step_from_json(raw: Any, index: int) -> PlanStep:
 def replay_document(doc: dict) -> Configuration:
     """Re-simulate a plan document with validate_plan; returns the final state.
 
-    A malformed document raises ScenarioError; a step that does not fit the
-    state it starts from (wrong reference cell, collision, or a post-move
-    configuration that differs from the recorded one) or whose recorded
-    margin is not the margin of its post-move configuration under the
-    document's params, to six decimals, raises PlanningError.
+    The floor is `weights.epsilon`, else the one `plan()` defaults to. A
+    malformed document raises ScenarioError; a step that fails validate_plan,
+    or a `summary` other than the replayed plan's, raises PlanningError.
     """
     if not isinstance(doc, dict):
         raise ScenarioError("plan document must be an object")
+    _reject_unknown(doc, _PLAN_KEYS, "plan document")
+    if doc.get("format", _PLAN_FORMAT) != _PLAN_FORMAT:
+        raise ScenarioError(f"plan document format must be {_PLAN_FORMAT!r}")
     for key in ("start_config", "steps"):
         if key not in doc:
             raise ScenarioError(f"missing key {key!r} in plan document")
     params = _parse_params(doc["params"], DEFAULT_PARAMS) if "params" in doc else DEFAULT_PARAMS
+    weights = _parse_weights(doc)
     start = config_from_json(doc["start_config"], "start_config")
     steps = [_step_from_json(raw, i) for i, raw in enumerate(_list(doc["steps"], "steps"))]
-    final = validate_plan(start, SimpleNamespace(steps=steps))
-    for i, step in enumerate(steps):
-        # a recorded margin is rounded to six decimals, +inf recorded as null
-        margin = system_cm(step.post_config, params)
-        if not (margin == step.post_cm or abs(margin - step.post_cm) <= 5e-7 + 1e-12):
-            raise PlanningError(f"step {i} records margin {step.post_cm!r}, "
-                                f"its configuration has {margin!r}", step=i)
+    final = steps[-1].post_config if steps else start
+    # c1, c2 and the rule do not enter the check; they stay None when unset
+    replayed = Plan(steps=steps, target=TargetConfiguration(final, system_cm(final, params)),
+                    relocation_rule=_parse_relocation_rule(doc), c1=weights.get("c1"),
+                    c2=weights.get("c2"), epsilon=weights.get("epsilon", DEFAULT_EPSILON),
+                    params=params)
+    validate_plan(start, replayed)
+    summary = _summary(replayed)
+    if doc.get("summary", summary) != summary:
+        raise PlanningError("summary does not match the replayed plan", summary=summary)
     return final
 
 

@@ -19,14 +19,13 @@ Pipeline, in order:
 6. Fill the remaining vacant target cells with conflict-free assignment
    rounds until the configuration equals the target exactly.
 
-Every step passes one gate: the flying piece itself (when it carries faults)
-and the configuration after the move must keep a margin at or above the
-floor. That gate is `_Pipeline._step`, for every step of every phase: searches
-commit the step it built for their winner, support completion commits the
-best-ranked donor flight that passes it, and support transfers are gated as
-they execute. The structure left behind while the piece is in flight is not
-gated; only the donor ranking (`plan_vmcs_completion`) skips donors whose
-removal drops a faulty subassembly below the floor.
+Every step passes one gate, `step_verdict`: the flying piece (when it carries
+faults) and the configuration after the move keep a margin at or above the
+floor. `_Pipeline._step` gates every step of every phase with it, and
+`validate_plan` re-checks every step of a finished plan with it. The
+structure left behind while the piece is in flight is not gated; only the
+donor ranking (`plan_vmcs_completion`) skips donors whose removal drops a
+faulty subassembly below the floor.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ from .vmcs import (
 )
 
 _BIG = 10 ** 7
+DEFAULT_EPSILON = 0.0      # the margin floor of `plan()`, and of a plan document without one
 
 
 class StepKind(Enum):
@@ -213,9 +213,29 @@ def _reference(cells: Iterable[Cell]) -> Cell:
     return min(cells, key=cell_key)
 
 
+def step_verdict(config: Configuration, moved: Sequence[Cell], path: GridPath,
+                 params: PhysicalParams, epsilon: float
+                 ) -> tuple[Configuration, float | None, str | None]:
+    """The one safety gate: fly `moved` ((y, x) order) along `path` from `config`.
+
+    Returns the configuration after the move, its margin (exact when at or
+    above `epsilon`) and the first check that fails: "piece" when the flying
+    piece carries a fault and is below `epsilon` (the margin is then None),
+    "post" when the configuration after the move is, or None.
+    """
+    ref = moved[0]
+    post = config.translate_set(moved, (path.goal.x - ref.x, path.goal.y - ref.y))
+    flying = tuple((c, config.state(c)) for c in moved)
+    if (any(s.is_faulty for _, s in flying)
+            and cached_subassembly_cm(Subassembly(flying), params, epsilon) < epsilon):
+        return post, None, "piece"
+    post_cm = system_cm(post, params, epsilon)
+    return post, post_cm, "post" if post_cm < epsilon else None
+
+
 def plan(config: Configuration, params: PhysicalParams = DEFAULT_PARAMS, *,
          c1: float = 2.0, c2: float = -0.1, relocation_rule: bool = True,
-         epsilon: float = 0.0) -> Plan:
+         epsilon: float = DEFAULT_EPSILON) -> Plan:
     """Compute a safe reconfiguration to the optimal fault placement.
 
     Raises InfeasibleTargetError when no placement reaches the margin floor,
@@ -271,23 +291,11 @@ class _Pipeline:
 
     def _step(self, moved: Sequence[Cell], path: GridPath, phase: Phase,
               note: str | None = None) -> PlanStep | None:
-        """The step flying `moved` along `path` from `self.work`, or None.
-
-        This is the one gate: a flying piece that carries faults must be
-        controllable on its own (support shapes are, by construction), and
-        the configuration after the move must keep its margin at or above
-        the floor. `path` runs from the smallest moved cell.
-        """
+        """The step that flies `moved` from `self.work` along `path` (which runs
+        from the smallest moved cell), or None when `step_verdict` rejects it."""
         moved = tuple(sorted(moved, key=cell_key))
-        flying = [(c, self.work.state(c)) for c in moved]
-        if any(s.is_faulty for _, s in flying):
-            piece = Subassembly(tuple(flying))
-            if cached_subassembly_cm(piece, self.params, self.epsilon) < self.epsilon:
-                return None
-        ref = moved[0]
-        post = self.work.translate_set(moved, (path.goal.x - ref.x, path.goal.y - ref.y))
-        post_cm = system_cm(post, self.params, self.epsilon)
-        if post_cm < self.epsilon:
+        post, post_cm, failure = step_verdict(self.work, moved, path, self.params, self.epsilon)
+        if failure is not None:
             return None
         kind = StepKind.MOVE_UNIT if len(moved) == 1 else StepKind.MOVE_SUBASSEMBLY
         return PlanStep(kind=kind, phase=phase, moved_cells=moved, path=path,
@@ -525,13 +533,13 @@ class _Pipeline:
 
 
 def validate_plan(start: Configuration, plan: Plan) -> Configuration:
-    """Re-simulate a plan, checking collisions and the recorded post states.
+    """Re-simulate a plan; returns the final configuration.
 
-    Reads only `plan.steps`. Each step's path must start at its reference
-    cell (the smallest moved cell) and its moved cells must be occupied;
-    every waypoint must place the moving cells on free grid cells; the end
-    state of each step must equal its recorded post_config. Returns the
-    final configuration.
+    Reads `plan.steps`, `plan.params` and `plan.epsilon`. Each step flies one
+    4-connected piece of occupied cells along a path that starts at its
+    smallest cell and crosses only free cells, ends in its recorded
+    post_config, passes `step_verdict` (else SafetyViolationError with the
+    failed check as `cause`) and records its margin to six decimals.
     """
     work = start
     for idx, step in enumerate(plan.steps):
@@ -543,11 +551,18 @@ def validate_plan(start: Configuration, plan: Plan) -> Configuration:
         occupied = work.cell_set
         if not occupied.issuperset(moved):
             raise PlanningError(f"step {idx} moves an unoccupied cell", step=idx)
+        if len(connected_components(moved)) != 1:
+            raise PlanningError(f"step {idx} flies cells that are not 4-connected", step=idx)
         if swept_cells(moved, ref, step.path) & (occupied - set(moved)):
             raise SafetyViolationError(f"step {idx} sweeps through occupied cells", step=idx)
-        goal = step.path.goal
-        delta = (goal.x - ref.x, goal.y - ref.y)
-        work = work.translate_set(moved, delta)
+        work, margin, failure = step_verdict(work, moved, step.path, plan.params, plan.epsilon)
         if work != step.post_config:
             raise PlanningError(f"step {idx} post configuration mismatch", step=idx)
+        if failure is not None:
+            raise SafetyViolationError(f"step {idx} fails the {failure} check", step=idx,
+                                       cause=failure)
+        # a recorded margin is rounded to six decimals
+        if not (margin == step.post_cm or abs(margin - step.post_cm) <= 5e-7 + 1e-12):
+            raise PlanningError(f"step {idx} records margin {step.post_cm!r}, "
+                                f"its configuration has {margin!r}", step=idx)
     return work

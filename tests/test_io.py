@@ -15,7 +15,7 @@ import marsplan
 from marsplan import cli
 from marsplan.cli import main
 from marsplan.controllability import DEFAULT_PARAMS, system_cm
-from marsplan.errors import PlanningError, ScenarioError
+from marsplan.errors import PlanningError, SafetyViolationError, ScenarioError
 from marsplan.io import (
     config_from_json,
     config_to_json,
@@ -27,10 +27,12 @@ from marsplan.io import (
     plan_to_document,
     replay_document,
     save_plan,
+    step_to_json,
     write_cm_trace,
 )
 from marsplan.model import UNIT_FAULT, Cell, Configuration, rotor_fault
-from marsplan.planner import plan
+from marsplan.paths import arena_around, astar_unit
+from marsplan.planner import Phase, PlanStep, StepKind, plan
 from marsplan.render import render_plan_svgs
 
 RECT32 = {
@@ -370,6 +372,86 @@ def test_replay_rejects_sweeps_through_occupied_cells():
     with pytest.raises(PlanningError) as exc:
         replay_document(doc)
     assert "sweeps through" in str(exc.value)
+
+
+@pytest.mark.parametrize("key, field, value, error, fragment", [
+    ("bogus", None, 1, ScenarioError, "unknown key 'bogus' in plan document"),
+    ("format", None, "other", ScenarioError, "format must be 'marsplan-plan-v1'"),
+    ("weights", None, "x", ScenarioError, "'weights' must be an object"),
+    ("weights", "epsilon", math.nan, ScenarioError, "weights.epsilon"),
+    ("flags", None, "x", ScenarioError, "'flags' must be an object"),
+    ("summary", "step_count", 99, PlanningError, "summary does not match"),
+    ("summary", "detach_attach_count", 12, PlanningError, "summary does not match"),
+    ("summary", "total_path_length", 1, PlanningError, "summary does not match"),
+    ("summary", "min_cm", 7.0, PlanningError, "summary does not match"),
+    ("summary", "target_cm", 5.0, PlanningError, "summary does not match"),
+    ("summary", "target_config", RECT32, PlanningError, "summary does not match"),
+])
+def test_replay_checks_the_documents_top_level_fields(rect_plan, key, field, value, error,
+                                                      fragment):
+    start, p = rect_plan
+    doc = json.loads(document_to_bytes(plan_to_document(p, start)).decode())
+    if field is None:
+        doc[key] = value
+    else:
+        doc[key][field] = value
+    with pytest.raises(error, match=fragment):
+        replay_document(doc)
+
+
+def test_replay_rejects_a_flying_fault_that_cannot_hover():
+    # The only step flies the lone dead unit of rect3x2_fault3 off the
+    # assembly and records the true margin of its configuration. The dead
+    # unit cannot fly on its own, so the step fails the piece check.
+    start = load_scenario(SCENARIOS / "rect3x2_fault3.json").config
+    (fault,) = start.faulty_cells
+    goal = Cell(-2, -2)
+    path = astar_unit(fault, goal, start.cell_set - {fault}, arena_around(start.cells))
+    post = start.translate_set([fault], (goal.x - fault.x, goal.y - fault.y))
+    step = PlanStep(StepKind.MOVE_UNIT, Phase.FILL_REMAINDER, (fault,), path, post,
+                    system_cm(post))
+    doc = {"weights": {"c1": 2.0, "c2": -0.1, "epsilon": 0.0},
+           "start_config": config_to_json(start), "steps": [step_to_json(0, step)]}
+    assert doc["steps"][0]["post_cm"] == pytest.approx(-0.314, abs=1e-3)
+    with pytest.raises(SafetyViolationError) as exc:
+        replay_document(doc)
+    assert exc.value.info == {"step": 0, "cause": "piece"}
+
+
+def test_replay_certifies_every_step_under_the_documents_floor():
+    scenario = load_scenario(SCENARIOS / "heart11.json")
+    result = plan(scenario.config, scenario.params)
+    doc = json.loads(document_to_bytes(plan_to_document(result, scenario.config)).decode())
+    assert replay_document(doc) == result.target.config
+    # the exact minimum rounds to min_cm, so this floor lies above it
+    floor = doc["summary"]["min_cm"] + 1e-6
+    doc["weights"]["epsilon"] = floor
+    first = next(i for i, step in enumerate(doc["steps"]) if step["post_cm"] < floor)
+    assert first > 0
+    with pytest.raises(SafetyViolationError) as exc:
+        replay_document(doc)
+    assert exc.value.info == {"step": first, "cause": "post"}
+
+
+def test_replay_rejects_a_piece_that_is_not_4_connected():
+    # both ends of a row fly up together as if they were one rigid piece
+    doc = {
+        "start_config": {"cells": [[0, 0], [1, 0], [2, 0]], "faults": []},
+        "steps": [
+            {
+                "index": 0,
+                "kind": "move-subassembly",
+                "phase": "vmcs-transfer",
+                "moved_cells": [[0, 0], [2, 0]],
+                "path": [[0, 0], [0, 1]],
+                "post_cm": None,
+                "post_config": {"cells": [[1, 0], [0, 1], [2, 1]], "faults": []},
+            }
+        ],
+    }
+    with pytest.raises(PlanningError, match="not 4-connected") as exc:
+        replay_document(doc)
+    assert exc.value.info == {"step": 0}
 
 
 @pytest.mark.parametrize(

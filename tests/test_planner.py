@@ -2,13 +2,14 @@
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marsplan.controllability import DEFAULT_PARAMS, system_cm
+from marsplan.controllability import DEFAULT_PARAMS, clear_cm_cache, subassembly_cm, system_cm
 from marsplan.errors import (
     InfeasibleAssignmentError,
     InfeasibleTargetError,
@@ -17,7 +18,7 @@ from marsplan.errors import (
     SafetyViolationError,
 )
 from marsplan.io import document_to_bytes, plan_to_document
-from marsplan.model import UNIT_FAULT, Cell, Configuration, cell_key, rotor_fault
+from marsplan.model import UNIT_FAULT, Cell, Configuration, Subassembly, cell_key, rotor_fault
 from marsplan.paths import (
     Arena,
     GridPath,
@@ -35,6 +36,7 @@ from marsplan.planner import (
     conflict_free_targets,
     lexicographic_min_assignment,
     plan,
+    step_verdict,
     validate_plan,
 )
 from marsplan.vmcs import TargetConfiguration, optimal_configuration, plan_vmcs_completion
@@ -530,6 +532,44 @@ def test_validate_plan_rejects_corruption():
     bad3 = dataclasses.replace(p, steps=[off_start, *p.steps[1:]])
     with pytest.raises(PlanningError, match="does not start at the reference cell"):
         validate_plan(start, bad3)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 2), st.integers(0, 3),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_step_verdict_matches_independent_margins(seed, n, nf, pick, on_piece):
+    rng = np.random.default_rng(seed)
+    cells = random_connected_cells(rng, n)
+    config = Configuration.from_cells(cells, random_fault_states(rng, cells, min(nf, n)))
+    piece = {cells[int(rng.integers(n))]}
+    for _ in range(int(rng.integers(n))):
+        grow = sorted({nb for c in piece for nb in c.neighbors4() if nb in config} - piece,
+                      key=cell_key)
+        if grow:
+            piece.add(grow[int(rng.integers(len(grow)))])
+    moved = tuple(sorted(piece, key=cell_key))
+    stationary = {c: s for c, s in config.items() if c not in piece}
+    deltas = [(dx, dy) for dx in range(-n - 1, n + 2) for dy in range(-n - 1, n + 2)
+              if (dx, dy) != (0, 0) and not any(c + (dx, dy) in stationary for c in moved)]
+    delta = deltas[int(rng.integers(len(deltas)))]
+    goal = moved[0] + delta
+    path = astar_unit(moved[0], goal, frozenset(), arena_around([moved[0], goal]))
+    # oracles: the translation built cell by cell, the piece's margin uncached
+    post = Configuration({**stationary, **{c + delta: config.state(c) for c in moved}})
+    post_cm = system_cm(post)
+    faulty_piece = any(config.state(c).is_faulty for c in moved)
+    piece_cm = subassembly_cm(Subassembly(tuple((c, config.state(c)) for c in moved)))
+    exact = piece_cm if on_piece and faulty_piece else post_cm
+    floor = (-0.05, 0.0, exact - 1e-6, exact + 1e-6)[pick if math.isfinite(exact) else 1]
+    clear_cm_cache()
+    after, margin, failure = step_verdict(config, moved, path, DEFAULT_PARAMS, floor)
+    assert after == post
+    if faulty_piece and piece_cm < floor:
+        assert (margin, failure) == (None, "piece")
+    elif post_cm < floor:
+        assert failure == "post" and post_cm - 1e-12 <= margin < floor
+    else:
+        assert failure is None and margin == pytest.approx(post_cm, abs=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(3, 7))

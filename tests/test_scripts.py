@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from marsplan.io import config_from_json, load_plan_document, replay_document
+
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = ROOT / "scenarios" / "rect3x2_fault3.json"
 
@@ -24,7 +26,8 @@ def test_run_all_scenarios_writes_a_plan_per_scenario(tmp_path):
     shutil.copy(SCENARIO, scenarios)
     out = _run("run_all_scenarios.py", "--scenarios", scenarios, "--out", tmp_path / "out")
     assert SCENARIO.stem in out
-    assert (tmp_path / "out" / SCENARIO.stem / "plan.json").is_file()
+    doc = load_plan_document(tmp_path / "out" / SCENARIO.stem / "plan.json")
+    assert replay_document(doc) == config_from_json(doc["summary"]["target_config"])
     assert (tmp_path / "out" / SCENARIO.stem / "trace.csv").is_file()
 
 
