@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 from scipy.optimize import lsq_linear
@@ -365,25 +366,31 @@ def cached_subassembly_cm(sub: Subassembly, params: PhysicalParams = DEFAULT_PAR
     return entry[0]
 
 
-def system_cm(config: Configuration, params: PhysicalParams = DEFAULT_PARAMS,
+def faulty_cm(subs: Iterable[Subassembly], params: PhysicalParams = DEFAULT_PARAMS,
               floor: float = -math.inf) -> float:
-    """Minimum margin over all subassemblies that contain a faulty unit.
+    """Minimum margin over the given subassemblies that contain a faulty unit.
 
     Fault-free subassemblies are not margin-limiting (a healthy connected
     assembly can always hover under the modeled thrust budget, and singleton
-    healthy units in transit are routine), so a configuration with no faults
-    at all reports +inf. A minimum at or above `floor` is exact; below it,
-    the result u satisfies minimum <= u < floor, and the scan stops at the
-    first subassembly below the floor.
+    healthy units in transit are routine), so no faulty subassembly at all
+    gives +inf. A minimum at or above `floor` is exact; below it, the result
+    u satisfies minimum <= u < floor, and the scan stops at the first
+    subassembly below the floor, so later ones need not be built.
     """
     worst = math.inf
-    for sub in partition(config):
+    for sub in subs:
         if not sub.faulty_cells:
             continue
         worst = min(worst, cached_subassembly_cm(sub, params, floor))
         if worst < floor:
             break
     return worst
+
+
+def system_cm(config: Configuration, params: PhysicalParams = DEFAULT_PARAMS,
+              floor: float = -math.inf) -> float:
+    """`faulty_cm` of all subassemblies of `config` (+inf without faults)."""
+    return faulty_cm(partition(config), params, floor)
 
 
 def cm_upper_bound(zono: WrenchZonotope, g: np.ndarray, directions: np.ndarray) -> float:

@@ -166,6 +166,14 @@ def _parse_weights(data: dict) -> dict[str, float]:
     return {key: float(value) for key, value in weights.items()}
 
 
+def _parse_name(data: dict) -> str | None:
+    """The optional `name` of a scenario or plan document."""
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ScenarioError("'name' must be a string")
+    return name
+
+
 def _parse_relocation_rule(data: dict) -> bool | None:
     flags = data.get("flags", {})
     if not isinstance(flags, dict):
@@ -184,15 +192,11 @@ def parse_scenario(data: Any, base_params: PhysicalParams = DEFAULT_PARAMS) -> S
     config = _parse_config(data, "")
     params = _parse_params(data["params"], base_params) if "params" in data else base_params
     weights = _parse_weights(data)
-
-    name = data.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ScenarioError("'name' must be a string")
     notes = data.get("notes")
     if notes is not None and not isinstance(notes, str):
         raise ScenarioError("'notes' must be a string")
 
-    return Scenario(config=config, params=params, name=name, c1=weights.get("c1"),
+    return Scenario(config=config, params=params, name=_parse_name(data), c1=weights.get("c1"),
                     c2=weights.get("c2"), epsilon=weights.get("epsilon"),
                     relocation_rule=_parse_relocation_rule(data))
 
@@ -373,6 +377,7 @@ def replay_document(doc: dict) -> Configuration:
     for key in ("start_config", "steps"):
         if key not in doc:
             raise ScenarioError(f"missing key {key!r} in plan document")
+    _parse_name(doc)
     params = _parse_params(doc["params"], DEFAULT_PARAMS) if "params" in doc else DEFAULT_PARAMS
     weights = _parse_weights(doc)
     start = config_from_json(doc["start_config"], "start_config")

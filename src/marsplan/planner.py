@@ -499,19 +499,34 @@ class _Pipeline:
 
     def _assign_fill_moves(self, targets: list[Cell], candidates: list[Cell]
                            ) -> list[tuple[Cell, Cell]]:
+        """The row-major smallest pairing of least total gated flight length;
+        a target without a gated flight waits. Costs start from ungated A*
+        lengths, a lower bound: only assigned pairs are gated, a failing one is
+        forbidden and the matrix solved again, until the pairing is also the
+        smallest optimum of the matrix that gates every pair."""
         cost = np.full((len(targets), len(candidates)), float(_BIG))
+        paths: dict[tuple[int, int], GridPath] = {}
         for j, cand in enumerate(candidates):
             obstacles = frozenset(self.work.cell_set - {cand})
             for i, t in enumerate(targets):
-                step = self._unit_step(cand, t, obstacles, Phase.FILL_REMAINDER)
-                if step is not None:
-                    cost[i, j] = step.path.length
-        cols = lexicographic_min_assignment(cost)
-        pairs = []
-        for i, j in enumerate(cols):
-            if cost[i, j] >= _BIG:
-                continue  # defer this target to a later round
-            pairs.append((targets[i], candidates[j]))
+                try:
+                    paths[i, j] = astar_unit(cand, t, obstacles, self.arena)
+                except NoPathError:
+                    continue
+                cost[i, j] = paths[i, j].length
+        gated: set[tuple[int, int]] = set()
+        while True:
+            cols = lexicographic_min_assignment(cost)
+            todo = [(i, j) for i, j in enumerate(cols)
+                    if cost[i, j] < _BIG and (i, j) not in gated]
+            gated.update(todo)
+            failed = [(i, j) for i, j in todo
+                      if self._step((candidates[j],), paths[i, j], Phase.FILL_REMAINDER) is None]
+            if not failed:
+                break
+            for i, j in failed:
+                cost[i, j] = _BIG
+        pairs = [(targets[i], candidates[j]) for i, j in enumerate(cols) if cost[i, j] < _BIG]
         if not pairs:
             raise InfeasibleAssignmentError("no unit can reach any fill target")
         return pairs
@@ -537,11 +552,13 @@ def validate_plan(start: Configuration, plan: Plan) -> Configuration:
 
     Reads `plan.steps`, `plan.params` and `plan.epsilon`. Each step flies one
     4-connected piece of occupied cells along a path that starts at its
-    smallest cell and crosses only free cells, ends in its recorded
-    post_config, passes `step_verdict` (else SafetyViolationError with the
-    failed check as `cause`) and records its margin to six decimals.
+    smallest cell and crosses only free cells of `arena_around(start)` (else
+    SafetyViolationError), ends in its recorded post_config, passes
+    `step_verdict` (else SafetyViolationError with the failed check as
+    `cause`) and records its margin to six decimals.
     """
     work = start
+    arena = arena_around(start.cells)
     for idx, step in enumerate(plan.steps):
         moved = step.moved_cells
         ref = moved[0]
@@ -553,7 +570,10 @@ def validate_plan(start: Configuration, plan: Plan) -> Configuration:
             raise PlanningError(f"step {idx} moves an unoccupied cell", step=idx)
         if len(connected_components(moved)) != 1:
             raise PlanningError(f"step {idx} flies cells that are not 4-connected", step=idx)
-        if swept_cells(moved, ref, step.path) & (occupied - set(moved)):
+        swept = swept_cells(moved, ref, step.path)
+        if not all(c in arena for c in swept):
+            raise SafetyViolationError(f"step {idx} leaves the arena", step=idx)
+        if swept & (occupied - set(moved)):
             raise SafetyViolationError(f"step {idx} sweeps through occupied cells", step=idx)
         work, margin, failure = step_verdict(work, moved, step.path, plan.params, plan.epsilon)
         if work != step.post_config:

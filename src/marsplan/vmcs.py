@@ -23,6 +23,7 @@ from .controllability import (
     DEFAULT_PARAMS,
     PhysicalParams,
     cached_subassembly_cm,
+    faulty_cm,
     system_cm,
 )
 from .errors import NoPathError, VmcsSearchError
@@ -33,6 +34,7 @@ from .model import (
     FaultState,
     Subassembly,
     cell_key,
+    connected_components,
     is_connected,
 )
 from .paths import Arena, GridPath, astar_unit
@@ -170,28 +172,32 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
     footprint cells and maximizes the system margin. Ties prefer the
     lexicographically smallest faulty cell set (then the smallest
     cell/state pairing), evaluated in enumeration order so the first best
-    candidate wins. The footprint itself never changes. Each candidate's
-    margin is asked with the best rounded margin so far as its floor, so a
-    candidate that cannot beat it may stop at a bound below it; the winner
-    beat its floor, so the margin returned with it is exact.
+    candidate wins. The footprint never changes, so it is split into
+    components once; a candidate builds only their subassemblies, and only
+    the winner a Configuration. Each candidate's margin is asked with the
+    best rounded margin so far as its floor, so a candidate that cannot beat
+    it may stop at a bound below it; the winner beat its floor, so the
+    margin returned with it is exact.
     """
     fault_states = sorted((s for _, s in config.items() if s.is_faulty), key=_state_key)
     if not fault_states:
         return TargetConfiguration(config, float("inf"))
     cells = config.cells
+    components = connected_components(cells)
     distinct_orders = sorted(set(permutations(fault_states)),
                              key=lambda p: tuple(_state_key(s) for s in p))
-    best: tuple[float, float, Configuration] | None = None   # (rounded cm, cm, candidate)
+    best: tuple[float, float, dict[Cell, FaultState]] | None = None  # (rounded cm, cm, placement)
     for combo in combinations(cells, len(fault_states)):
         for order in distinct_orders:
             placement = dict(zip(combo, order))
-            candidate = Configuration.from_cells(cells, placement)
+            subs = (Subassembly(tuple((c, placement.get(c, HEALTHY)) for c in comp))
+                    for comp in components)
             floor = -math.inf if best is None else best[0]
-            cm = system_cm(candidate, params, floor)
+            cm = faulty_cm(subs, params, floor)
             if best is None or round(cm, _TIE_DECIMALS) > best[0]:
-                best = (round(cm, _TIE_DECIMALS), cm, candidate)
+                best = (round(cm, _TIE_DECIMALS), cm, placement)
     assert best is not None
-    return TargetConfiguration(best[2], best[1])
+    return TargetConfiguration(Configuration.from_cells(cells, best[2]), best[1])
 
 
 def plan_vmcs_completion(config: Configuration, target_cm: float, vacancy: Cell,

@@ -9,7 +9,9 @@ library's earlier facet enumeration (all triples at once, sign-canonicalized
 and deduplicated), kept here so that the streaming kernel can be checked
 against it. The fill-target reference is the library's earlier
 `conflict_free_targets`, which kept every entry path; it runs the library's
-A*, and the leaner version is checked against it.
+A*, and the leaner version is checked against it. The fill-assignment
+reference is the library's earlier fill round, which ran the library's gate
+on every (unit, target) pair; the lazy round is checked against it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from marsplan.model import (
 )
 from marsplan.errors import NoPathError
 from marsplan.paths import Arena, GridPath, arena_around, astar_unit
+from marsplan.planner import _BIG, lexicographic_min_assignment, step_verdict
 
 _ZOOM_SIGMAS = (0.1, 0.02, 4e-3, 8e-4, 1.6e-4)
 _POLISH_SIGMAS = (4e-4, 8e-5, 1.6e-5)
@@ -250,6 +253,17 @@ def random_faulty_subassembly(rng: np.random.Generator, n: int,
     return partition(Configuration.from_cells(cells, faults))[0]
 
 
+def criterion8_configs():
+    """The 200 start configurations of the criterion-8 fuzz, in draw order."""
+    rng = np.random.default_rng(777)
+    for _ in range(200):
+        n = int(rng.integers(2, 13))
+        n_faults = min(int(rng.integers(0, 3)), n - 1)
+        cells = random_connected_cells(rng, n)
+        yield Configuration.from_cells(
+            cells, random_fault_states(rng, cells, n_faults, unit_only=True))
+
+
 # Margin of a healthy-dead-healthy column, the support a lone unit fault needs.
 LIVE_DEAD_LIVE_CM = 0.001549412110
 
@@ -381,6 +395,28 @@ def reference_conflict_free_targets(config: Configuration, target_cells,
             if other != t and alive[other] and other in on_path:
                 alive[other] = False
     return [t for t in pending if alive[t] and t in reachable]
+
+
+def gated_fill_assignment(config: Configuration, targets: list[Cell], candidates: list[Cell],
+                          arena: Arena, params: PhysicalParams, epsilon: float,
+                          ) -> list[tuple[Cell, Cell]]:
+    """A fill round's (target, unit) pairs from the fully gated cost matrix.
+
+    Every pair costs its A* flight length when `step_verdict` passes that
+    flight, else _BIG; targets assigned a _BIG pair are left out.
+    """
+    cost = np.full((len(targets), len(candidates)), float(_BIG))
+    for j, cand in enumerate(candidates):
+        obstacles = frozenset(config.cell_set - {cand})
+        for i, t in enumerate(targets):
+            try:
+                path = astar_unit(cand, t, obstacles, arena)
+            except NoPathError:
+                continue
+            if step_verdict(config, (cand,), path, params, epsilon)[2] is None:
+                cost[i, j] = path.length
+    cols = lexicographic_min_assignment(cost)
+    return [(targets[i], candidates[j]) for i, j in enumerate(cols) if cost[i, j] < _BIG]
 
 
 def exhaustive_parking(blocker: Cell, spots: list[Cell], gate, by_length: bool):

@@ -374,6 +374,33 @@ def test_replay_rejects_sweeps_through_occupied_cells():
     assert "sweeps through" in str(exc.value)
 
 
+def test_replay_rejects_a_flight_that_leaves_the_arena():
+    # The second unit of a healthy row flies 50 cells up, far outside the
+    # arena the planner searches (two free cells around the start).
+    path = [[1, y] for y in range(51)]
+    doc = {
+        "start_config": {"cells": [[0, 0], [1, 0]], "faults": []},
+        "steps": [
+            {
+                "index": 0,
+                "kind": "move-unit",
+                "phase": "fill-remainder",
+                "moved_cells": [[1, 0]],
+                "path": path,
+                "post_cm": None,
+                "post_config": {"cells": [[0, 0], [1, 50]], "faults": []},
+            }
+        ],
+    }
+    with pytest.raises(SafetyViolationError, match="leaves the arena") as exc:
+        replay_document(doc)
+    assert exc.value.info == {"step": 0}
+    # the same flight ending inside the arena replays
+    doc["steps"][0]["path"] = path[:3]
+    doc["steps"][0]["post_config"]["cells"][1] = [1, 2]
+    assert replay_document(doc) == Configuration.from_cells([Cell(0, 0), Cell(1, 2)])
+
+
 @pytest.mark.parametrize("key, field, value, error, fragment", [
     ("bogus", None, 1, ScenarioError, "unknown key 'bogus' in plan document"),
     ("format", None, "other", ScenarioError, "format must be 'marsplan-plan-v1'"),
@@ -386,6 +413,7 @@ def test_replay_rejects_sweeps_through_occupied_cells():
     ("summary", "min_cm", 7.0, PlanningError, "summary does not match"),
     ("summary", "target_cm", 5.0, PlanningError, "summary does not match"),
     ("summary", "target_config", RECT32, PlanningError, "summary does not match"),
+    ("name", None, 7, ScenarioError, "'name' must be a string"),
 ])
 def test_replay_checks_the_documents_top_level_fields(rect_plan, key, field, value, error,
                                                       fragment):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from marsplan.errors import (
     PlanningError,
     SafetyViolationError,
 )
-from marsplan.io import document_to_bytes, plan_to_document
+import marsplan.planner as planner
+from marsplan.io import document_to_bytes, load_scenario, plan_to_document
 from marsplan.model import UNIT_FAULT, Cell, Configuration, Subassembly, cell_key, rotor_fault
 from marsplan.paths import (
     Arena,
@@ -46,8 +48,10 @@ from helpers import (
     bfs_footprint_length,
     bfs_unit_length,
     brute_force_assignment,
+    criterion8_configs,
     exhaustive_parking,
     footprint_fits,
+    gated_fill_assignment,
     random_connected_cells,
     random_fault_states,
     reference_conflict_free_targets,
@@ -475,6 +479,68 @@ def test_fill_round_breaks_cost_ties_lexicographically():
     assert validate_plan(row, p) == p.target.config
 
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BUNDLED = [(path, rule) for path in sorted(SCENARIOS.glob("*.json")) for rule in (True, False)]
+
+
+def test_lazy_fill_assignment_equals_the_fully_gated_one(monkeypatch):
+    # Gating only the assigned pairs, and solving again without those that
+    # fail, picks the pairs of the matrix that gates every pair: in every
+    # fill round of the bundled scenarios under both rules and of the
+    # criterion-8 fuzz.
+    rounds = []     # (pairs, the fully gated reference's pairs, solves)
+    solves = []
+    solve = planner.lexicographic_min_assignment
+    monkeypatch.setattr(planner, "lexicographic_min_assignment",
+                        lambda cost: solves.append(1) or solve(cost))
+    assign = _Pipeline._assign_fill_moves
+
+    def recording(self, targets, candidates):
+        expected = gated_fill_assignment(self.work, targets, candidates, self.arena,
+                                         self.params, self.epsilon)
+        solves.clear()
+        pairs = []      # when the round raises
+        try:
+            pairs = assign(self, targets, candidates)
+            return pairs
+        finally:
+            rounds.append((pairs, expected, len(solves)))
+
+    monkeypatch.setattr(_Pipeline, "_assign_fill_moves", recording)
+    for path, rule in BUNDLED:
+        scenario = load_scenario(path)
+        plan(scenario.config, scenario.params, relocation_rule=rule)
+    for config in criterion8_configs():
+        try:
+            plan(config)
+        except (InfeasibleTargetError, PlanningError):
+            pass
+    assert [pairs for pairs, _, _ in rounds] == [expected for _, expected, _ in rounds]
+    # forbidding assigned pairs that fail the gate takes 19 more solves
+    assert (len(rounds), sum(solves for _, _, solves in rounds)) == (127, 146)
+
+
+def test_bundled_fill_rounds_gate_only_assigned_pairs(monkeypatch):
+    # The 7 bundled scenarios under both rules: gating every (unit, target)
+    # pair of each round took 138 fill-phase gate calls for 40 committed
+    # fill steps; gating the assigned pairs only takes 86.
+    gated = []
+    step = _Pipeline._step
+
+    def counting(self, moved, path, phase, note=None):
+        gated.append(phase)
+        return step(self, moved, path, phase, note)
+
+    monkeypatch.setattr(_Pipeline, "_step", counting)
+    fill_steps = 0
+    for path, rule in BUNDLED:
+        scenario = load_scenario(path)
+        result = plan(scenario.config, scenario.params, relocation_rule=rule)
+        fill_steps += sum(s.phase is Phase.FILL_REMAINDER for s in result.steps)
+    assert fill_steps == 40
+    assert gated.count(Phase.FILL_REMAINDER) == 86
+
+
 def test_plan_is_deterministic():
     start = rect32({Cell(1, 0): UNIT_FAULT, Cell(1, 1): UNIT_FAULT})
     assert plan(start).steps == plan(start).steps
@@ -619,14 +685,8 @@ GOLDEN_FUZZ_DIGESTS = {
 
 @pytest.mark.parametrize("rule", [True, False])
 def test_fuzz_outcomes_match_golden_digests(rule):
-    rng = np.random.default_rng(777)     # the criterion-8 draw
     lines = []
-    for _ in range(200):
-        n = int(rng.integers(2, 13))
-        n_faults = min(int(rng.integers(0, 3)), n - 1)
-        cells = random_connected_cells(rng, n)
-        config = Configuration.from_cells(
-            cells, random_fault_states(rng, cells, n_faults, unit_only=True))
+    for config in criterion8_configs():
         try:
             result = plan(config, DEFAULT_PARAMS, relocation_rule=rule)
         except (InfeasibleTargetError, PlanningError) as exc:

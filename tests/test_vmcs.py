@@ -1,14 +1,19 @@
 """Support-shape search, fault placement optimization, and donor completion."""
 
 import math
+from itertools import combinations, permutations
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marsplan.controllability as controllability
+import marsplan.vmcs as vmcs
 from marsplan.controllability import DEFAULT_PARAMS, clear_cm_cache, system_cm
 from marsplan.errors import VmcsSearchError
+from marsplan.io import load_scenario
 from marsplan.model import (
     UNIT_FAULT,
     Cell,
@@ -25,7 +30,15 @@ from marsplan.vmcs import (
     ranked_support_shapes,
 )
 
-from helpers import LIVE_DEAD_LIVE_CM, enumerate_shapes_brute_force, row_scenario
+from helpers import (
+    LIVE_DEAD_LIVE_CM,
+    enumerate_shapes_brute_force,
+    random_connected_cells,
+    random_fault_states,
+    row_scenario,
+)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # -- shape enumeration ----------------------------------------------------------
@@ -212,6 +225,68 @@ def test_optimal_placement_matches_exhaustive_search(cells, faults):
     assert optimal_configuration(cfg).cm == result.cm
     clear_cm_cache()
     assert result.cm == system_cm(result.config, DEFAULT_PARAMS)
+
+
+def _state_order(state):
+    return (state.kind.value, -1 if state.rotor_index is None else state.rotor_index)
+
+
+def first_best_placement(cfg):
+    """The optimum by brute force: `system_cm` of every distinct placement as
+    a whole configuration, in the documented tie order (faulty cells, then
+    their states, smallest first); the first best rounded margin wins."""
+    cells = sorted(cfg.cells, key=cell_key)
+    states = [s for _, s in cfg.items() if s.is_faulty]
+    ordered = sorted(((tuple(c.key() for c in combo), tuple(map(_state_order, order))),
+                      dict(zip(combo, order)))
+                     for combo in combinations(cells, len(states))
+                     for order in set(permutations(states)))
+    best = None
+    for _, placement in ordered:
+        candidate = Configuration.from_cells(cells, placement)
+        cm = system_cm(candidate)
+        if best is None or round(cm, 9) > round(best[1], 9):
+            best = (candidate, cm)
+    return best
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 4), st.integers(1, 2),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_optimal_placement_is_the_first_best_of_every_placement(seed, n1, n2, nf, unit_only):
+    # A start need not be connected: a second component, when drawn, stands
+    # one free column right of the first, and faults fall in either.
+    rng = np.random.default_rng(seed)
+    cells = random_connected_cells(rng, n1)
+    if n2:
+        second = random_connected_cells(rng, n2)
+        gap = max(c.x for c in cells) + 2 - min(c.x for c in second)
+        cells += [c + (gap, 0) for c in second]
+    cfg = Configuration.from_cells(
+        cells, random_fault_states(rng, cells, min(nf, len(cells)), unit_only))
+    clear_cm_cache()
+    result = optimal_configuration(cfg)
+    config, cm = first_best_placement(cfg)
+    assert result.config == config
+    assert result.cm == pytest.approx(cm, abs=1e-12)
+
+
+def test_placement_search_splits_the_footprint_once(monkeypatch):
+    # The footprint never changes, so its components are found once per
+    # search; no candidate is partitioned as a whole configuration.
+    calls = []
+    for module, name in ((vmcs, "connected_components"), (controllability, "partition")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    split = Configuration.from_cells([Cell(0, 0), Cell(1, 0), Cell(3, 0), Cell(3, 1)],
+                                     {Cell(3, 1): UNIT_FAULT, Cell(0, 0): rotor_fault(2)})
+    configs = [load_scenario(path).config for path in sorted(SCENARIOS.glob("*.json"))]
+    for cfg in [split, *configs]:
+        calls.clear()
+        optimal_configuration(cfg)
+        assert calls == ["connected_components"]
 
 
 def test_optimal_placement_pins():
