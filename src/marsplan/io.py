@@ -38,7 +38,6 @@ from .model import (
     Configuration,
     FaultKind,
     FaultState,
-    cell_key,
     rotor_fault,
 )
 from .paths import GridPath
@@ -81,7 +80,8 @@ def _list(raw: Any, where: str) -> list:
 
 
 def _parse_cell(raw: Any, where: str) -> Cell:
-    if (not isinstance(raw, (list, tuple)) or len(raw) != 2
+    # exactly a list or tuple: a Cell is the tuple (y, x) and would read swapped
+    if (type(raw) not in (list, tuple) or len(raw) != 2
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)):
         raise ScenarioError(f"{where} must be a two-integer [x, y] pair, got {raw!r}")
     return Cell(int(raw[0]), int(raw[1]))
@@ -356,7 +356,7 @@ def _step_from_json(raw: Any, index: int) -> PlanStep:
     except ValueError as exc:
         raise PlanningError(f"step {index} path: {exc}", step=index) from None
     return PlanStep(kind=kind, phase=phase,
-                    moved_cells=tuple(sorted(cells, key=cell_key)), path=path,
+                    moved_cells=tuple(sorted(cells)), path=path,
                     post_config=config_from_json(raw["post_config"], f"{where}.post_config"),
                     post_cm=math.inf if post_cm is None else float(post_cm),
                     note=note)

@@ -2,43 +2,48 @@
 
 Units occupy integer grid cells (x to the right, y up) and connect to their
 4-neighbors. A Configuration is an immutable snapshot of which cells are
-occupied and what health state each unit is in. All deterministic tie-breaking
-throughout the package orders cells lexicographically by (y, x).
+occupied and what health state each unit is in. A Cell is the tuple (y, x),
+so the tuple's own comparison, equality and hash are the one cell order that
+all deterministic tie-breaking in the package uses: plain `sorted` and `min`
+over cells follow it.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
-    x: int
-    y: int
+class Cell(tuple):
+    """Grid cell built as Cell(x, y) and held as the tuple (y, x)."""
 
-    def key(self) -> tuple[int, int]:
-        """Sort key implementing the package-wide (y, x) total order."""
-        return (self.y, self.x)
+    __slots__ = ()
 
-    def __lt__(self, other: "Cell") -> bool:
-        return (self.y, self.x) < (other.y, other.x)
+    def __new__(cls, x: int, y: int) -> "Cell":
+        return tuple.__new__(cls, (y, x))
+
+    x = property(operator.itemgetter(1))
+    y = property(operator.itemgetter(0))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return (self.x, self.y)
+
+    def __repr__(self) -> str:
+        return f"Cell(x={self.x!r}, y={self.y!r})"
 
     def __add__(self, delta: tuple[int, int]) -> "Cell":
-        return Cell(self.x + delta[0], self.y + delta[1])
+        y, x = self
+        return Cell(x + delta[0], y + delta[1])
 
     def manhattan(self, other: "Cell") -> int:
-        return abs(self.x - other.x) + abs(self.y - other.y)
+        return abs(self[1] - other[1]) + abs(self[0] - other[0])
 
     def neighbors4(self) -> tuple["Cell", "Cell", "Cell", "Cell"]:
-        x, y = self.x, self.y
+        y, x = self
         return (Cell(x, y - 1), Cell(x - 1, y), Cell(x + 1, y), Cell(x, y + 1))
-
-
-def cell_key(cell: Cell) -> tuple[int, int]:
-    return (cell.y, cell.x)
 
 
 class FaultKind(Enum):
@@ -128,7 +133,7 @@ class Configuration:
     """Immutable assignment of fault states to occupied grid cells; `cells`,
     `faulty_cells` and `items()` are in (y, x) order whatever the input order.
 
-    Edits (attach/detach/translate_set) return new Configuration values. An
+    Edits (detach/translate_set) return new Configuration values. An
     empty configuration is permitted so that transient states with a whole
     subassembly in flight remain representable; scenario inputs require at
     least one unit.
@@ -140,7 +145,7 @@ class Configuration:
         items = list(units.items()) if isinstance(units, Mapping) else list(units)
         if len({c for c, _ in items}) != len(items):
             raise CellOccupiedError("duplicate cell in configuration")
-        self._units: dict[Cell, FaultState] = dict(sorted(items, key=lambda it: it[0].key()))
+        self._units: dict[Cell, FaultState] = dict(sorted(items))
         self._hash: int | None = None
 
     @classmethod
@@ -204,13 +209,6 @@ class Configuration:
 
     # -- edits -----------------------------------------------------------
 
-    def attach(self, cell: Cell, state: FaultState = HEALTHY) -> "Configuration":
-        if cell in self._units:
-            raise CellOccupiedError(f"{cell} already occupied")
-        units = dict(self._units)
-        units[cell] = state
-        return Configuration(units)
-
     def detach(self, cell: Cell) -> "Configuration":
         if cell not in self._units:
             raise CellNotOccupiedError(f"{cell} is not occupied")
@@ -245,7 +243,7 @@ def connected_components(cells: Iterable[Cell]) -> list[tuple[Cell, ...]]:
     remaining = set(cells)
     comps: list[tuple[Cell, ...]] = []
     # each seed is its component's smallest cell, so components come out sorted
-    for seed in sorted(remaining, key=cell_key):
+    for seed in sorted(remaining):
         if seed not in remaining:
             continue
         comp = {seed}
@@ -258,7 +256,7 @@ def connected_components(cells: Iterable[Cell]) -> list[tuple[Cell, ...]]:
                     remaining.discard(nb)
                     comp.add(nb)
                     queue.append(nb)
-        comps.append(tuple(sorted(comp, key=cell_key)))
+        comps.append(tuple(sorted(comp)))
     return comps
 
 

@@ -4,8 +4,8 @@ One A* search with the Manhattan heuristic moves a rigid footprint on
 4-connected steps inside a finite planning arena (the relevant bounding box
 inflated by two cells); a single unit is the one-cell footprint. Ties are
 broken deterministically: among equal f-scores the state whose reference cell
-has the smaller (y, x) key is expanded first, so identical inputs always yield
-identical paths.
+comes first in the (y, x) cell order is expanded first, so identical inputs
+always yield identical paths.
 """
 
 from __future__ import annotations
@@ -135,10 +135,11 @@ def _rigid_search(footprint: Iterable[Cell], ref: Cell, goal_ref: Cell,
     lo_y, hi_y = arena.min_y - min(dys), arena.max_y - max(dys)
 
     def fits(pos: Cell) -> bool:
-        if not (lo_x <= pos.x <= hi_x and lo_y <= pos.y <= hi_y) or pos in obstacles:
+        y, x = pos
+        if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y) or pos in obstacles:
             return False
         for dx, dy in others:
-            if Cell(pos.x + dx, pos.y + dy) in obstacles:
+            if Cell(x + dx, y + dy) in obstacles:
                 return False
         return True
 
@@ -148,13 +149,13 @@ def _rigid_search(footprint: Iterable[Cell], ref: Cell, goal_ref: Cell,
         raise NoPathError(f"goal placement at {goal_ref} collides or leaves the arena")
     if ref == goal_ref:
         return GridPath((ref,))
-    open_heap: list[tuple[int, tuple[int, int], Cell]] = []
+    open_heap: list[tuple[int, Cell]] = []
     g_score = {ref: 0}
     parent: dict[Cell, Cell] = {}
-    heapq.heappush(open_heap, (ref.manhattan(goal_ref), ref.key(), ref))
+    heapq.heappush(open_heap, (ref.manhattan(goal_ref), ref))
     closed: set[Cell] = set()
     while open_heap:
-        _, _, cur = heapq.heappop(open_heap)
+        _, cur = heapq.heappop(open_heap)
         if cur in closed:
             continue
         if cur == goal_ref:
@@ -168,7 +169,7 @@ def _rigid_search(footprint: Iterable[Cell], ref: Cell, goal_ref: Cell,
             if tentative < g_score.get(nb, 1 << 30):
                 g_score[nb] = tentative
                 parent[nb] = cur
-                heapq.heappush(open_heap, (tentative + nb.manhattan(goal_ref), nb.key(), nb))
+                heapq.heappush(open_heap, (tentative + nb.manhattan(goal_ref), nb))
     raise NoPathError(f"no path moving {ref} -> {goal_ref}")
 
 

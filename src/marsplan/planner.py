@@ -30,6 +30,7 @@ faulty subassembly below the floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -47,11 +48,10 @@ from .errors import (
     PlanningError,
     SafetyViolationError,
 )
-from .model import Cell, Configuration, FaultState, Subassembly, cell_key, connected_components
+from .model import Cell, Configuration, FaultState, Subassembly, connected_components
 from .paths import Arena, GridPath, arena_around, astar_subassembly, astar_unit, swept_cells
 from .vmcs import (
     TargetConfiguration,
-    _shape_key,
     _smallest_supports,
     _state_key,
     optimal_configuration,
@@ -126,7 +126,7 @@ class _Group:
     @property
     def sort_cell(self) -> Cell:
         """The smallest goal cell."""
-        return min(self.faults, key=cell_key) + self.delta
+        return min(self.faults) + self.delta
 
     @property
     def landing(self) -> frozenset[Cell]:
@@ -187,7 +187,7 @@ def conflict_free_targets(config: Configuration, target_cells: Iterable[Cell],
     be discarded, so the result is nonempty whenever any target is reachable.
     """
     occupied = config.cell_set
-    pending = sorted((t for t in target_cells if t not in occupied), key=cell_key)
+    pending = sorted(t for t in target_cells if t not in occupied)
     if not pending:
         return []
     target_set = set(target_cells)
@@ -207,10 +207,6 @@ def conflict_free_targets(config: Configuration, target_cells: Iterable[Cell],
         reached.append(t)
         crossed.update(path.waypoints[:-1])
     return [t for t in reached if t not in crossed]
-
-
-def _reference(cells: Iterable[Cell]) -> Cell:
-    return min(cells, key=cell_key)
 
 
 def step_verdict(config: Configuration, moved: Sequence[Cell], path: GridPath,
@@ -238,12 +234,15 @@ def plan(config: Configuration, params: PhysicalParams = DEFAULT_PARAMS, *,
          epsilon: float = DEFAULT_EPSILON) -> Plan:
     """Compute a safe reconfiguration to the optimal fault placement.
 
-    Raises InfeasibleTargetError when no placement reaches the margin floor,
-    and PlanningError subtypes (typed by `reason`) when any phase cannot
-    complete. A fault-free configuration yields an empty plan.
+    Raises ValueError unless c1, c2 and epsilon are finite,
+    InfeasibleTargetError when no placement reaches the margin floor, and
+    PlanningError subtypes (typed by `reason`) when any phase cannot complete.
+    A fault-free configuration yields an empty plan.
     """
     if config.n == 0:
         raise ValueError("cannot plan for an empty configuration")
+    if not all(map(math.isfinite, (c1, c2, epsilon))):
+        raise ValueError(f"c1, c2 and epsilon must be finite, got {c1}, {c2}, {epsilon}")
     target = optimal_configuration(config, params)
     if config.n_faulty and target.cm < epsilon:
         raise InfeasibleTargetError(
@@ -293,7 +292,7 @@ class _Pipeline:
               note: str | None = None) -> PlanStep | None:
         """The step that flies `moved` from `self.work` along `path` (which runs
         from the smallest moved cell), or None when `step_verdict` rejects it."""
-        moved = tuple(sorted(moved, key=cell_key))
+        moved = tuple(sorted(moved))
         post, post_cm, failure = step_verdict(self.work, moved, path, self.params, self.epsilon)
         if failure is not None:
             return None
@@ -327,7 +326,7 @@ class _Pipeline:
         for delta, cells in by_delta.items():
             for comp in connected_components(cells):
                 self.groups.append(_Group({c: self.work.state(c) for c in comp}, delta))
-        self.groups.sort(key=lambda g: g.sort_cell.key())
+        self.groups.sort(key=lambda g: g.sort_cell)
 
     def _fault_goals(self) -> dict[Cell, Cell]:
         goals: dict[Cell, Cell] = {}
@@ -365,7 +364,7 @@ class _Pipeline:
             if chosen is None:
                 raise NoVmcsPlacementError(
                     "no support shape fits around the faults without conflicts",
-                    faults=tuple(sorted(own, key=cell_key)),
+                    faults=tuple(sorted(own)),
                 )
             group.shape = chosen
             claimed |= group.shape | group.landing
@@ -375,7 +374,7 @@ class _Pipeline:
         best-ranked donor flight that passes the gate."""
         reserved = frozenset(self.work.faulty_cells).union(*(g.shape for g in self.groups))
         for group in self.groups:
-            for vacancy in sorted(group.shape - self.work.cell_set, key=cell_key):
+            for vacancy in sorted(group.shape - self.work.cell_set):
                 flights = plan_vmcs_completion(
                     self.work, self.target.cm, vacancy, self.params, self.c1, self.c2,
                     reserved=reserved, arena=self.arena, epsilon=self.epsilon,
@@ -403,7 +402,7 @@ class _Pipeline:
         settled = frozenset(set(self.work.faulty_cells) - grouped_faults)
         swept: set[Cell] = set()
         for i, group in enumerate(self.groups):
-            ref = _reference(group.shape)
+            ref = min(group.shape)
             goal_ref = ref + group.delta
             obstacles = set(settled)
             for j, other in enumerate(self.groups):
@@ -416,11 +415,8 @@ class _Pipeline:
 
     def _clear_corridor(self) -> None:
         members = frozenset().union(*(g.shape for g in self.groups))
-        blockers = sorted(
-            (c for c in self.corridor
-             if c in self.work and not self.work.state(c).is_faulty and c not in members),
-            key=cell_key,
-        )
+        blockers = sorted(c for c in self.corridor if c in self.work
+                          and not self.work.state(c).is_faulty and c not in members)
         for blocker in blockers:
             self._relocate_blocker(blocker)
 
@@ -452,13 +448,13 @@ class _Pipeline:
         obstacles = frozenset(self.work.cell_set - {blocker})
         best: PlanStep | None = None
         best_rank = None
-        for bound, w in sorted(((blocker.manhattan(w), w.key()), w) for w in spots):
-            if best_rank is not None and bound > best_rank:
+        for bound, w in sorted((blocker.manhattan(w), w) for w in spots):
+            if best_rank is not None and (bound, w) > best_rank:
                 break
             step = self._unit_step(blocker, w, obstacles, Phase.PATH_CLEARANCE, note)
             if step is None:
                 continue
-            rank = (step.path.length, w.key()) if by_length else bound
+            rank = (step.path.length if by_length else bound, w)
             if best_rank is None or rank < best_rank:
                 best, best_rank = step, rank
         return best
@@ -468,14 +464,14 @@ class _Pipeline:
     def _transfer_groups(self) -> None:
         for group in self.groups:
             current_cells = group.shape
-            ref = _reference(current_cells)
+            ref = min(current_cells)
             goal_ref = ref + group.delta
             obstacles = frozenset(self.work.cells) - current_cells
             path = astar_subassembly(current_cells, ref, goal_ref, obstacles, self.arena)
             step = self._step(tuple(current_cells), path, Phase.VMCS_TRANSFER)
             if step is None:
                 raise SafetyViolationError(
-                    f"move of {_shape_key(current_cells)} would leave the system below "
+                    f"move of {sorted(current_cells)} would leave the system below "
                     f"the margin floor", phase=Phase.VMCS_TRANSFER.value,
                 )
             self._commit(step)
@@ -550,13 +546,16 @@ class _Pipeline:
 def validate_plan(start: Configuration, plan: Plan) -> Configuration:
     """Re-simulate a plan; returns the final configuration.
 
-    Reads `plan.steps`, `plan.params` and `plan.epsilon`. Each step flies one
-    4-connected piece of occupied cells along a path that starts at its
-    smallest cell and crosses only free cells of `arena_around(start)` (else
-    SafetyViolationError), ends in its recorded post_config, passes
-    `step_verdict` (else SafetyViolationError with the failed check as
-    `cause`) and records its margin to six decimals.
+    Reads `plan.steps`, `plan.params` and `plan.epsilon`, which must be
+    finite (else ValueError). Each step flies one 4-connected piece of
+    occupied cells along a path that starts at its smallest cell and crosses
+    only free cells of `arena_around(start)` (else SafetyViolationError), ends
+    in its recorded post_config, passes `step_verdict` (else
+    SafetyViolationError with the failed check as `cause`) and records its
+    margin to six decimals.
     """
+    if not math.isfinite(plan.epsilon):
+        raise ValueError(f"plan epsilon must be finite, got {plan.epsilon}")
     work = start
     arena = arena_around(start.cells)
     for idx, step in enumerate(plan.steps):

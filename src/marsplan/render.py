@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .model import Cell, Configuration, cell_key
+from .model import Cell, Configuration
 from .planner import Plan
 
 _CELL = 40.0
@@ -64,7 +64,7 @@ def _cell_rect(canvas: _Canvas, cell: Cell, fill: str, edge: str) -> str:
 def _outline(canvas: _Canvas, cells: frozenset[Cell]) -> list[str]:
     # draw only the outer boundary edges of the moving set
     out = []
-    for cell in sorted(cells, key=cell_key):
+    for cell in sorted(cells):
         px, py = canvas.corner(cell)
         edges = {
             (0, 1): ((px, py), (px + _CELL, py)),                       # top

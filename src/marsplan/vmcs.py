@@ -33,17 +33,12 @@ from .model import (
     Configuration,
     FaultState,
     Subassembly,
-    cell_key,
     connected_components,
     is_connected,
 )
 from .paths import Arena, GridPath, astar_unit
 
 _TIE_DECIMALS = 9
-
-
-def _shape_key(cells: Iterable[Cell]) -> tuple[tuple[int, int], ...]:
-    return tuple(c.key() for c in sorted(cells, key=cell_key))
 
 
 def enumerate_connected_shapes(anchor: Iterable[Cell], k: int) -> list[frozenset[Cell]]:
@@ -70,7 +65,7 @@ def enumerate_connected_shapes(anchor: Iterable[Cell], k: int) -> list[frozenset
                         grown.add(shape | {nb})
         shapes = grown
     result = [s for s in shapes if is_connected(s)]
-    result.sort(key=_shape_key)
+    result.sort(key=sorted)
     return result
 
 
@@ -91,7 +86,7 @@ class VmcsSpec:
 
 def _support(shape: frozenset[Cell], faults: Mapping[Cell, FaultState]) -> Subassembly:
     """The shape as a subassembly: the given faults, healthy units elsewhere."""
-    return Subassembly(tuple((c, faults.get(c, HEALTHY)) for c in sorted(shape, key=cell_key)))
+    return Subassembly(tuple((c, faults.get(c, HEALTHY)) for c in sorted(shape)))
 
 
 def ranked_support_shapes(faults: Mapping[Cell, FaultState], k: int,
@@ -108,7 +103,7 @@ def ranked_support_shapes(faults: Mapping[Cell, FaultState], k: int,
     ranked = []
     for shape in enumerate_connected_shapes(faults.keys(), k):
         ranked.append((shape, cached_subassembly_cm(_support(shape, faults), params, floor)))
-    ranked.sort(key=lambda it: (-round(it[1], _TIE_DECIMALS), _shape_key(it[0])))
+    ranked.sort(key=lambda it: (-round(it[1], _TIE_DECIMALS), sorted(it[0])))
     return ranked
 
 
@@ -128,7 +123,7 @@ def _smallest_supports(faults: Mapping[Cell, FaultState], params: PhysicalParams
         if k > max_normal_units:
             raise VmcsSearchError(
                 f"no controllable support with up to {max_normal_units} normal units",
-                faults=tuple(sorted(faults, key=cell_key)),
+                faults=tuple(sorted(faults)),
             )
         ranked = ranked_support_shapes(faults, k, params, epsilon)
         if ranked and ranked[0][1] >= epsilon:
@@ -213,7 +208,7 @@ def plan_vmcs_completion(config: Configuration, target_cm: float, vacancy: Cell,
     c2 * path_length, then by (y, x). The landing is not gated here: the
     caller gates each flight as a step and commits the first that passes.
     """
-    ranked: list[tuple[tuple[float, tuple[int, int]], GridPath]] = []
+    ranked: list[tuple[tuple[float, Cell], GridPath]] = []
     for donor in config.cells:
         if config.state(donor).is_faulty or donor in reserved:
             continue
@@ -227,7 +222,6 @@ def plan_vmcs_completion(config: Configuration, target_cm: float, vacancy: Cell,
         except NoPathError:
             continue
         delta = after_cm - target_cm
-        ranked.append(((round(c1 * delta * delta - c2 * path.length, _TIE_DECIMALS),
-                        donor.key()), path))
+        ranked.append(((round(c1 * delta * delta - c2 * path.length, _TIE_DECIMALS), donor), path))
     ranked.sort(key=lambda entry: entry[0])
     return [path for _, path in ranked]

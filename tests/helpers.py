@@ -36,7 +36,6 @@ from marsplan.model import (
     Configuration,
     FaultState,
     Subassembly,
-    cell_key,
     is_connected,
     partition,
     rotor_fault,
@@ -226,9 +225,9 @@ def random_connected_cells(rng: np.random.Generator, n: int) -> list[Cell]:
     """Random 4-connected footprint grown cell by cell from the origin."""
     cells = {Cell(0, 0)}
     while len(cells) < n:
-        base = sorted(cells, key=cell_key)[rng.integers(len(cells))]
+        base = sorted(cells)[rng.integers(len(cells))]
         cells.add(base.neighbors4()[rng.integers(4)])
-    return sorted(cells, key=cell_key)
+    return sorted(cells)
 
 
 def random_fault_states(rng: np.random.Generator, cells: list[Cell],
@@ -368,7 +367,7 @@ def reference_conflict_free_targets(config: Configuration, target_cells,
                                     arena: Arena) -> list[Cell]:
     """`conflict_free_targets` as it was when it stored every entry path."""
     occupied = config.cell_set
-    pending = sorted((t for t in target_cells if t not in occupied), key=cell_key)
+    pending = sorted((t for t in target_cells if t not in occupied))
     if not pending:
         return []
     target_set = set(target_cells)
@@ -430,7 +429,7 @@ def exhaustive_parking(blocker: Cell, spots: list[Cell], gate, by_length: bool):
         path = gate(spot)
         if path is None:
             continue
-        rank = (path.length if by_length else blocker.manhattan(spot), cell_key(spot))
+        rank = (path.length if by_length else blocker.manhattan(spot), spot)
         if best is None or rank < best[0]:
             best = (rank, path)
     return None if best is None else best[1]
@@ -463,7 +462,7 @@ def enumerate_shapes_brute_force(anchors, k: int) -> set[frozenset[Cell]]:
     keep the connected ones.
     """
     anchors = frozenset(anchors)
-    a0 = min(anchors, key=cell_key)
+    a0 = min(anchors)
     radius = len(anchors) + k - 1
     disc = [
         a0 + (dx, dy)

@@ -131,6 +131,9 @@ def test_full_scenario_parses():
         ({"cells": [[0, 0]], "params": {"rotor_thrust_max": math.inf}}, "invalid params"),
         ({"cells": [[0, 0]], "weights": {"epsilon": math.nan}}, "weights.epsilon"),
         ({"cells": [[0, 0]], "params": {"spin": [True, -1, 1, -1]}}, "spin"),
+        # a Cell is the tuple (y, x): read as [x, y] it would be swapped
+        ({"cells": [Cell(1, 0)]}, "cells[0]"),
+        ({"cells": [[1, 0]], "faults": [{"cell": Cell(1, 0), "kind": "unit"}]}, "faults[0].cell"),
     ],
 )
 def test_scenario_rejections_name_the_problem(data, fragment):

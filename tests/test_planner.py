@@ -20,7 +20,7 @@ from marsplan.errors import (
 )
 import marsplan.planner as planner
 from marsplan.io import document_to_bytes, load_scenario, plan_to_document
-from marsplan.model import UNIT_FAULT, Cell, Configuration, Subassembly, cell_key, rotor_fault
+from marsplan.model import UNIT_FAULT, Cell, Configuration, Subassembly, rotor_fault
 from marsplan.paths import (
     Arena,
     GridPath,
@@ -71,7 +71,7 @@ def test_arena_membership_and_ring():
     ring = ar.cells_on_ring()
     assert len(ring) == 8  # 3x3 box minus its center
     assert Cell(1, 1) not in ring
-    assert ring == sorted(ring, key=cell_key)
+    assert ring == sorted(ring)
 
 
 def test_arena_around_inflates_bounds():
@@ -249,7 +249,7 @@ def test_fill_targets_match_the_path_storing_reference():
             targets = [t for t in targets if t != walled] + [walled]
         if case % 10 == 0:
             occupied |= set(arena.cells_on_ring())
-        config = Configuration.from_cells(sorted(occupied, key=cell_key))
+        config = Configuration.from_cells(sorted(occupied))
         try:
             expected = reference_conflict_free_targets(config, targets, arena)
         except NoPathError:
@@ -277,10 +277,10 @@ def test_parking_search_matches_an_exhaustive_scan():
         cells = set(random_connected_cells(rng, int(rng.integers(3, 9))))
         free = [c for c in arena_around(cells).cells() if c not in cells]
         cells.update(free[int(i)] for i in rng.choice(len(free), len(free) // 4, replace=False))
-        config = Configuration.from_cells(sorted(cells, key=cell_key))
+        config = Configuration.from_cells(sorted(cells))
         pipeline = _Pipeline(config, optimal_configuration(config), DEFAULT_PARAMS,
                              2.0, -0.1, True, 0.0)
-        blocker = sorted(cells, key=cell_key)[int(rng.integers(len(cells)))]
+        blocker = sorted(cells)[int(rng.integers(len(cells)))]
         obstacles = frozenset(cells - {blocker})
         free = [c for c in pipeline.arena.cells() if c not in cells]
         spots = [free[int(i)] for i in sorted(rng.choice(len(free), len(free) // 5, replace=False))]
@@ -324,7 +324,8 @@ def test_support_completion_fills_vacancies_in_scan_order():
     for s in pipeline.steps:
         assert (s.kind, s.phase) == (StepKind.MOVE_UNIT, Phase.VMCS_BUILD)
         assert s.path.start == s.moved_cells[0]
-        assert s.post_config == work.detach(s.path.start).attach(s.path.goal)
+        a, b = s.path.start, s.path.goal
+        assert s.post_config == work.translate_set((a,), (b.x - a.x, b.y - a.y))
         assert s.post_cm == system_cm(s.post_config, DEFAULT_PARAMS, 0.0) >= 0
         work = s.post_config
     assert pipeline.work == work and pipeline.groups[0].shape <= work.cell_set
@@ -393,7 +394,7 @@ def check_step_chain(start, p):
     work = start
     for step in p.steps:
         assert set(step.moved_cells) <= set(work.cells)
-        assert step.path.start == min(step.moved_cells, key=cell_key)
+        assert step.path.start == min(step.moved_cells)
         delta = (step.path.goal.x - step.path.start.x, step.path.goal.y - step.path.start.y)
         work = work.translate_set(step.moved_cells, delta)
         assert work == step.post_config
@@ -600,6 +601,24 @@ def test_validate_plan_rejects_corruption():
         validate_plan(start, bad3)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("weight", ["c1", "c2", "epsilon"])
+def test_plan_rejects_non_finite_weights(weight, value):
+    # a NaN c1 would rank donors on NaN scores, a NaN epsilon fail every check
+    start = load_scenario(SCENARIOS / "rect3x2_fault3.json").config
+    with pytest.raises(ValueError, match="must be finite"):
+        plan(start, **{weight: value})
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_validate_plan_rejects_a_non_finite_floor(epsilon):
+    # every `< nan` is false, so a NaN floor would pass any step
+    start = rect32({Cell(2, 0): UNIT_FAULT})
+    p = plan(start)
+    with pytest.raises(ValueError, match="must be finite"):
+        validate_plan(start, dataclasses.replace(p, epsilon=epsilon))
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 2), st.integers(0, 3),
        st.booleans())
 @settings(max_examples=40, deadline=None)
@@ -609,11 +628,10 @@ def test_step_verdict_matches_independent_margins(seed, n, nf, pick, on_piece):
     config = Configuration.from_cells(cells, random_fault_states(rng, cells, min(nf, n)))
     piece = {cells[int(rng.integers(n))]}
     for _ in range(int(rng.integers(n))):
-        grow = sorted({nb for c in piece for nb in c.neighbors4() if nb in config} - piece,
-                      key=cell_key)
+        grow = sorted({nb for c in piece for nb in c.neighbors4() if nb in config} - piece)
         if grow:
             piece.add(grow[int(rng.integers(len(grow)))])
-    moved = tuple(sorted(piece, key=cell_key))
+    moved = tuple(sorted(piece))
     stationary = {c: s for c, s in config.items() if c not in piece}
     deltas = [(dx, dy) for dx in range(-n - 1, n + 2) for dy in range(-n - 1, n + 2)
               if (dx, dy) != (0, 0) and not any(c + (dx, dy) in stationary for c in moved)]

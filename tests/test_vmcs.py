@@ -18,7 +18,6 @@ from marsplan.model import (
     UNIT_FAULT,
     Cell,
     Configuration,
-    cell_key,
     is_connected,
     rotor_fault,
 )
@@ -74,7 +73,7 @@ def test_disconnected_anchors_must_be_bridged():
 def test_enumerated_shapes_are_valid_and_sorted():
     anchors = [Cell(1, 1)]
     shapes = enumerate_connected_shapes(anchors, 3)
-    keys = [tuple(c.key() for c in sorted(s, key=cell_key)) for s in shapes]
+    keys = [tuple(sorted(s)) for s in shapes]
     assert keys == sorted(keys)
     assert len(set(shapes)) == len(shapes)
     for s in shapes:
@@ -109,7 +108,7 @@ def test_ranked_shapes_are_sorted_by_margin_then_shape():
 def test_ranked_shapes_margins_match_direct_evaluation():
     faults = {Cell(0, 0): rotor_fault(2)}
     for shape, cm in ranked_support_shapes(faults, 1):
-        cfg = Configuration.from_cells(sorted(shape, key=cell_key), faults)
+        cfg = Configuration.from_cells(sorted(shape), faults)
         assert cm == pytest.approx(system_cm(cfg), abs=1e-12)
 
 
@@ -217,7 +216,7 @@ def test_optimal_placement_matches_exhaustive_search(cells, faults):
     states = [s for _, s in cfg.items() if s.is_faulty]
     best = max(
         system_cm(Configuration.from_cells(cells, pl))
-        for pl in placements(sorted(cells, key=cell_key), states)
+        for pl in placements(sorted(cells), states)
     )
     assert result.cm == pytest.approx(best, abs=1e-9)
     assert result.config.cell_set == cfg.cell_set  # footprint never changes
@@ -235,9 +234,9 @@ def first_best_placement(cfg):
     """The optimum by brute force: `system_cm` of every distinct placement as
     a whole configuration, in the documented tie order (faulty cells, then
     their states, smallest first); the first best rounded margin wins."""
-    cells = sorted(cfg.cells, key=cell_key)
+    cells = sorted(cfg.cells)
     states = [s for _, s in cfg.items() if s.is_faulty]
-    ordered = sorted(((tuple(c.key() for c in combo), tuple(map(_state_order, order))),
+    ordered = sorted(((combo, tuple(map(_state_order, order))),
                       dict(zip(combo, order)))
                      for combo in combinations(cells, len(states))
                      for order in set(permutations(states)))
@@ -345,7 +344,8 @@ def test_donor_ranking_skips_reserved_cells():
                                        2.0, -0.1, reserved=reserved, arena=arena, epsilon=0.0)
         assert flights and all(p.start not in reserved for p in flights)
         donors.append(flights[0].start)
-        work = work.detach(flights[0].start).attach(vacancy)
+        donor = flights[0].start
+        work = work.translate_set((donor,), (vacancy.x - donor.x, vacancy.y - donor.y))
     assert donors == [Cell(4, 0), Cell(5, 0)]
     assert Cell(0, 0) in work
 
