@@ -23,12 +23,14 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .model import Cell, Configuration, FaultKind, FaultState, Subassembly, partition
+from .model import Configuration, FaultKind, FaultState, Subassembly, partition
 
 # Rotor slots sit on the diagonals of each unit (X layout). Slot i is offset
 # arm_offset * ROTOR_DIAGONALS[i] from the unit center; opposite corners spin
 # the same way so yaw is balanced on a healthy unit.
 ROTOR_DIAGONALS: tuple[tuple[int, int], ...] = ((1, 1), (-1, 1), (-1, -1), (1, -1))
+_EMBED_YX = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])   # (y, x) -> (0, y, x, 0)
+_NEGATE_X = np.array([1.0, 1.0, -1.0, 1.0])                         # (1, r_y, r_x, .) -> (1, r_y, -r_x, .)
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,7 @@ class PhysicalParams:
     spin: tuple[int, int, int, int] = (1, -1, 1, -1)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "spin", tuple(self.spin))   # hashable, as the margin caches key on params
         for name in ("unit_mass", "module_pitch", "arm_offset", "rotor_thrust_max", "yaw_torque_coeff", "gravity"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
@@ -81,53 +84,30 @@ class WrenchZonotope:
         return s
 
 
-def unit_rotor_rows(cell: Cell, origin_xy: np.ndarray, params: PhysicalParams,
-                    live_rotors: tuple[int, ...]) -> np.ndarray:
-    """Allocation rows [1, r_y, -r_x, spin*c_tau] for the live rotors of one unit.
-
-    r is the rotor position in meters relative to origin_xy (the footprint
-    centroid). Rows are per unit thrust; multiplying by a thrust in [0, f_max]
-    gives that rotor's wrench contribution.
-    """
-    cx = cell.x * params.module_pitch - origin_xy[0]
-    cy = cell.y * params.module_pitch - origin_xy[1]
-    rows = []
-    for i in live_rotors:
-        dx, dy = ROTOR_DIAGONALS[i]
-        rx = cx + dx * params.arm_offset
-        ry = cy + dy * params.arm_offset
-        rows.append([1.0, ry, -rx, params.spin[i] * params.yaw_torque_coeff])
-    return np.array(rows, dtype=float).reshape(len(rows), 4)
-
-
-def footprint_centroid_xy(cells: tuple[Cell, ...], params: PhysicalParams) -> np.ndarray:
-    xs = np.array([c.x for c in cells], dtype=float)
-    ys = np.array([c.y for c in cells], dtype=float)
-    return np.array([xs.mean() * params.module_pitch, ys.mean() * params.module_pitch])
+@lru_cache
+def _rotor_slots(params: PhysicalParams) -> np.ndarray:
+    """Row i is [1, dy * arm_offset, dx * arm_offset, spin[i] * c_tau], (dx, dy) = ROTOR_DIAGONALS[i]."""
+    return np.column_stack((np.ones(4), params.arm_offset * np.array(ROTOR_DIAGONALS, dtype=float)[:, ::-1],
+                            np.multiply(params.spin, params.yaw_torque_coeff)))
 
 
 def build_zonotope(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS) -> WrenchZonotope:
     """Feasible wrench set of a subassembly with its live rotors only.
 
-    A unit fault removes all four generators of that unit (its mass stays in
-    the gravity wrench); a rotor fault removes just the failed rotor's
-    generator. Each live rotor contributes the generator (f_max/2) * row and
-    the same amount to the center, so the thrust coordinate of the support in
-    +T direction equals f_max times the number of live rotors.
+    Rotor i of the unit at cell (x, y) sits at r = (x, y) * pitch - mean(x, y) *
+    pitch + arm_offset * ROTOR_DIAGONALS[i] about the footprint centroid. Its
+    generator is (f_max/2) * [1, r_y, -r_x, spin[i] * c_tau], and it adds the
+    same to the center, so the support in +T is f_max per live rotor. Rows go
+    unit by unit, rotor by rotor; a unit fault removes its unit's four rows (its
+    mass stays in the gravity wrench), a rotor fault one row.
     """
-    origin = footprint_centroid_xy(sub.cells, params)
-    blocks = []
-    for cell, state in sub.units:
-        live = state.live_rotors()
-        if live:
-            blocks.append(unit_rotor_rows(cell, origin, params, live))
-    if blocks:
-        rows = np.vstack(blocks)
-    else:
-        rows = np.zeros((0, 4))
-    generators = 0.5 * params.rotor_thrust_max * rows
-    center = generators.sum(axis=0) if len(generators) else np.zeros(4)
-    return WrenchZonotope(center=center, generators=generators)
+    live = [4 * u + i for u, (_, state) in enumerate(sub.units) for i in state.live_rotors()]
+    cells = np.array(sub.cells, dtype=float) @ _EMBED_YX     # a Cell is the tuple (y, x)
+    pitch = params.module_pitch
+    # unit center (0, y, x, 0) about the centroid plus slot row: [1, r_y, r_x, spin * c_tau]
+    rows = ((cells * pitch - cells.mean(axis=0) * pitch)[:, None] + _rotor_slots(params)).reshape(-1, 4)[live]
+    generators = 0.5 * params.rotor_thrust_max * (rows * _NEGATE_X)
+    return WrenchZonotope(center=generators.sum(axis=0), generators=generators)
 
 
 def gravity_wrench(n_units: int, params: PhysicalParams = DEFAULT_PARAMS) -> np.ndarray:

@@ -35,6 +35,8 @@ class Cell(tuple):
         return f"Cell(x={self.x!r}, y={self.y!r})"
 
     def __add__(self, delta: tuple[int, int]) -> "Cell":
+        if isinstance(delta, Cell):
+            raise TypeError("a Cell is a position, not a (dx, dy) displacement")
         y, x = self
         return Cell(x + delta[0], y + delta[1])
 
@@ -46,18 +48,19 @@ class Cell(tuple):
         return (Cell(x, y - 1), Cell(x - 1, y), Cell(x + 1, y), Cell(x, y + 1))
 
 
-class FaultKind(Enum):
+class FaultKind(str, Enum):
     HEALTHY = "healthy"
     ROTOR = "rotor"
     UNIT = "unit"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class FaultState:
     """Health of one unit: fully healthy, one dead rotor, or fully dead.
 
     A rotor fault names which of the four rotors is lost; a unit fault stops
-    all four rotors but the unit keeps its mass and stays attached.
+    all four rotors but the unit keeps its mass and stays attached. States
+    sort healthy first, then rotor faults by rotor, then the unit fault.
     """
 
     kind: FaultKind = FaultKind.HEALTHY
@@ -88,6 +91,11 @@ UNIT_FAULT = FaultState(FaultKind.UNIT)
 
 def rotor_fault(index: int) -> FaultState:
     return FaultState(FaultKind.ROTOR, index)
+
+
+def _require_cell(cell: object) -> None:
+    if not isinstance(cell, Cell):
+        raise TypeError(f"expected a Cell, got {cell!r}: a plain tuple would be read as (y, x)")
 
 
 class CellOccupiedError(ValueError):
@@ -132,6 +140,8 @@ class Subassembly:
 class Configuration:
     """Immutable assignment of fault states to occupied grid cells; `cells`,
     `faulty_cells` and `items()` are in (y, x) order whatever the input order.
+    Cells must be `Cell`s: a plain (x, y) tuple equals the swapped cell, so
+    construction and `state` raise TypeError for one and `in` is False.
 
     Edits (detach/translate_set) return new Configuration values. An
     empty configuration is permitted so that transient states with a whole
@@ -143,6 +153,8 @@ class Configuration:
 
     def __init__(self, units: Mapping[Cell, FaultState] | Iterable[tuple[Cell, FaultState]]):
         items = list(units.items()) if isinstance(units, Mapping) else list(units)
+        for c, _ in items:
+            _require_cell(c)
         if len({c for c, _ in items}) != len(items):
             raise CellOccupiedError("duplicate cell in configuration")
         self._units: dict[Cell, FaultState] = dict(sorted(items))
@@ -151,6 +163,8 @@ class Configuration:
     @classmethod
     def from_cells(cls, cells: Iterable[Cell], faults: Mapping[Cell, FaultState] | None = None) -> "Configuration":
         faults = dict(faults or {})
+        for c in faults:
+            _require_cell(c)
         units = {}
         for c in cells:
             if c in units:
@@ -183,13 +197,14 @@ class Configuration:
         return sum(1 for s in self._units.values() if s.is_faulty)
 
     def state(self, cell: Cell) -> FaultState:
+        _require_cell(cell)
         try:
             return self._units[cell]
         except KeyError:
             raise CellNotOccupiedError(f"{cell} is not occupied") from None
 
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self._units
+    def __contains__(self, cell: object) -> bool:
+        return isinstance(cell, Cell) and cell in self._units
 
     def items(self) -> Iterator[tuple[Cell, FaultState]]:
         return iter(self._units.items())
@@ -210,7 +225,7 @@ class Configuration:
     # -- edits -----------------------------------------------------------
 
     def detach(self, cell: Cell) -> "Configuration":
-        if cell not in self._units:
+        if cell not in self:
             raise CellNotOccupiedError(f"{cell} is not occupied")
         units = dict(self._units)
         del units[cell]
@@ -224,7 +239,7 @@ class Configuration:
         """
         moving = set(moving)
         for c in moving:
-            if c not in self._units:
+            if c not in self:
                 raise CellNotOccupiedError(f"{c} is not occupied")
         stationary = {c: s for c, s in self._units.items() if c not in moving}
         units = dict(stationary)

@@ -53,7 +53,6 @@ from .paths import Arena, GridPath, arena_around, astar_subassembly, astar_unit,
 from .vmcs import (
     TargetConfiguration,
     _smallest_supports,
-    _state_key,
     optimal_configuration,
     plan_vmcs_completion,
 )
@@ -138,7 +137,9 @@ def lexicographic_min_assignment(cost: np.ndarray) -> list[int]:
 
     Rows must not exceed columns. Among all assignments of minimum total cost
     the row-major smallest column choice wins, so equal-cost solutions are
-    deterministic. Entries >= _BIG are treated as forbidden but may still be
+    deterministic: starting from one optimum, each row in turn takes the
+    smallest free column that an optimal completion of the rows below keeps
+    at the minimum. Entries >= _BIG are treated as forbidden but may still be
     chosen if no finite-cost perfect assignment exists; callers filter them.
     """
     cost = np.asarray(cost, dtype=float)
@@ -149,30 +150,19 @@ def lexicographic_min_assignment(cost: np.ndarray) -> list[int]:
         raise InfeasibleAssignmentError(f"{nr} targets but only {nc} candidates")
     rows, cols = linear_sum_assignment(cost)
     best_total = float(cost[rows, cols].sum())
-    chosen: list[int] = []
-    taken: set[int] = set()
-    fixed_cost = 0.0
+    chosen = cols.tolist()
     for r in range(nr):
-        found = False
-        for c in range(nc):
-            if c in taken:
+        for c in range(chosen[r]):
+            if c in chosen[:r]:
                 continue
-            rest_rows = list(range(r + 1, nr))
-            rest_cols = [j for j in range(nc) if j not in taken and j != c]
-            if rest_rows:
-                sub = cost[np.ix_(rest_rows, rest_cols)]
-                rr, cc = linear_sum_assignment(sub)
-                rest = float(sub[rr, cc].sum())
-            else:
-                rest = 0.0
-            if abs(fixed_cost + cost[r, c] + rest - best_total) <= 1e-6:
-                chosen.append(c)
-                taken.add(c)
-                fixed_cost += float(cost[r, c])
-                found = True
+            trial = chosen[:r] + [c]
+            if r + 1 < nr:
+                free = [j for j in range(nc) if j not in trial]
+                _, rest = linear_sum_assignment(cost[r + 1:, free])
+                trial += [free[j] for j in rest]
+            if float(cost[rows, trial].sum()) - best_total <= 1e-6:
+                chosen = trial
                 break
-        if not found:  # pragma: no cover - scipy already proved feasibility
-            raise InfeasibleAssignmentError("assignment refinement lost feasibility")
     return chosen
 
 
@@ -331,7 +321,7 @@ class _Pipeline:
     def _fault_goals(self) -> dict[Cell, Cell]:
         goals: dict[Cell, Cell] = {}
         # match within each fault-state class so kinds are preserved
-        states = sorted({s for _, s in self.work.items() if s.is_faulty}, key=_state_key)
+        states = sorted({s for _, s in self.work.items() if s.is_faulty})
         for state in states:
             cur = [c for c, s in self.work.items() if s == state]
             tgt = [c for c, s in self.target.config.items() if s == state]

@@ -155,10 +155,6 @@ class TargetConfiguration:
     cm: float
 
 
-def _state_key(state: FaultState) -> tuple[str, int]:
-    return (state.kind.value, -1 if state.rotor_index is None else state.rotor_index)
-
-
 def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAULT_PARAMS,
                           ) -> TargetConfiguration:
     """Best relocation of the existing faults over the existing footprint.
@@ -174,13 +170,12 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
     it may stop at a bound below it; the winner beat its floor, so the
     margin returned with it is exact.
     """
-    fault_states = sorted((s for _, s in config.items() if s.is_faulty), key=_state_key)
+    fault_states = sorted(s for _, s in config.items() if s.is_faulty)
     if not fault_states:
         return TargetConfiguration(config, float("inf"))
     cells = config.cells
     components = connected_components(cells)
-    distinct_orders = sorted(set(permutations(fault_states)),
-                             key=lambda p: tuple(_state_key(s) for s in p))
+    distinct_orders = sorted(set(permutations(fault_states)))
     best: tuple[float, float, dict[Cell, FaultState]] | None = None  # (rounded cm, cm, placement)
     for combo in combinations(cells, len(fault_states)):
         for order in distinct_orders:

@@ -221,6 +221,30 @@ def reference_cm_signed_distance(zono: WrenchZonotope, g: np.ndarray) -> float:
     return margin if margin >= 0.0 else exterior()
 
 
+def reference_zonotope(sub: Subassembly, params: PhysicalParams) -> WrenchZonotope:
+    """The wrench set built rotor by rotor from the allocation formula.
+
+    Rotor i of the unit at cell (x, y) sits at r = (x * pitch - mean(x) *
+    pitch + dx_i * arm, y * pitch - mean(y) * pitch + dy_i * arm), with
+    (dx_i, dy_i) = ROTOR_DIAGONALS[i]; its generator is (f_max / 2) *
+    [1, r_y, -r_x, spin_i * c_tau]. Rows go unit by unit, rotor by rotor,
+    and the center is the generators' sum.
+    """
+    pitch, arm, half = params.module_pitch, params.arm_offset, 0.5 * params.rotor_thrust_max
+    mean_x = sum(c.x for c in sub.cells) / sub.n
+    mean_y = sum(c.y for c in sub.cells) / sub.n
+    rows = []
+    for cell, state in sub.units:
+        for i in state.live_rotors():
+            dx, dy = ROTOR_DIAGONALS[i]
+            rx = cell.x * pitch - mean_x * pitch + dx * arm
+            ry = cell.y * pitch - mean_y * pitch + dy * arm
+            rows.append([half * 1.0, half * ry, half * -rx,
+                         half * (params.spin[i] * params.yaw_torque_coeff)])
+    generators = np.array(rows, dtype=float).reshape(len(rows), 4)
+    return WrenchZonotope(center=generators.sum(axis=0), generators=generators)
+
+
 def random_connected_cells(rng: np.random.Generator, n: int) -> list[Cell]:
     """Random 4-connected footprint grown cell by cell from the origin."""
     cells = {Cell(0, 0)}

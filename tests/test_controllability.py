@@ -7,6 +7,7 @@ every case in the table.
 """
 
 import math
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,7 @@ from helpers import (
     random_faulty_subassembly,
     reference_cm_signed_distance,
     reference_facet_normals,
+    reference_zonotope,
     sampling_cm,
 )
 
@@ -107,6 +109,8 @@ def test_params_validation():
 def test_params_are_hashable_value_objects():
     assert hash(PhysicalParams()) == hash(DEFAULT_PARAMS)
     assert PhysicalParams(unit_mass=0.05) != DEFAULT_PARAMS
+    listed = PhysicalParams(spin=[1, -1, 1, -1])
+    assert listed == DEFAULT_PARAMS and hash(listed) == hash(DEFAULT_PARAMS)
 
 
 def test_gravity_wrench_counts_every_unit_mass():
@@ -137,6 +141,29 @@ def test_thrust_axis_support_is_total_live_budget(name):
     budget = m_expected * DEFAULT_PARAMS.rotor_thrust_max
     assert float(zono.support(up)[0]) == pytest.approx(budget, abs=1e-12)
     assert float(zono.support(-up)[0]) == pytest.approx(0.0, abs=1e-12)
+
+
+SPIN_LAYOUTS = sorted(set(permutations((1, 1, -1, -1))))
+
+
+def test_zonotope_matches_the_per_rotor_reference_bit_for_bit():
+    rng = np.random.default_rng(14)
+    subs = [
+        sub_of([Cell(0, 0), Cell(1, 0)], {Cell(0, 0): UNIT_FAULT, Cell(1, 0): UNIT_FAULT}),  # m = 0
+        sub_of([Cell(3, -2)], {Cell(3, -2): rotor_fault(2)}),                              # m = 3
+    ]
+    subs += [random_faulty_subassembly(rng, int(rng.integers(1, 13)), int(rng.integers(0, 4)))
+             for _ in range(40)]
+    sizes = [(0.15, 0.0325), (0.2, 0.045), (0.137, 0.031)]   # (module_pitch, arm_offset)
+    for k, sub in enumerate(subs):
+        for spin in SPIN_LAYOUTS:
+            pitch, arm = sizes[k % len(sizes)]
+            params = PhysicalParams(module_pitch=pitch, arm_offset=arm, spin=spin)
+            got, ref = build_zonotope(sub, params), reference_zonotope(sub, params)
+            for a, b in ((got.generators, ref.generators), (got.center, ref.center)):
+                assert np.array_equal(a, b)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()  # signs of zero too
+    assert {build_zonotope(sub).m for sub in subs[:2]} == {0, 3}
 
 
 def test_support_is_exact_for_the_sign_vertex_and_bounds_samples():

@@ -44,6 +44,8 @@ def test_cell_order_is_row_major_bottom_up():
 
 def test_cell_arithmetic():
     assert Cell(2, 3) + (1, -1) == Cell(3, 2)
+    with pytest.raises(TypeError):
+        Cell(1, 0) + Cell(0, 2)  # a Cell is not a displacement
     assert Cell(0, 0).manhattan(Cell(3, -4)) == 7
     assert set(Cell(1, 1).neighbors4()) == {Cell(1, 0), Cell(0, 1), Cell(2, 1), Cell(1, 2)}
 
@@ -71,6 +73,9 @@ def test_fault_state_kinds():
     assert HEALTHY.live_rotors() == (0, 1, 2, 3)
     assert rotor_fault(1).live_rotors() == (0, 2, 3)
     assert UNIT_FAULT.live_rotors() == ()
+    assert [k.value for k in FaultKind] == ["healthy", "rotor", "unit"]
+    states = [UNIT_FAULT, rotor_fault(3), HEALTHY, rotor_fault(0), rotor_fault(2)]
+    assert sorted(states) == [HEALTHY, rotor_fault(0), rotor_fault(2), rotor_fault(3), UNIT_FAULT]
 
 
 def test_fault_state_validation():
@@ -99,6 +104,13 @@ def test_from_cells_rejects_duplicates_and_stray_faults():
         Configuration.from_cells([Cell(0, 0), Cell(0, 0)])
     with pytest.raises(CellNotOccupiedError):
         Configuration.from_cells([Cell(0, 0)], {Cell(5, 5): UNIT_FAULT})
+    # a plain (x, y) tuple would hash as the swapped cell
+    with pytest.raises(TypeError):
+        Configuration.from_cells([(1, 0)])
+    with pytest.raises(TypeError):
+        Configuration.from_cells([Cell(0, 1)], {(1, 0): UNIT_FAULT})
+    with pytest.raises(TypeError):
+        Configuration({(1, 0): HEALTHY})
 
 
 def test_configuration_queries():
@@ -111,6 +123,10 @@ def test_configuration_queries():
     assert cfg.state(Cell(1, 0)) is UNIT_FAULT
     with pytest.raises(CellNotOccupiedError):
         cfg.state(Cell(9, 9))
+    # (0, 1) is the tuple that Cell(1, 0) holds, but not a cell
+    assert (0, 1) not in cfg
+    with pytest.raises(TypeError):
+        cfg.state((0, 1))
 
 
 def test_configuration_equality_ignores_input_order():
@@ -128,6 +144,8 @@ def test_attach_detach():
     assert cfg.n == 4  # original untouched
     with pytest.raises(CellNotOccupiedError):
         cfg.detach(Cell(7, 7))
+    with pytest.raises(CellNotOccupiedError):
+        cfg.detach((0, 1))
 
 
 def test_translate_set_moves_states_and_allows_self_vacated_cells():
