@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .model import Configuration, FaultKind, FaultState, Subassembly, partition
+from .model import Configuration, FaultKind, FaultState, Subassembly, partition, require_cell
 
 # Rotor slots sit on the diagonals of each unit (X layout). Slot i is offset
 # arm_offset * ROTOR_DIAGONALS[i] from the unit center; opposite corners spin
@@ -99,8 +99,11 @@ def build_zonotope(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS) ->
     generator is (f_max/2) * [1, r_y, -r_x, spin[i] * c_tau], and it adds the
     same to the center, so the support in +T is f_max per live rotor. Rows go
     unit by unit, rotor by rotor; a unit fault removes its unit's four rows (its
-    mass stays in the gravity wrench), a rotor fault one row.
+    mass stays in the gravity wrench), a rotor fault one row. Cells must be
+    `Cell`s: a plain tuple would be read as (y, x).
     """
+    for cell, _ in sub.units:
+        require_cell(cell)
     live = [4 * u + i for u, (_, state) in enumerate(sub.units) for i in state.live_rotors()]
     cells = np.array(sub.cells, dtype=float) @ _EMBED_YX     # a Cell is the tuple (y, x)
     pitch = params.module_pitch
@@ -249,6 +252,27 @@ def subassembly_cm(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS,
     """Margin of one subassembly; `floor` as in cm_signed_distance."""
     zono = build_zonotope(sub, params)
     return cm_signed_distance(zono, gravity_wrench(sub.n, params), floor)
+
+
+def yaw_authority_bound(n_units: int, faults: Iterable[FaultState],
+                        params: PhysicalParams = DEFAULT_PARAMS) -> float:
+    """Upper bound on the margin of every n_units subassembly with these faults.
+
+    Along the unit normal (-sigma * c_tau, 0, 0, 1) / sqrt(1 + c_tau^2), sigma = +-1,
+    the generators of spin sigma vanish and each live rotor of spin -sigma
+    gives f_max * c_tau / sqrt(1 + c_tau^2), so the facet slack there is
+        c_tau * min(W, 2 * f_max * N - W) / sqrt(1 + c_tau^2),
+    with W = n m g0 and N the live rotors of spin -sigma. Like every slack it
+    bounds the signed distance from above (cm_signed_distance); the smaller
+    live count per spin gives the smaller slack. It depends on the unit count
+    and the fault states only, not on where they sit.
+    """
+    dead = [params.spin[i] for state in faults for i in range(4) if i not in state.live_rotors()]
+    live_min = 2 * n_units - max(dead.count(1), dead.count(-1))
+    weight = n_units * params.unit_mass * params.gravity
+    c_tau = params.yaw_torque_coeff
+    slack = min(weight, 2 * params.rotor_thrust_max * live_min - weight)
+    return c_tau * slack / math.sqrt(1 + c_tau * c_tau)
 
 
 # The eight rigid motions of the grid about the origin, as (a, b, c, d):

@@ -40,6 +40,11 @@ class Cell(tuple):
         y, x = self
         return Cell(x + delta[0], y + delta[1])
 
+    def __radd__(self, other: object) -> "Cell":
+        # a Cell is a tuple subclass, so without this `(1, 0) + cell` would
+        # concatenate into a 4-tuple
+        raise TypeError("add a (dx, dy) displacement to a Cell, not a Cell to a tuple")
+
     def manhattan(self, other: "Cell") -> int:
         return abs(self[1] - other[1]) + abs(self[0] - other[0])
 
@@ -93,7 +98,7 @@ def rotor_fault(index: int) -> FaultState:
     return FaultState(FaultKind.ROTOR, index)
 
 
-def _require_cell(cell: object) -> None:
+def require_cell(cell: object) -> None:
     if not isinstance(cell, Cell):
         raise TypeError(f"expected a Cell, got {cell!r}: a plain tuple would be read as (y, x)")
 
@@ -154,7 +159,7 @@ class Configuration:
     def __init__(self, units: Mapping[Cell, FaultState] | Iterable[tuple[Cell, FaultState]]):
         items = list(units.items()) if isinstance(units, Mapping) else list(units)
         for c, _ in items:
-            _require_cell(c)
+            require_cell(c)
         if len({c for c, _ in items}) != len(items):
             raise CellOccupiedError("duplicate cell in configuration")
         self._units: dict[Cell, FaultState] = dict(sorted(items))
@@ -164,7 +169,7 @@ class Configuration:
     def from_cells(cls, cells: Iterable[Cell], faults: Mapping[Cell, FaultState] | None = None) -> "Configuration":
         faults = dict(faults or {})
         for c in faults:
-            _require_cell(c)
+            require_cell(c)
         units = {}
         for c in cells:
             if c in units:
@@ -197,7 +202,7 @@ class Configuration:
         return sum(1 for s in self._units.values() if s.is_faulty)
 
     def state(self, cell: Cell) -> FaultState:
-        _require_cell(cell)
+        require_cell(cell)
         try:
             return self._units[cell]
         except KeyError:

@@ -9,7 +9,10 @@ shape clears the safety floor.
 The companion search picks where the faulty units should end up: among all
 placements of the fault multiset on the fixed footprint, the one maximizing
 the system margin (ties broken toward the lexicographically smallest faulty
-cell set).
+cell set). The margin of a subassembly never exceeds its yaw-authority bound
+(controllability.yaw_authority_bound), which depends only on its unit count
+and fault states, so a placement whose bound cannot beat the best margin so
+far is skipped without building its subassemblies.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .controllability import (
     cached_subassembly_cm,
     faulty_cm,
     system_cm,
+    yaw_authority_bound,
 )
 from .errors import NoPathError, VmcsSearchError
 from .model import (
@@ -155,6 +159,15 @@ class TargetConfiguration:
     cm: float
 
 
+def _placement_bound(placement: Mapping[Cell, FaultState], components: list[tuple[Cell, ...]],
+                     component_of: Mapping[Cell, int], params: PhysicalParams) -> float:
+    """The smallest yaw-authority bound of the components holding the faults."""
+    held: dict[int, list[FaultState]] = {}
+    for cell, state in placement.items():
+        held.setdefault(component_of[cell], []).append(state)
+    return min(yaw_authority_bound(len(components[i]), states, params) for i, states in held.items())
+
+
 def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAULT_PARAMS,
                           ) -> TargetConfiguration:
     """Best relocation of the existing faults over the existing footprint.
@@ -169,17 +182,32 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
     best rounded margin so far as its floor, so a candidate that cannot beat
     it may stop at a bound below it; the winner beat its floor, so the
     margin returned with it is exact.
+
+    A candidate is skipped, with no subassembly, cache lookup or kernel
+    call, when round(U + 1e-12, 9) is at most the best rounded margin, U
+    being the smallest yaw-authority bound of the components holding its
+    faults. Every margin is at most U up to rounding (measured under 1e-16),
+    so a skipped candidate could not have beaten the best, and every
+    candidate that could is still evaluated with the same floor: the winner
+    and its margin are the same as without the skip. The kernel reads a
+    hover wrench within its tolerance outside the set as 0.0, above a
+    negative U, so a negative U skips only once the best margin is at least 0.
     """
     fault_states = sorted(s for _, s in config.items() if s.is_faulty)
     if not fault_states:
         return TargetConfiguration(config, float("inf"))
     cells = config.cells
     components = connected_components(cells)
+    component_of = {c: i for i, comp in enumerate(components) for c in comp}
     distinct_orders = sorted(set(permutations(fault_states)))
     best: tuple[float, float, dict[Cell, FaultState]] | None = None  # (rounded cm, cm, placement)
     for combo in combinations(cells, len(fault_states)):
         for order in distinct_orders:
             placement = dict(zip(combo, order))
+            if best is not None:
+                bound = _placement_bound(placement, components, component_of, params)
+                if round(bound + 1e-12, _TIE_DECIMALS) <= best[0] and max(bound, best[0]) >= 0.0:
+                    continue
             subs = (Subassembly(tuple((c, placement.get(c, HEALTHY)) for c in comp))
                     for comp in components)
             floor = -math.inf if best is None else best[0]

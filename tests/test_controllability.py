@@ -30,13 +30,16 @@ from marsplan.controllability import (
     quick_cm_upper,
     subassembly_cm,
     system_cm,
+    yaw_authority_bound,
 )
 from marsplan.io import load_scenario
 from marsplan.model import (
+    HEALTHY,
     UNIT_FAULT,
     Cell,
     Configuration,
     FaultKind,
+    Subassembly,
     partition,
     rotor_fault,
 )
@@ -47,6 +50,8 @@ from helpers import (
     MIRROR,
     QUARTER_TURN,
     grid_image,
+    random_connected_cells,
+    random_fault_states,
     random_faulty_subassembly,
     reference_cm_signed_distance,
     reference_facet_normals,
@@ -164,6 +169,11 @@ def test_zonotope_matches_the_per_rotor_reference_bit_for_bit():
                 assert np.array_equal(a, b)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()  # signs of zero too
     assert {build_zonotope(sub).m for sub in subs[:2]} == {0, 3}
+    # read as (y, x), these plain tuples would be the row at y = 0
+    plain = Subassembly((((0, 1), UNIT_FAULT), ((0, 2), HEALTHY)))
+    for compute in (build_zonotope, subassembly_cm):
+        with pytest.raises(TypeError):
+            compute(plain)
 
 
 def test_support_is_exact_for_the_sign_vertex_and_bounds_samples():
@@ -393,10 +403,10 @@ def test_a_bound_cached_for_one_image_answers_its_mirror_image(monkeypatch):
     assert floors == [0.0, -math.inf]
 
 
-SPIN_LAYOUTS = ((1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+CONGRUENCE_LAYOUTS = ((1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 
 
-@pytest.mark.parametrize("spin", SPIN_LAYOUTS,
+@pytest.mark.parametrize("spin", CONGRUENCE_LAYOUTS,
                          ids=lambda spin: "".join("+" if v > 0 else "-" for v in spin))
 def test_congruent_images_get_their_own_margins_under_every_spin_layout(spin):
     # Which grid motions keep the margin depends on the spin layout: a
@@ -431,7 +441,9 @@ def test_bundled_plans_evaluate_each_congruent_subassembly_once(monkeypatch):
     # gating landings only until one passes took 277. Fill rounds now gate
     # only the pairs the assignment picks, not every (unit, target) pair,
     # so the margins of fill flights no assignment chooses are never asked:
-    # 265.
+    # 265. The placement search skips candidates whose yaw-authority bound
+    # cannot beat the best margin so far, mostly ties that lost only the
+    # tie-break: 179.
     requests = [(path, True) for path in sorted(SCENARIOS.glob("*.json"))]
     requests.append((SCENARIOS / "heart11.json", False))
     assert len(requests) == 8
@@ -440,7 +452,7 @@ def test_bundled_plans_evaluate_each_congruent_subassembly_once(monkeypatch):
         scenario = load_scenario(path)
         clear_cm_cache()
         plan(scenario.config, scenario.params, relocation_rule=rule)
-    assert len(floors) == 265
+    assert len(floors) == 179
 
 
 def test_a_warm_replan_evaluates_no_margin_and_no_symmetric_key(monkeypatch):
@@ -625,3 +637,29 @@ def test_interior_hover_wrench_iff_positive_margin(seed, n, nf):
         assert float(slack.min()) >= cm - 1e-9
     elif cm < -1e-9:
         assert float(slack.min()) >= cm - 1e-9  # no direction separates deeper
+
+
+# all six spin layouts, then a stronger yaw drag and weaker rotors
+BOUND_PARAMS = {"".join("+" if v > 0 else "-" for v in spin): PhysicalParams(spin=spin)
+                for spin in SPIN_LAYOUTS}
+BOUND_PARAMS |= {"ctau0.02": PhysicalParams(yaw_torque_coeff=0.02),
+                 "fmax0.1": PhysicalParams(rotor_thrust_max=0.1)}
+
+
+@pytest.mark.parametrize("params", list(BOUND_PARAMS.values()), ids=list(BOUND_PARAMS))
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), nf=st.integers(0, 12))
+@settings(max_examples=15, deadline=None)
+def test_margin_never_exceeds_the_yaw_authority_bound(params, seed, n, nf):
+    # Any subassembly, faults anywhere, up to every unit: the bound is the
+    # slack along the two yaw-thrust normals, whatever the cells.
+    rng = np.random.default_rng(seed)
+    cells = random_connected_cells(rng, n)
+    sub = partition(Configuration.from_cells(cells, random_fault_states(rng, cells, min(nf, n))))[0]
+    bound = yaw_authority_bound(sub.n, [s for _, s in sub.units if s.is_faulty], params)
+    assert subassembly_cm(sub, params) <= bound + 1e-12
+    zono = build_zonotope(sub, params)
+    c_tau = params.yaw_torque_coeff
+    normals = np.array([[-sigma * c_tau, 0.0, 0.0, 1.0] for sigma in (1, -1)]) / math.sqrt(1 + c_tau**2)
+    slack = (np.abs(normals @ zono.generators.T).sum(axis=1)
+             - np.abs(normals @ (zono.center - gravity_wrench(sub.n, params))))
+    assert bound == pytest.approx(float(slack.min()), abs=1e-12)

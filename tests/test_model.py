@@ -46,6 +46,8 @@ def test_cell_arithmetic():
     assert Cell(2, 3) + (1, -1) == Cell(3, 2)
     with pytest.raises(TypeError):
         Cell(1, 0) + Cell(0, 2)  # a Cell is not a displacement
+    with pytest.raises(TypeError):
+        (1, 0) + Cell(0, 0)  # not the 4-tuple (1, 0, 0, 0)
     assert Cell(0, 0).manhattan(Cell(3, -4)) == 7
     assert set(Cell(1, 1).neighbors4()) == {Cell(1, 0), Cell(0, 1), Cell(2, 1), Cell(1, 2)}
 

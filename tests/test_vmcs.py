@@ -6,12 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import marsplan.controllability as controllability
 import marsplan.vmcs as vmcs
-from marsplan.controllability import DEFAULT_PARAMS, clear_cm_cache, system_cm
+from marsplan.controllability import DEFAULT_PARAMS, PhysicalParams, clear_cm_cache, system_cm
 from marsplan.errors import VmcsSearchError
 from marsplan.io import load_scenario
 from marsplan.model import (
@@ -230,7 +230,7 @@ def _state_order(state):
     return (state.kind.value, -1 if state.rotor_index is None else state.rotor_index)
 
 
-def first_best_placement(cfg):
+def first_best_placement(cfg, params=DEFAULT_PARAMS):
     """The optimum by brute force: `system_cm` of every distinct placement as
     a whole configuration, in the documented tie order (faulty cells, then
     their states, smallest first); the first best rounded margin wins."""
@@ -243,16 +243,13 @@ def first_best_placement(cfg):
     best = None
     for _, placement in ordered:
         candidate = Configuration.from_cells(cells, placement)
-        cm = system_cm(candidate)
+        cm = system_cm(candidate, params)
         if best is None or round(cm, 9) > round(best[1], 9):
             best = (candidate, cm)
     return best
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 4), st.integers(1, 2),
-       st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_optimal_placement_is_the_first_best_of_every_placement(seed, n1, n2, nf, unit_only):
+def _check_first_best_placement(seed, n1, n2, nf, unit_only, params):
     # A start need not be connected: a second component, when drawn, stands
     # one free column right of the first, and faults fall in either.
     rng = np.random.default_rng(seed)
@@ -264,10 +261,32 @@ def test_optimal_placement_is_the_first_best_of_every_placement(seed, n1, n2, nf
     cfg = Configuration.from_cells(
         cells, random_fault_states(rng, cells, min(nf, len(cells)), unit_only))
     clear_cm_cache()
-    result = optimal_configuration(cfg)
-    config, cm = first_best_placement(cfg)
+    result = optimal_configuration(cfg, params)
+    config, cm = first_best_placement(cfg, params)
     assert result.config == config
     assert result.cm == pytest.approx(cm, abs=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 4), st.integers(1, 2),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_optimal_placement_is_the_first_best_of_every_placement(seed, n1, n2, nf, unit_only):
+    _check_first_best_placement(seed, n1, n2, nf, unit_only, DEFAULT_PARAMS)
+
+
+@pytest.mark.parametrize("params", [PhysicalParams(spin=(1, 1, -1, -1)),
+                                    PhysicalParams(yaw_torque_coeff=0.02)],
+                         ids=["spin++--", "ctau0.02"])
+@given(seed=st.integers(0, 2**32 - 1), n1=st.integers(1, 5), n2=st.integers(0, 3),
+       nf=st.integers(1, 3))
+@example(seed=32, n1=3, n2=0, nf=2)
+@settings(max_examples=25, deadline=None)
+def test_optimal_placement_is_the_first_best_under_other_params(params, seed, n1, n2, nf):
+    # The placement search skips candidates by a bound that counts the live
+    # rotors of each spin, so which spin a rotor fault removes matters. The
+    # example is an L of three with rotor faults 1 and 3: opposite spins
+    # under (1, 1, -1, -1), one spin under the default layout.
+    _check_first_best_placement(seed, n1, n2, nf, False, params)
 
 
 def test_placement_search_splits_the_footprint_once(monkeypatch):
@@ -286,6 +305,67 @@ def test_placement_search_splits_the_footprint_once(monkeypatch):
         calls.clear()
         optimal_configuration(cfg)
         assert calls == ["connected_components"]
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    original = controllability.subassembly_cm
+    monkeypatch.setattr(controllability, "subassembly_cm",
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+# From a cold cache, the kernel calls of each bundled scenario's placement
+# search. Before candidates were skipped by their yaw-authority bound, the
+# tied losers ran the kernel too: heart11 31, hollow3x3 2, icra_letters 16,
+# rect3x2_2fault 6, rect3x2_fault3 2, rect3x3_fault8 3, triangle9_2fault 21.
+PLACEMENT_KERNEL_CALLS = {"heart11": 4, "hollow3x3": 2, "icra_letters": 4, "rect3x2_2fault": 5,
+                          "rect3x2_fault3": 2, "rect3x3_fault8": 2, "triangle9_2fault": 3}
+
+
+def test_placement_search_kernel_calls_per_bundled_scenario(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    counts = {}
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario = load_scenario(path)
+        clear_cm_cache()
+        calls.clear()
+        optimal_configuration(scenario.config, scenario.params)
+        counts[path.stem] = len(calls)
+    assert counts == PLACEMENT_KERNEL_CALLS
+
+
+def test_placement_search_kernel_calls_on_a_5x5_block_with_three_unit_faults(monkeypatch):
+    # 2300 candidates, all on one component, so one bound for all of them:
+    # only the candidates that improve on the best so far reach the kernel.
+    # Without the skip this search made 319 kernel calls, about 9 s.
+    cells = [Cell(x, y) for y in range(5) for x in range(5)]
+    cfg = Configuration.from_cells(cells, {c: UNIT_FAULT for c in (Cell(0, 0), Cell(2, 2), Cell(4, 4))})
+    calls = _count_kernel_calls(monkeypatch)
+    clear_cm_cache()
+    result = optimal_configuration(cfg)
+    assert len(calls) == 3
+    assert result.config.faulty_cells == (Cell(0, 0), Cell(1, 0), Cell(4, 0))
+    assert result.cm == pytest.approx(0.032111421999606, abs=1e-12)
+
+
+def test_a_negative_bound_does_not_skip_a_margin_the_kernel_reads_as_zero():
+    # An L of three with one rotor fault, a little heavier than its yaw
+    # authority carries: every placement's bound is -4.268e-9. The first
+    # placement lies that far outside its wrench set, just over the
+    # kernel's tolerance there; the second lies within its own, slightly
+    # larger, tolerance, so the kernel reads it as 0.0, above the bound.
+    c_tau = DEFAULT_PARAMS.yaw_torque_coeff
+    shortfall = 4.268e-9 * math.sqrt(1 + c_tau**2) / c_tau
+    params = PhysicalParams(unit_mass=(10 * DEFAULT_PARAMS.rotor_thrust_max + shortfall) / 3 / 9.81)
+    cells = [Cell(0, 0), Cell(1, 0), Cell(0, 1)]
+    cfg = Configuration.from_cells(cells, {Cell(0, 1): rotor_fault(1)})
+    margins = [system_cm(Configuration.from_cells(cells, {c: rotor_fault(1)}), params) for c in cells]
+    assert margins[0] == pytest.approx(-4.268e-9, abs=1e-12) and margins[1] == 0.0
+    clear_cm_cache()
+    result = optimal_configuration(cfg, params)
+    assert result.config == first_best_placement(cfg, params)[0]
+    assert result.config.faulty_cells == (Cell(1, 0),) and result.cm == 0.0
 
 
 def test_optimal_placement_pins():
