@@ -25,8 +25,10 @@ def main() -> int:
     args = parser.parse_args()
 
     scenario = load_scenario(args.scenario)
+    # the scenario's other settings hold in both runs
+    settings = scenario.settings()
     results = {
-        flag: plan(scenario.config, scenario.params, relocation_rule=flag)
+        flag: plan(scenario.config, scenario.params, **{**settings, "relocation_rule": flag})
         for flag in (True, False)
     }
     print(f"{'relocation rule':<16} {'steps':>5} {'detach/attach':>13} "

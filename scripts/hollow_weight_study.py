@@ -25,15 +25,19 @@ def main() -> int:
                         / "scenarios" / "hollow3x3.json")
     parser.add_argument("--c1", type=float, nargs="*", default=[2.0, 4.0],
                         help="margin-drop weights to compare")
-    parser.add_argument("--c2", type=float, default=-0.1,
-                        help="path-length weight")
+    parser.add_argument("--c2", type=float, default=None,
+                        help="path-length weight (default: the scenario's, else plan()'s)")
     args = parser.parse_args()
 
     scenario = load_scenario(args.scenario)
+    # the scenario's other settings hold in every run
+    settings = scenario.settings()
+    if args.c2 is not None:
+        settings["c2"] = args.c2
     print(f"{'c1':>6} {'steps':>5} {'path length':>11} {'min_cm':>10} "
           f"{'avg post-step cm':>17}")
     for c1 in args.c1:
-        result = plan(scenario.config, scenario.params, c1=c1, c2=args.c2)
+        result = plan(scenario.config, scenario.params, **{**settings, "c1": c1})
         avg = (sum(s.post_cm for s in result.steps) / len(result.steps)
                if result.steps else float("nan"))
         print(f"{c1:>6.2f} {result.step_count:>5} {result.total_path_length:>11} "

@@ -38,14 +38,9 @@ def main() -> int:
     failures = 0
     for path in paths:
         scenario = load_scenario(path)
-        kwargs = {}
-        for key in ("c1", "c2", "epsilon", "relocation_rule"):
-            value = getattr(scenario, key)
-            if value is not None:
-                kwargs[key] = value
         t0 = time.monotonic()
         try:
-            result = plan(scenario.config, scenario.params, **kwargs)
+            result = plan(scenario.config, scenario.params, **scenario.settings())
         except (InfeasibleTargetError, PlanningError) as exc:
             failures += 1
             print(f"{path.stem:<22} {type(exc).__name__}: {exc}")

@@ -83,11 +83,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     # forward only the values that are set, so plan() holds the defaults
     chosen = {"c1": args.c1, "c2": args.c2, "epsilon": args.epsilon,
               "relocation_rule": False if args.no_relocation_rule else None}
-    settings = {}
-    for key, value in chosen.items():
-        value = getattr(scenario, key) if value is None else value
-        if value is not None:
-            settings[key] = value
+    settings = scenario.settings()
+    settings.update((key, value) for key, value in chosen.items() if value is not None)
     result = compute_plan(scenario.config, scenario.params, **settings)
     save_plan(result, scenario.config, args.output, name=scenario.name)
     if args.cm_trace:

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .model import Configuration, FaultKind, FaultState, Subassembly, partition, require_cell
+from .model import Configuration, FaultKind, FaultState, Subassembly, partition
 
 # Rotor slots sit on the diagonals of each unit (X layout). Slot i is offset
 # arm_offset * ROTOR_DIAGONALS[i] from the unit center; opposite corners spin
@@ -99,11 +99,8 @@ def build_zonotope(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS) ->
     generator is (f_max/2) * [1, r_y, -r_x, spin[i] * c_tau], and it adds the
     same to the center, so the support in +T is f_max per live rotor. Rows go
     unit by unit, rotor by rotor; a unit fault removes its unit's four rows (its
-    mass stays in the gravity wrench), a rotor fault one row. Cells must be
-    `Cell`s: a plain tuple would be read as (y, x).
+    mass stays in the gravity wrench), a rotor fault one row.
     """
-    for cell, _ in sub.units:
-        require_cell(cell)
     live = [4 * u + i for u, (_, state) in enumerate(sub.units) for i in state.live_rotors()]
     cells = np.array(sub.cells, dtype=float) @ _EMBED_YX     # a Cell is the tuple (y, x)
     pitch = params.module_pitch

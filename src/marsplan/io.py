@@ -66,6 +66,11 @@ class Scenario:
     epsilon: float | None = None
     relocation_rule: bool | None = None
 
+    def settings(self) -> dict[str, Any]:
+        """The planner settings the scenario sets, as keywords of `plan()`."""
+        return {key: value for key in ("c1", "c2", "epsilon", "relocation_rule")
+                if (value := getattr(self, key)) is not None}
+
 
 def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
     for key in data:

@@ -118,9 +118,14 @@ class DestinationCollisionError(ValueError):
 @dataclass(frozen=True, slots=True)
 class Subassembly:
     """One 4-connected component of a configuration, with unit states; its
-    units, and so its `cells`, are in (y, x) order, as `partition` builds them."""
+    units, and so its `cells`, are in (y, x) order, as `partition` builds them.
+    A cell that is not a `Cell` raises TypeError."""
 
     units: tuple[tuple[Cell, FaultState], ...]
+
+    def __post_init__(self) -> None:
+        for c, _ in self.units:
+            require_cell(c)
 
     @property
     def cells(self) -> tuple[Cell, ...]:

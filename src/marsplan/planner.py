@@ -17,7 +17,9 @@ Pipeline, in order:
    gated flight.
 5. Rigidly transfer each support group so its faults land on their goals.
 6. Fill the remaining vacant target cells with conflict-free assignment
-   rounds until the configuration equals the target exactly.
+   rounds until the configuration equals the target exactly. Each flight
+   takes its A* route around the units standing at the time; a round
+   commits its first flight as the assignment gated it.
 
 Every step passes one gate, `step_verdict`: the flying piece (when it carries
 faults) and the configuration after the move keep a margin at or above the
@@ -52,7 +54,7 @@ from .model import Cell, Configuration, FaultState, Subassembly, connected_compo
 from .paths import Arena, GridPath, arena_around, astar_subassembly, astar_unit, swept_cells
 from .vmcs import (
     TargetConfiguration,
-    _smallest_supports,
+    smallest_supports,
     optimal_configuration,
     plan_vmcs_completion,
 )
@@ -290,11 +292,11 @@ class _Pipeline:
         return PlanStep(kind=kind, phase=phase, moved_cells=moved, path=path,
                         post_config=post, post_cm=post_cm, note=note)
 
-    def _unit_step(self, start: Cell, goal: Cell, obstacles: frozenset[Cell],
-                   phase: Phase, note: str | None = None) -> PlanStep | None:
-        """Gated step of a single unit, or None when unreachable or rejected."""
+    def _unit_step(self, start: Cell, goal: Cell, phase: Phase,
+                   note: str | None = None) -> PlanStep | None:
+        """Gated step of one unit around the others, or None when unreachable or rejected."""
         try:
-            path = astar_unit(start, goal, obstacles, self.arena)
+            path = astar_unit(start, goal, self.work.cell_set - {start}, self.arena)
         except NoPathError:
             return None
         return self._step((start,), path, phase, note)
@@ -338,8 +340,8 @@ class _Pipeline:
         for group in self.groups:
             own = set(group.faults)
             foreign_faults = all_fault_cells - own
-            _, ranked = _smallest_supports(group.faults, self.params,
-                                           self.work.n - self.work.n_faulty, self.epsilon)
+            _, ranked = smallest_supports(group.faults, self.params,
+                                          self.work.n - self.work.n_faulty, self.epsilon)
             chosen = None
             for shape, cm in ranked:
                 if cm < self.epsilon:
@@ -435,13 +437,12 @@ class _Pipeline:
         (y, x)) order; the Manhattan distance bounds the flight length from
         below, so no spot after one whose bound exceeds the best rank can win.
         """
-        obstacles = frozenset(self.work.cell_set - {blocker})
         best: PlanStep | None = None
         best_rank = None
         for bound, w in sorted((blocker.manhattan(w), w) for w in spots):
             if best_rank is not None and (bound, w) > best_rank:
                 break
-            step = self._unit_step(blocker, w, obstacles, Phase.PATH_CLEARANCE, note)
+            step = self._unit_step(blocker, w, Phase.PATH_CLEARANCE, note)
             if step is None:
                 continue
             rank = (step.path.length if by_length else bound, w)
@@ -476,20 +477,21 @@ class _Pipeline:
                 raise InfeasibleAssignmentError("no fill target is reachable")
             # as many units stand off the target as target cells are vacant
             candidates = [c for c in self.work.cells if c not in target_cells]
-            pairs = self._assign_fill_moves(round_targets, candidates)
-            executed = self._execute_fill_round(pairs)
-            if executed == 0:
-                raise InfeasibleAssignmentError(
-                    "fill round could not execute any assigned move"
-                )
+            first, *later = self._assign_fill_moves(round_targets, candidates)
+            self._commit(first)     # gated on this state; later flights are planned again
+            for assigned in later:
+                step = self._unit_step(assigned.path.start, assigned.path.goal,
+                                       Phase.FILL_REMAINDER)
+                if step is not None:
+                    self._commit(step)
 
-    def _assign_fill_moves(self, targets: list[Cell], candidates: list[Cell]
-                           ) -> list[tuple[Cell, Cell]]:
-        """The row-major smallest pairing of least total gated flight length;
-        a target without a gated flight waits. Costs start from ungated A*
-        lengths, a lower bound: only assigned pairs are gated, a failing one is
-        forbidden and the matrix solved again, until the pairing is also the
-        smallest optimum of the matrix that gates every pair."""
+    def _assign_fill_moves(self, targets: list[Cell], candidates: list[Cell]) -> list[PlanStep]:
+        """The gated flights of the row-major smallest pairing of least total
+        gated flight length, in target order; a target without a gated flight
+        waits. Costs start from ungated A* lengths, a lower bound: only
+        assigned pairs are gated, a failing one is forbidden and the matrix
+        solved again, until the pairing is also the smallest optimum of the
+        matrix that gates every pair."""
         cost = np.full((len(targets), len(candidates)), float(_BIG))
         paths: dict[tuple[int, int], GridPath] = {}
         for j, cand in enumerate(candidates):
@@ -500,37 +502,21 @@ class _Pipeline:
                 except NoPathError:
                     continue
                 cost[i, j] = paths[i, j].length
-        gated: set[tuple[int, int]] = set()
+        steps: dict[tuple[int, int], PlanStep | None] = {}
         while True:
             cols = lexicographic_min_assignment(cost)
             todo = [(i, j) for i, j in enumerate(cols)
-                    if cost[i, j] < _BIG and (i, j) not in gated]
-            gated.update(todo)
-            failed = [(i, j) for i, j in todo
-                      if self._step((candidates[j],), paths[i, j], Phase.FILL_REMAINDER) is None]
-            if not failed:
+                    if cost[i, j] < _BIG and (i, j) not in steps]
+            for i, j in todo:
+                steps[i, j] = self._step((candidates[j],), paths[i, j], Phase.FILL_REMAINDER)
+                if steps[i, j] is None:
+                    cost[i, j] = _BIG
+            if all(steps[pair] is not None for pair in todo):
                 break
-            for i, j in failed:
-                cost[i, j] = _BIG
-        pairs = [(targets[i], candidates[j]) for i, j in enumerate(cols) if cost[i, j] < _BIG]
-        if not pairs:
+        gated = [steps[i, j] for i, j in enumerate(cols) if cost[i, j] < _BIG]
+        if not gated:
             raise InfeasibleAssignmentError("no unit can reach any fill target")
-        return pairs
-
-    def _execute_fill_round(self, pairs: list[tuple[Cell, Cell]]) -> int:
-        executed = 0
-        pending = [t for t, _ in pairs]
-        for t, cand in pairs:
-            pending.remove(t)
-            obstacles = frozenset(self.work.cell_set - {cand})
-            # keep this round's still-unfilled targets clear of the path
-            step = (self._unit_step(cand, t, obstacles | frozenset(pending), Phase.FILL_REMAINDER)
-                    or self._unit_step(cand, t, obstacles, Phase.FILL_REMAINDER))
-            if step is None:
-                continue  # deferred; a later round retries with a fresh state
-            self._commit(step)
-            executed += 1
-        return executed
+        return gated
 
 
 def validate_plan(start: Configuration, plan: Plan) -> Configuration:

@@ -111,9 +111,9 @@ def ranked_support_shapes(faults: Mapping[Cell, FaultState], k: int,
     return ranked
 
 
-def _smallest_supports(faults: Mapping[Cell, FaultState], params: PhysicalParams,
-                       max_normal_units: int, epsilon: float,
-                       ) -> tuple[int, list[tuple[frozenset[Cell], float]]]:
+def smallest_supports(faults: Mapping[Cell, FaultState], params: PhysicalParams,
+                      max_normal_units: int, epsilon: float,
+                      ) -> tuple[int, list[tuple[frozenset[Cell], float]]]:
     """The smallest k whose best shape reaches epsilon, and its ranked shapes.
 
     Margins are asked with floor epsilon, so shapes below it may carry upper
@@ -143,7 +143,7 @@ def identify_vmcs(faults: Mapping[Cell, FaultState], params: PhysicalParams = DE
     plus the faults, and accepts the first k whose best shape has margin at
     least epsilon. Raises when k would exceed the normal units available.
     """
-    k, ranked = _smallest_supports(faults, params, max_normal_units, epsilon)
+    k, ranked = smallest_supports(faults, params, max_normal_units, epsilon)
     shape, cm = ranked[0]
     units = _support(shape, faults).canonical()
     return VmcsSpec(footprint=tuple(Cell(x, y) for x, y, _ in units),

@@ -55,6 +55,8 @@ def test_minimal_scenario_parses():
     assert s.config == Configuration.from_cells([Cell(0, 0), Cell(1, 0)])
     assert s.params == DEFAULT_PARAMS
     assert (s.name, s.c1, s.c2, s.epsilon, s.relocation_rule) == (None,) * 5
+    assert s.settings() == {}
+    assert parse_scenario({"cells": [[0, 0]], "weights": {"c2": 0.0}}).settings() == {"c2": 0.0}
 
 
 def test_full_scenario_parses():
@@ -77,6 +79,7 @@ def test_full_scenario_parses():
     assert s.config.state(Cell(1, 1)) == rotor_fault(2)
     assert s.params.unit_mass == 0.04
     assert (s.c1, s.c2, s.epsilon, s.relocation_rule) == (4.0, -0.2, 0.001, False)
+    assert s.settings() == {"c1": 4.0, "c2": -0.2, "epsilon": 0.001, "relocation_rule": False}
 
 
 @pytest.mark.parametrize(

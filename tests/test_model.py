@@ -204,6 +204,9 @@ def test_subassembly_canonical_is_translation_invariant():
     b = Subassembly(((Cell(-1, 0), HEALTHY), (Cell(0, 0), UNIT_FAULT)))
     assert a.canonical() == b.canonical()
     assert a.n == 2
+    # a plain tuple is refused where it is given, not when the key is built
+    with pytest.raises(TypeError, match="expected a Cell"):
+        Subassembly((((2, 3), HEALTHY), (Cell(3, 3), UNIT_FAULT)))
 
 
 # -- properties ---------------------------------------------------------------

@@ -502,8 +502,9 @@ def test_lazy_fill_assignment_equals_the_fully_gated_one(monkeypatch):
         solves.clear()
         pairs = []      # when the round raises
         try:
-            pairs = assign(self, targets, candidates)
-            return pairs
+            steps = assign(self, targets, candidates)
+            pairs = [(s.path.goal, s.moved_cells[0]) for s in steps]
+            return steps
         finally:
             rounds.append((pairs, expected, len(solves)))
 
@@ -524,7 +525,9 @@ def test_lazy_fill_assignment_equals_the_fully_gated_one(monkeypatch):
 def test_bundled_fill_rounds_gate_only_assigned_pairs(monkeypatch):
     # The 7 bundled scenarios under both rules: gating every (unit, target)
     # pair of each round took 138 fill-phase gate calls for 40 committed
-    # fill steps; gating the assigned pairs only takes 86.
+    # fill steps; gating the assigned pairs only took 86. Committing each
+    # round's first flight as the assignment gated it, rather than gating it
+    # again, saves one call in each of the 33 rounds: 53.
     gated = []
     step = _Pipeline._step
 
@@ -539,7 +542,28 @@ def test_bundled_fill_rounds_gate_only_assigned_pairs(monkeypatch):
         result = plan(scenario.config, scenario.params, relocation_rule=rule)
         fill_steps += sum(s.phase is Phase.FILL_REMAINDER for s in result.steps)
     assert fill_steps == 40
-    assert gated.count(Phase.FILL_REMAINDER) == 86
+    assert gated.count(Phase.FILL_REMAINDER) == 53
+
+
+def test_every_fill_flight_is_a_shortest_route_on_its_pre_move_state():
+    # The benchmark's fuzz case fuzz-n12-f1-0. A fill flight once detoured
+    # around its round's still-vacant targets, which made one flight two
+    # cells longer than the shortest route (a total path of 52, now 50).
+    cells = [(-2, 1), (-1, -1), (-1, 0), (-1, 1), (0, 0), (0, 1), (1, 0), (1, 1),
+             (2, 1), (3, 0), (3, 1), (3, 2)]
+    start = Configuration.from_cells([Cell(x, y) for x, y in cells], {Cell(3, 1): UNIT_FAULT})
+    result = plan(start)
+    arena = arena_around(start.cells)
+    work = start
+    fills = 0
+    for step in result.steps:
+        if step.phase is Phase.FILL_REMAINDER:
+            (unit,) = step.moved_cells
+            obstacles = work.cell_set - {unit}
+            assert step.path.length == bfs_unit_length(unit, step.path.goal, obstacles, arena)
+            fills += 1
+        work = step.post_config
+    assert (fills, result.step_count, result.total_path_length) == (8, 17, 50)
 
 
 def test_plan_is_deterministic():
