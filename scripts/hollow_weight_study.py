@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Study how the donor-selection weight c1 shapes plan quality.
 
-The donor objective scores each candidate donor unit by
-c1 * (margin drop)^2 + c2 * (path length); raising c1 penalizes donors
-whose removal weakens the remaining assembly, trading path length for
-higher margins along the way.
+Each vacant support cell takes the donor unit that minimizes
+c1 * (cm_after_detach - target_cm)^2 - c2 * path_length; raising c1
+favors donors whose removal leaves the system margin nearest the target
+margin, trading path length for it.
 """
 from __future__ import annotations
 

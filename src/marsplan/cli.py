@@ -69,7 +69,7 @@ def _base_params() -> PhysicalParams:
         return DEFAULT_PARAMS
     try:
         data = json.loads(Path(override).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:     # ValueError covers JSONDecodeError
         raise ScenarioError(f"cannot load params file {override} from "
                             f"{_PARAMS_ENV}: {exc}") from None
     try:

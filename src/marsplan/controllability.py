@@ -29,7 +29,6 @@ from .model import Configuration, FaultKind, FaultState, Subassembly, partition
 # arm_offset * ROTOR_DIAGONALS[i] from the unit center; opposite corners spin
 # the same way so yaw is balanced on a healthy unit.
 ROTOR_DIAGONALS: tuple[tuple[int, int], ...] = ((1, 1), (-1, 1), (-1, -1), (1, -1))
-_EMBED_YX = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])   # (y, x) -> (0, y, x, 0)
 _NEGATE_X = np.array([1.0, 1.0, -1.0, 1.0])                         # (1, r_y, r_x, .) -> (1, r_y, -r_x, .)
 
 
@@ -70,18 +69,8 @@ class WrenchZonotope:
     def m(self) -> int:
         return self.generators.shape[0]
 
-    def support(self, directions: np.ndarray) -> np.ndarray:
-        """Support function h(d) = d.c + sum_i |d.g_i| for unit rows of `directions`."""
-        d = np.atleast_2d(np.asarray(directions, dtype=float))
-        if self.m == 0:
-            return d @ self.center
-        return d @ self.center + np.abs(d @ self.generators.T).sum(axis=1)
-
     def scale(self) -> float:
-        s = float(np.linalg.norm(self.center))
-        if self.m:
-            s += float(np.abs(self.generators).sum())
-        return s
+        return float(np.linalg.norm(self.center)) + float(np.abs(self.generators).sum())
 
 
 @lru_cache
@@ -94,15 +83,18 @@ def _rotor_slots(params: PhysicalParams) -> np.ndarray:
 def build_zonotope(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS) -> WrenchZonotope:
     """Feasible wrench set of a subassembly with its live rotors only.
 
-    Rotor i of the unit at cell (x, y) sits at r = (x, y) * pitch - mean(x, y) *
-    pitch + arm_offset * ROTOR_DIAGONALS[i] about the footprint centroid. Its
-    generator is (f_max/2) * [1, r_y, -r_x, spin[i] * c_tau], and it adds the
-    same to the center, so the support in +T is f_max per live rotor. Rows go
-    unit by unit, rotor by rotor; a unit fault removes its unit's four rows (its
-    mass stays in the gravity wrench), a rotor fault one row.
+    Cells are read in the min-corner frame of `sub.canonical()`, the
+    translation key the margin cache stores the result under, so every
+    translate gets the same bits. Rotor i of the unit at (x, y) in that frame
+    sits at r = (x, y) * pitch - mean(x, y) * pitch + arm_offset *
+    ROTOR_DIAGONALS[i] about the footprint centroid. Its generator is
+    (f_max/2) * [1, r_y, -r_x, spin[i] * c_tau], and it adds the same to the
+    center, so the support in +T is f_max per live rotor. Rows go unit by
+    unit, rotor by rotor; a unit fault removes its unit's four rows (its mass
+    stays in the gravity wrench), a rotor fault one row.
     """
     live = [4 * u + i for u, (_, state) in enumerate(sub.units) for i in state.live_rotors()]
-    cells = np.array(sub.cells, dtype=float) @ _EMBED_YX     # a Cell is the tuple (y, x)
+    cells = np.array([(0, y, x, 0) for x, y, _ in sub.canonical()], dtype=float)
     pitch = params.module_pitch
     # unit center (0, y, x, 0) about the centroid plus slot row: [1, r_y, r_x, spin * c_tau]
     rows = ((cells * pitch - cells.mean(axis=0) * pitch)[:, None] + _rotor_slots(params)).reshape(-1, 4)[live]
@@ -394,21 +386,9 @@ def system_cm(config: Configuration, params: PhysicalParams = DEFAULT_PARAMS,
     return faulty_cm(partition(config), params, floor)
 
 
-def cm_upper_bound(zono: WrenchZonotope, g: np.ndarray, directions: np.ndarray) -> float:
-    """Upper bound on the signed margin from any finite direction set.
-
-    For every unit direction d, h(d) - d.g bounds the signed distance from
-    above (inside: distance to the supporting hyperplane; outside: minus the
-    separation along d is still an over-estimate of the signed value), so a
-    cheap fixed direction set can prune candidates in argmax searches.
-    """
-    vals = zono.support(directions) - directions @ np.asarray(g, dtype=float)
-    return float(vals.min())
-
-
-_AXES = np.vstack([np.eye(4), -np.eye(4)])
-
-
 def quick_cm_upper(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS) -> float:
+    """Upper bound on the margin: the least slack along the eight axes +-e_k,
+    min_k (sum_i |G_ik| - |c_k - g_k|); every unit direction's slack bounds it."""
     zono = build_zonotope(sub, params)
-    return cm_upper_bound(zono, gravity_wrench(sub.n, params), _AXES)
+    g = gravity_wrench(sub.n, params)
+    return float((np.abs(zono.generators).sum(axis=0) - np.abs(zono.center - g)).min())

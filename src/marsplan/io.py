@@ -26,6 +26,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -82,6 +83,16 @@ def _list(raw: Any, where: str) -> list:
     if not isinstance(raw, list):
         raise ScenarioError(f"{where} must be a list")
     return raw
+
+
+def _number(raw: Any, where: str) -> float:
+    """A JSON number as a float; a non-number, a bool, a non-finite value or
+    an int too large for a float raises ScenarioError naming `where`."""
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise ScenarioError(f"{where} must be a number")
+    if not abs(raw) <= sys.float_info.max:     # compares an int exactly, fails NaN
+        raise ScenarioError(f"{where} must be a finite number")
+    return float(raw)
 
 
 def _parse_cell(raw: Any, where: str) -> Cell:
@@ -143,19 +154,17 @@ def _parse_params(raw: Any, base: PhysicalParams) -> PhysicalParams:
         raise ScenarioError("'params' must be an object")
     _reject_unknown(raw, _PARAM_KEYS, "params")
     overrides: dict[str, Any] = {}
-    for key, value in raw.items():
-        if key == "spin":
-            if (not isinstance(value, (list, tuple)) or len(value) != 4
-                    or not all(type(v) is int and v in (1, -1) for v in value)):
-                raise ScenarioError("params.spin must be four entries of +1/-1")
-            overrides[key] = tuple(value)
-        else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ScenarioError(f"params.{key} must be a number")
-            overrides[key] = float(value)
     try:
+        for key, value in raw.items():
+            if key == "spin":
+                if (not isinstance(value, (list, tuple)) or len(value) != 4
+                        or not all(type(v) is int and v in (1, -1) for v in value)):
+                    raise ScenarioError("params.spin must be four entries of +1/-1")
+                overrides[key] = tuple(value)
+            else:
+                overrides[key] = _number(value, f"params.{key}")
         return dataclasses.replace(base, **overrides)
-    except ValueError as exc:
+    except ValueError as exc:     # a ScenarioError is a ValueError
         raise ScenarioError(f"invalid params: {exc}") from None
 
 
@@ -165,10 +174,7 @@ def _parse_weights(data: dict) -> dict[str, float]:
     if not isinstance(weights, dict):
         raise ScenarioError("'weights' must be an object")
     _reject_unknown(weights, _WEIGHT_KEYS, "weights")
-    for key, value in weights.items():
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise ScenarioError(f"weights.{key} must be a finite number")
-    return {key: float(value) for key, value in weights.items()}
+    return {key: _number(value, f"weights.{key}") for key, value in weights.items()}
 
 
 def _parse_name(data: dict) -> str | None:
@@ -214,7 +220,7 @@ def load_scenario(path: str | Path,
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # JSONDecodeError, or an int over the digit limit
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from None
     return parse_scenario(data, base_params)
 
@@ -317,16 +323,6 @@ def save_plan(plan: Plan, start: Configuration, path: str | Path,
     return doc
 
 
-def load_plan_document(path: str | Path) -> dict:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot load plan file {path}: {exc}") from None
-    if not isinstance(data, dict) or data.get("format") != _PLAN_FORMAT:
-        raise ScenarioError(f"{path} is not a marsplan plan file")
-    return data
-
-
 def _step_from_json(raw: Any, index: int) -> PlanStep:
     """Inverse of step_to_json; structural faults raise ScenarioError."""
     where = f"steps[{index}]"
@@ -351,9 +347,7 @@ def _step_from_json(raw: Any, index: int) -> PlanStep:
     note = raw.get("note")
     if note is not None and not isinstance(note, str):
         raise ScenarioError(f"{where}.note must be a string")
-    post_cm = raw["post_cm"]
-    if post_cm is not None and (type(post_cm) not in (int, float) or not math.isfinite(post_cm)):
-        raise ScenarioError(f"{where}.post_cm must be a finite number or null")
+    post_cm = math.inf if raw["post_cm"] is None else _number(raw["post_cm"], f"{where}.post_cm")
     waypoints = tuple(_parse_cell(c, f"{where}.path")
                       for c in _list(raw["path"], f"{where}.path"))
     try:
@@ -363,7 +357,7 @@ def _step_from_json(raw: Any, index: int) -> PlanStep:
     return PlanStep(kind=kind, phase=phase,
                     moved_cells=tuple(sorted(cells)), path=path,
                     post_config=config_from_json(raw["post_config"], f"{where}.post_config"),
-                    post_cm=math.inf if post_cm is None else float(post_cm),
+                    post_cm=post_cm,
                     note=note)
 
 

@@ -49,6 +49,12 @@ _POLISH_SIGMAS = (4e-4, 8e-5, 1.6e-5)
 _N_STARTS = 10
 
 
+def support(zono: WrenchZonotope, directions: np.ndarray) -> np.ndarray:
+    """Support function h(d) = d.c + sum_i |d.g_i| for the rows d of `directions`."""
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    return d @ zono.center + np.abs(d @ zono.generators.T).sum(axis=1)
+
+
 def sampling_cm(sub: Subassembly, params: PhysicalParams,
                 total: int = 100_000, seed: int = 0) -> float:
     """Margin upper bound from `total` random support-function probes.
@@ -72,7 +78,7 @@ def sampling_cm(sub: Subassembly, params: PhysicalParams,
 
     def margins(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        return d, zono.support(d) - d @ g
+        return d, support(zono, d) - d @ g
 
     zoom_budget = _N_STARTS * len(_ZOOM_SIGMAS) * 1_000
     polish_budget = 3 * 6_666
@@ -224,21 +230,23 @@ def reference_cm_signed_distance(zono: WrenchZonotope, g: np.ndarray) -> float:
 def reference_zonotope(sub: Subassembly, params: PhysicalParams) -> WrenchZonotope:
     """The wrench set built rotor by rotor from the allocation formula.
 
-    Rotor i of the unit at cell (x, y) sits at r = (x * pitch - mean(x) *
-    pitch + dx_i * arm, y * pitch - mean(y) * pitch + dy_i * arm), with
-    (dx_i, dy_i) = ROTOR_DIAGONALS[i]; its generator is (f_max / 2) *
-    [1, r_y, -r_x, spin_i * c_tau]. Rows go unit by unit, rotor by rotor,
-    and the center is the generators' sum.
+    Cells are taken from the footprint's min corner: x = cell.x - min(cell.x),
+    y = cell.y - min(cell.y). Rotor i of the unit at (x, y) sits at
+    r = (x * pitch - mean(x) * pitch + dx_i * arm, y * pitch - mean(y) *
+    pitch + dy_i * arm), with (dx_i, dy_i) = ROTOR_DIAGONALS[i]; its
+    generator is (f_max / 2) * [1, r_y, -r_x, spin_i * c_tau]. Rows go unit
+    by unit, rotor by rotor, and the center is the generators' sum.
     """
     pitch, arm, half = params.module_pitch, params.arm_offset, 0.5 * params.rotor_thrust_max
-    mean_x = sum(c.x for c in sub.cells) / sub.n
-    mean_y = sum(c.y for c in sub.cells) / sub.n
+    min_x, min_y = min(c.x for c in sub.cells), min(c.y for c in sub.cells)
+    mean_x = sum(c.x - min_x for c in sub.cells) / sub.n
+    mean_y = sum(c.y - min_y for c in sub.cells) / sub.n
     rows = []
     for cell, state in sub.units:
         for i in state.live_rotors():
             dx, dy = ROTOR_DIAGONALS[i]
-            rx = cell.x * pitch - mean_x * pitch + dx * arm
-            ry = cell.y * pitch - mean_y * pitch + dy * arm
+            rx = (cell.x - min_x) * pitch - mean_x * pitch + dx * arm
+            ry = (cell.y - min_y) * pitch - mean_y * pitch + dy * arm
             rows.append([half * 1.0, half * ry, half * -rx,
                          half * (params.spin[i] * params.yaw_torque_coeff)])
     generators = np.array(rows, dtype=float).reshape(len(rows), 4)

@@ -14,13 +14,12 @@ import pytest
 import marsplan
 from marsplan import cli
 from marsplan.cli import main
-from marsplan.controllability import DEFAULT_PARAMS, system_cm
+from marsplan.controllability import DEFAULT_PARAMS, clear_cm_cache, system_cm
 from marsplan.errors import PlanningError, SafetyViolationError, ScenarioError
 from marsplan.io import (
     config_from_json,
     config_to_json,
     document_to_bytes,
-    load_plan_document,
     load_scenario,
     params_to_json,
     parse_scenario,
@@ -137,6 +136,10 @@ def test_full_scenario_parses():
         # a Cell is the tuple (y, x): read as [x, y] it would be swapped
         ({"cells": [Cell(1, 0)]}, "cells[0]"),
         ({"cells": [[1, 0]], "faults": [{"cell": Cell(1, 0), "kind": "unit"}]}, "faults[0].cell"),
+        # ints too large for a float
+        ({"cells": [[0, 0]], "weights": {"c1": 10**400}}, "weights.c1"),
+        ({"cells": [[0, 0]], "params": {"gravity": 10**400}}, "params.gravity"),
+        ({"cells": [[0, 0]], "weights": {"epsilon": -(10**309)}}, "weights.epsilon"),
     ],
 )
 def test_scenario_rejections_name_the_problem(data, fragment):
@@ -283,13 +286,7 @@ def test_save_and_load_plan(tmp_path, rect_plan):
     out = tmp_path / "plan.json"
     doc = save_plan(p, start, out, name="demo")
     assert out.read_bytes() == document_to_bytes(doc)
-    assert load_plan_document(out) == doc
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"format": "other"}))
-    with pytest.raises(ScenarioError):
-        load_plan_document(bad)
-    with pytest.raises(ScenarioError):
-        load_plan_document(tmp_path / "missing.json")
+    assert json.loads(out.read_text()) == doc
 
 
 def test_replay_reaches_the_target(rect_plan):
@@ -321,14 +318,22 @@ def test_replay_rejects_corrupted_documents(rect_plan):
     ghost["steps"][0]["path"] = [[7, 7]]
     with pytest.raises(PlanningError):
         replay_document(ghost)
-    # a recorded margin must be finite (json reads NaN) and must be the
-    # margin of its step's configuration
+    # a recorded margin must be a finite number (json reads NaN, and ints of
+    # any size) and must be the margin of its step's configuration
     for margin, error, fragment in ((math.nan, ScenarioError, r"steps\[0\]\.post_cm"),
+                                    (10**400, ScenarioError, r"steps\[0\]\.post_cm"),
+                                    (True, ScenarioError, r"steps\[0\]\.post_cm"),
                                     (-5.0, PlanningError, "step 0 records margin"),
                                     (1e9, PlanningError, "step 0 records margin")):
         edited = json.loads(document_to_bytes(doc).decode())
         edited["steps"][0]["post_cm"] = margin
         with pytest.raises(error, match=fragment):
+            replay_document(edited)
+    # so must each weight, however large
+    for key in ("c1", "c2", "epsilon"):
+        edited = json.loads(document_to_bytes(doc).decode())
+        edited["weights"][key] = 10**400
+        with pytest.raises(ScenarioError, match=f"weights.{key}"):
             replay_document(edited)
     # a step has only its known keys, a string note, an integer index and
     # the kind that fits its number of moved cells
@@ -556,7 +561,7 @@ def test_cli_plan_writes_everything(tmp_path, capsys):
     assert code == 0
     line = capsys.readouterr().out.strip()
     assert line == "steps=5 detach_attach=10 path_length=8 min_cm=0.001549"
-    doc = load_plan_document(out)
+    doc = json.loads(out.read_text())
     assert replay_document(doc) is not None
     assert trace.exists()
     assert sorted(f.name for f in svgs.iterdir()) == [
@@ -583,13 +588,13 @@ def test_cli_weight_precedence(tmp_path, capsys):
     inp = scenario_file(tmp_path, data)
     out = tmp_path / "plan.json"
     assert main(["plan", "--input", inp, "--output", str(out)]) == 0
-    assert load_plan_document(out)["weights"]["c1"] == 3.0  # scenario beats default
+    assert json.loads(out.read_text())["weights"]["c1"] == 3.0  # scenario beats default
     assert main(["plan", "--input", inp, "--output", str(out), "--c1", "5.0"]) == 0
-    doc = load_plan_document(out)
+    doc = json.loads(out.read_text())
     assert doc["weights"]["c1"] == 5.0  # command line beats scenario
     assert doc["flags"]["relocation_rule"] is True
     assert main(["plan", "--input", inp, "--output", str(out), "--no-relocation-rule"]) == 0
-    assert load_plan_document(out)["flags"]["relocation_rule"] is False
+    assert json.loads(out.read_text())["flags"]["relocation_rule"] is False
     capsys.readouterr()
 
 
@@ -636,6 +641,30 @@ def test_cli_exit_codes(tmp_path, capsys):
     )
     assert main(["plan", "--input", stuck, "--output", str(tmp_path / "o.json")]) == 3
     assert "no-feasible-donor" in capsys.readouterr().err
+    # numbers past a float's range, or past the digit limit of int parsing,
+    # are input errors, not tracebacks
+    huge = scenario_file(tmp_path, {"cells": [[0, 0]], "weights": {"c1": 10**400}}, "huge.json")
+    long = tmp_path / "long.json"
+    long.write_text('{"cells": [[0, 0]], "params": {"gravity": ' + "9" * 5000 + "}}")
+    for path in (huge, str(long)):
+        for command in (["cm"], ["plan", "--output", str(tmp_path / "o.json")]):
+            assert main([*command, "--input", path]) == 1
+            assert "input error" in capsys.readouterr().err
+
+
+def test_cli_plan_far_from_the_origin_fails_as_at_it(tmp_path, capsys):
+    # A row of three with a unit fault at its end has no donor for the
+    # support the fault needs; the same row 10**30 cells away must read the
+    # same margins and fail the same way, not hover on a rounded-off margin.
+    # Each run starts from a cold cache, as `marsplan plan` does.
+    for offset in (10**30, 0):
+        clear_cm_cache()
+        row = scenario_file(tmp_path, {"cells": [[offset + x, 0] for x in range(3)],
+                                       "faults": [{"cell": [offset, 0], "kind": "unit"}]})
+        out = tmp_path / "o.json"
+        assert main(["plan", "--input", row, "--output", str(out)]) == 3
+        assert "no-feasible-donor" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_usage_errors_exit_with_input_error_code(tmp_path, capsys):
@@ -679,6 +708,11 @@ def test_cli_params_environment_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MARSPLAN_PARAMS", str(bool_params))
     assert main(["cm", "--input", inp]) == 1
     assert "gravity" in capsys.readouterr().err
+    long_params = tmp_path / "long_params.json"
+    long_params.write_text('{"gravity": ' + "9" * 5000 + "}")
+    monkeypatch.setenv("MARSPLAN_PARAMS", str(long_params))
+    assert main(["cm", "--input", inp]) == 1
+    assert "input error" in capsys.readouterr().err
 
 
 def test_cli_params_label_notes_scenario_overrides(tmp_path, capsys):
