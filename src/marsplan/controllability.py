@@ -107,73 +107,109 @@ def gravity_wrench(n_units: int, params: PhysicalParams = DEFAULT_PARAMS) -> np.
     return np.array([n_units * params.unit_mass * params.gravity, 0.0, 0.0, 0.0])
 
 
-@lru_cache
-def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs (j, k), j < k, sorted by j: the pairs with j > i are a suffix."""
-    return np.triu_indices(m, k=1)
-
-
 # Coordinate pairs (p, q), p < q, of the 2x2 minors of two generator rows.
 _MINOR_P = np.array([0, 0, 0, 1, 1, 2])
 _MINOR_Q = np.array([1, 2, 3, 2, 3, 3])
+# Cofactor map L(a) with cross(a, b, c) = minors(b, c) @ L(a): entry (p, k)
+# is _COFACTOR_SIGN[p, k] * a[_COFACTOR_INDEX[p, k]]. It is the Laplace
+# expansion of the generalized cross product along a, whose component k is
+# (-1)^k times the 3x3 minor of (a, b, c) that omits column k.
+_COFACTOR_INDEX = np.array([[0, 0, 3, 2], [0, 3, 0, 1], [0, 2, 1, 0],
+                            [3, 0, 0, 0], [2, 0, 0, 0], [1, 0, 0, 0]])
+_COFACTOR_SIGN = np.array([[0, 0, 1, -1], [0, -1, 0, 1], [0, 1, -1, 0],
+                           [1, 0, 0, -1], [-1, 0, 1, 0], [1, -1, 0, 0]], dtype=float)
+# Floats of `normals @ probe` in one batch of the margin kernel.
+_BATCH_FLOATS = 1 << 14
 
 
-def _cofactor_map(a: np.ndarray) -> np.ndarray:
-    """Matrix L(a) with cross(a, b, c) = minors(b, c) @ L(a).
+@lru_cache
+def _pair_index(m: int) -> np.ndarray:
+    """Flat indices into m rows of 4 of the factors of every pair's minors.
 
-    minors(b, c) holds the 2x2 minors b_p c_q - b_q c_p for (p, q) in
-    _MINOR_P/_MINOR_Q order; L(a) is the Laplace expansion of the
-    generalized cross product along a, whose component k is (-1)^k times the
-    3x3 minor of (a, b, c) that omits column k.
+    Entry [:, t, p] is (4j + P, 4k + Q, 4j + Q, 4k + P) for the t-th pair
+    (j, k), j < k, of np.triu_indices and (P, Q) = (_MINOR_P, _MINOR_Q)[p].
     """
-    a0, a1, a2, a3 = a
-    return np.array([
-        [0.0, 0.0, a3, -a2],
-        [0.0, -a3, 0.0, a1],
-        [0.0, a2, -a1, 0.0],
-        [a3, 0.0, 0.0, -a0],
-        [-a2, 0.0, a0, 0.0],
-        [a1, -a0, 0.0, 0.0],
-    ])
+    j, k = np.triu_indices(m, k=1)
+    j, k = 4 * j[:, None], 4 * k[:, None]
+    return np.stack((j + _MINOR_P, k + _MINOR_Q, j + _MINOR_Q, k + _MINOR_P))
 
 
-def _facet_normal_chunks(generators: np.ndarray):
-    """Yield (normals, lengths) of the triples (i, j, k), i < j < k, one chunk per i.
+def _pair_minors(rows: np.ndarray) -> np.ndarray:
+    """minors(b, c) of every row pair (b, c), b before c, shape (C(m, 2), 6)."""
+    f = rows.ravel()[_pair_index(rows.shape[0])]
+    return f[0] * f[1] - f[2] * f[3]
 
-    Each normal is the generalized cross product of the three normalized
-    generator rows, unscaled; triples whose product is shorter than 1e-9
-    (dependent, or one generator is zero) are dropped. A chunk holds at most
-    C(m - 1, 2) normals.
+
+def _cofactor_maps(rows: np.ndarray) -> np.ndarray:
+    """The maps L(a) of the rows side by side, shape (6, 4m): column block i is L(rows[i])."""
+    return (rows[:, _COFACTOR_INDEX] * _COFACTOR_SIGN).transpose(1, 0, 2).reshape(6, -1)
+
+
+def _facet_normal_batches(generators: np.ndarray):
+    """Yield (normals, lengths) covering every hyperplane spanned by three
+    independent generators.
+
+    The normalized rows are split in two parts A and B, first by the sign
+    of the yaw column, which puts each spin layer of a wrench set in its own
+    part. The triples are those inside each part plus the pairs of A with
+    the rows of B and the pairs of B with the rows of A. A part of three or
+    more rows is checked against n = (a_3, 0, 0, -a_0) from its first row a,
+    the yaw normal of a layer: when every row is orthogonal to n (to 1e-12
+    of |n|), every independent triple inside the part has normal +-n, so n
+    (length 1) stands for them. Any other part is halved and split again; one of fewer
+    than three rows has no triple inside.
+
+    Cross triples come as unscaled generalized cross products, one product
+    `_pair_minors(A) @ _cofactor_maps(rows of B)` per batch of about
+    _BATCH_FLOATS / (m + 1) normals (at least one row of B). Products
+    shorter than 1e-9 (dependent rows) are dropped.
     """
     norms = np.linalg.norm(generators, axis=1)
-    keep = norms > 0
-    rows = generators[keep] / norms[keep][:, None]
-    m = rows.shape[0]
-    if m < 3:
-        return
-    j, k = _pair_index(m)
-    b, c = rows[j], rows[k]
-    minors = b[:, _MINOR_P] * c[:, _MINOR_Q] - b[:, _MINOR_Q] * c[:, _MINOR_P]
-    start = 0
-    for i in range(m - 2):
-        start += m - 1 - i
-        normals = minors[start:] @ _cofactor_map(rows[i])
-        lens = np.linalg.norm(normals, axis=1)
-        ok = lens > 1e-9
-        yield normals[ok], lens[ok]
+    rows = generators[norms > 0] / norms[norms > 0, None]
+    rows = rows[np.argsort(rows[:, 3] < 0.0, kind="stable")]
+    per_normal = generators.shape[0] + 1
+    splits = [(0, int(np.count_nonzero(rows[:, 3] >= 0.0)), rows.shape[0])]
+    for lo, mid, hi in splits:   # halved parts append their splits
+        seeds = []
+        for start, stop in ((lo, mid), (mid, hi)):
+            if stop - start < 3:
+                continue
+            a0, a3 = rows[start, 0], rows[start, 3]
+            n = np.array([a3, 0.0, 0.0, -a0])
+            length = math.hypot(a0, a3)
+            if length > 1e-9 and float(np.abs(rows[start:stop] @ n).max()) <= 1e-12 * length:
+                seeds.append(n / length)
+            else:
+                splits.append((start, (start + stop) // 2, stop))
+        if seeds:
+            yield np.array(seeds), np.ones(len(seeds))
+        for a, b in ((rows[lo:mid], rows[mid:hi]), (rows[mid:hi], rows[lo:mid])):
+            if len(a) < 2 or not len(b):
+                continue
+            minors = _pair_minors(a)
+            step = max(1, _BATCH_FLOATS // (len(minors) * per_normal))
+            for first in range(0, len(b), step):
+                normals = (minors @ _cofactor_maps(b[first:first + step])).reshape(-1, 4)
+                lens = np.linalg.norm(normals, axis=1)
+                ok = lens > 1e-9
+                if not ok.all():
+                    normals, lens = normals[ok], lens[ok]
+                yield normals, lens
 
 
 def facet_normal_candidates(generators: np.ndarray) -> np.ndarray:
-    """Unit normals of all hyperplanes spanned by three independent generators.
+    """Unit normals of the kernel's batches, which cover every hyperplane
+    spanned by three independent generators.
 
     Facets of a 4-D zonotope are spanned by generator triples, so this set
-    contains every facet normal (plus harmless extras from triples that do not
-    actually support a facet). There is one row per independent triple, with
-    no sign canonicalization and no deduplication: the margin is symmetric in
-    +-eta and a minimum ignores repeats.
+    contains every facet normal (plus harmless extras from triples that do
+    not actually support a facet). A part of rows in one hyperplane gives its
+    normal once; every other triple gives one row, with no sign
+    canonicalization and no deduplication: the margin is symmetric in +-eta
+    and a minimum ignores repeats.
     """
-    chunks = [normals / lens[:, None] for normals, lens in _facet_normal_chunks(generators)]
-    return np.concatenate([np.zeros((0, 4)), *chunks])
+    batches = [normals / lens[:, None] for normals, lens in _facet_normal_batches(generators)]
+    return np.concatenate([np.zeros((0, 4)), *batches])
 
 
 def _distance_to_zonotope(zono: WrenchZonotope, point: np.ndarray) -> float:
@@ -195,11 +231,17 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray, floor: float = -math
 
     Interior case: exact minimum over facet margins,
         margin(eta) = (eta.c + sum_i |eta.g_i|) - eta.g, minimized over +-eta,
-    that is sum_i |eta.g_i| - |eta.(c - g)|. The normals are streamed one
-    chunk of triples at a time and only the running minimum is kept, so
-    memory is bounded by one chunk, O(C(m - 1, 2) * m), not by all C(m, 3)
-    triples. Exterior or degenerate case (generator rank < 4, empty
-    interior): minus the projection distance onto the set.
+    that is sum_i |eta.g_i| - |eta.(c - g)|. The generators of one spin
+    layer lie in the hyperplane of its yaw normal (-sigma * c_tau, 0, 0, 1),
+    so every triple inside a layer has that normal, whose slack is
+    yaw_authority_bound. _facet_normal_batches splits the generators by the
+    sign of their yaw column into the layers, seeds the running minimum with
+    the two layer normals and enumerates only the cross-layer triples, a
+    pair of one layer with a row of the other. Only the running minimum is
+    kept, so memory is bounded by one batch, not by all triples: `normals @
+    probe` holds at most max(_BATCH_FLOATS, C(k, 2) * (m + 1)) floats, k < m
+    the rows of a layer. Exterior or degenerate case (generator rank < 4,
+    empty interior): minus the projection distance onto the set.
 
     A margin at or above `floor` is returned exactly. Below it the result
     may instead be an upper bound u with margin <= u < floor - 1e-9: every
@@ -213,14 +255,14 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray, floor: float = -math
     if zono.m < 4 or np.linalg.matrix_rank(zono.generators, tol=1e-12 * scale) < 4:
         d = _distance_to_zonotope(zono, g)
         return 0.0 if d <= tol else -d
-    # One product per chunk gives every eta.g_i and eta.(c - g); the weights
+    # One product per batch gives every eta.g_i and eta.(c - g); the weights
     # add the first m absolute values and subtract the last, and dividing by
     # the lengths rescales the unscaled normals to unit ones.
     probe = np.column_stack((zono.generators.T, zono.center - g))
     weights = np.ones(zono.m + 1)
     weights[-1] = -1.0
     margin = math.inf
-    for normals, lens in _facet_normal_chunks(zono.generators):
+    for normals, lens in _facet_normal_batches(zono.generators):
         products = normals @ probe
         np.abs(products, out=products)
         margin = min(margin, float((products @ weights / lens).min(initial=math.inf)))

@@ -7,6 +7,7 @@ every case in the table.
 """
 
 import math
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -250,7 +251,7 @@ _INSIDE = np.array([0.01, 0.002, -0.001, 0.0005])
 _OUTSIDE = np.array([0.5, 0.0, 0.0, 0.0])
 
 # Solid blocks with 0-2 unit or rotor faults: m = 28..120 generators, so the
-# chunked kernel runs at the sizes the planner reaches.
+# batched kernel runs at the sizes the planner reaches.
 KERNEL_BLOCKS = {
     "3x3": (3, 3, {}),
     "3x3-u": (3, 3, {(1, 1): UNIT_FAULT}),
@@ -268,6 +269,10 @@ KERNEL_EDGES = {
     "zero-generator-outside": ([_E[0], np.zeros(4), _E[1], _E[2], _E[3]], _OUTSIDE),
     "coplanar-triple": ([_E[0], _E[1], _E[0] + _E[1], _E[2], _E[3]], _INSIDE),
     "coplanar-only": ([_E[0], _E[1], _E[0] - _E[1]], _INSIDE),
+    # yaw-sign parts of rank 4, which no hyperplane check passes, so each
+    # part is halved again; the nearest facet lies inside one of them
+    "gaussian": (np.random.default_rng(33).normal(size=(14, 4)), _INSIDE),
+    "one-yaw-sign": (np.abs(np.random.default_rng(19).normal(size=(10, 4))), _INSIDE),
 }
 
 
@@ -280,6 +285,44 @@ def test_kernel_matches_the_all_triples_reference(name):
         zono, g = build_zonotope(sub), gravity_wrench(sub.n)
     assert cm_signed_distance(zono, g) == pytest.approx(
         reference_cm_signed_distance(zono, g), abs=1e-9)
+
+
+def test_gaussian_edge_case_has_yaw_sign_parts_of_rank_4():
+    generators = np.asarray(KERNEL_EDGES["gaussian"][0])
+    for part in (generators[generators[:, 3] >= 0], generators[generators[:, 3] < 0]):
+        assert np.linalg.matrix_rank(part) == 4
+    assert np.all(np.asarray(KERNEL_EDGES["one-yaw-sign"][0])[:, 3] > 0)
+
+
+def test_the_kernel_enumerates_only_cross_layer_triples_on_a_3x3_block():
+    # 16 live rotors per spin layer: the two layer normals stand for every
+    # triple inside a layer, and 2 * C(16, 2) * 16 triples cross the layers
+    # (C(32, 3) = 4960 triples in all, 4920 of them independent).
+    zono = build_zonotope(_block(3, 3, {(1, 1): UNIT_FAULT}))
+    assert zono.m == 32
+    normals = facet_normal_candidates(zono.generators)
+    assert normals.shape == (2 + 2 * math.comb(16, 2) * 16, 4) == (3842, 4)
+    c_tau = DEFAULT_PARAMS.yaw_torque_coeff
+    for sigma in (1, -1):
+        yaw = np.array([-sigma * c_tau, 0.0, 0.0, 1.0]) / math.hypot(1.0, c_tau)
+        assert np.abs(np.abs(normals @ yaw) - 1.0).min() <= 1e-12
+
+
+def test_kernel_peak_allocation_stays_within_one_triple_chunk():
+    # The all-triples loop held C(m - 1, 2) * (m + 1) floats of slack terms
+    # for its first row; batching the cross-layer triples stays below that.
+    zono = build_zonotope(_block(6, 5, {}))
+    g = gravity_wrench(30)
+    m = zono.m
+    cm_signed_distance(zono, g)          # fill the index caches first
+    tracemalloc.start()
+    try:
+        cm_signed_distance(zono, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m == 120
+    assert peak <= math.comb(m - 1, 2) * (m + 1) * 8
 
 
 def test_all_dead_margin_is_exactly_minus_weight():
@@ -688,3 +731,14 @@ def test_margin_never_exceeds_the_yaw_authority_bound(params, seed, n, nf):
     slack = (np.abs(normals @ zono.generators.T).sum(axis=1)
              - np.abs(normals @ (zono.center - gravity_wrench(sub.n, params))))
     assert bound == pytest.approx(float(slack.min()), abs=1e-12)
+
+
+@pytest.mark.parametrize("params", list(BOUND_PARAMS.values()), ids=list(BOUND_PARAMS))
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), nf=st.integers(0, 3))
+@settings(max_examples=15, deadline=None)
+def test_kernel_matches_the_all_triples_reference_under_every_layout(params, seed, n, nf):
+    rng = np.random.default_rng(seed)
+    sub = random_faulty_subassembly(rng, n, nf)
+    zono = build_zonotope(sub, params)
+    g = gravity_wrench(sub.n, params)
+    assert cm_signed_distance(zono, g) == pytest.approx(reference_cm_signed_distance(zono, g), abs=1e-9)
