@@ -29,7 +29,6 @@ from .model import Configuration, FaultKind, FaultState, Subassembly, partition
 # arm_offset * ROTOR_DIAGONALS[i] from the unit center; opposite corners spin
 # the same way so yaw is balanced on a healthy unit.
 ROTOR_DIAGONALS: tuple[tuple[int, int], ...] = ((1, 1), (-1, 1), (-1, -1), (1, -1))
-_NEGATE_X = np.array([1.0, 1.0, -1.0, 1.0])                         # (1, r_y, r_x, .) -> (1, r_y, -r_x, .)
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,9 @@ class WrenchZonotope:
 
 @lru_cache
 def _rotor_slots(params: PhysicalParams) -> np.ndarray:
-    """Row i is [1, dy * arm_offset, dx * arm_offset, spin[i] * c_tau], (dx, dy) = ROTOR_DIAGONALS[i]."""
-    return np.column_stack((np.ones(4), params.arm_offset * np.array(ROTOR_DIAGONALS, dtype=float)[:, ::-1],
-                            np.multiply(params.spin, params.yaw_torque_coeff)))
+    """Row i is [1, dy * arm_offset, -dx * arm_offset, spin[i] * c_tau], (dx, dy) = ROTOR_DIAGONALS[i]."""
+    arms = params.arm_offset * np.array([(dy, -dx) for dx, dy in ROTOR_DIAGONALS], dtype=float)
+    return np.column_stack((np.ones(4), arms, np.multiply(params.spin, params.yaw_torque_coeff)))
 
 
 def build_zonotope(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS) -> WrenchZonotope:
@@ -94,11 +93,11 @@ def build_zonotope(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS) ->
     stays in the gravity wrench), a rotor fault one row.
     """
     live = [4 * u + i for u, (_, state) in enumerate(sub.units) for i in state.live_rotors()]
-    cells = np.array([(0, y, x, 0) for x, y, _ in sub.canonical()], dtype=float)
+    cells = np.array([(0, y, -x, 0) for x, y, _ in sub.canonical()], dtype=float)
     pitch = params.module_pitch
-    # unit center (0, y, x, 0) about the centroid plus slot row: [1, r_y, r_x, spin * c_tau]
+    # unit center (0, y, -x, 0) about the centroid plus slot row: [1, r_y, -r_x, spin * c_tau]
     rows = ((cells * pitch - cells.mean(axis=0) * pitch)[:, None] + _rotor_slots(params)).reshape(-1, 4)[live]
-    generators = 0.5 * params.rotor_thrust_max * (rows * _NEGATE_X)
+    generators = 0.5 * params.rotor_thrust_max * rows
     return WrenchZonotope(center=generators.sum(axis=0), generators=generators)
 
 
@@ -149,52 +148,51 @@ def _facet_normal_batches(generators: np.ndarray):
     """Yield (normals, lengths) covering every hyperplane spanned by three
     independent generators.
 
-    The normalized rows are split in two parts A and B, first by the sign
-    of the yaw column, which puts each spin layer of a wrench set in its own
-    part. The triples are those inside each part plus the pairs of A with
-    the rows of B and the pairs of B with the rows of A. A part of three or
-    more rows is checked against n = (a_3, 0, 0, -a_0) from its first row a,
-    the yaw normal of a layer: when every row is orthogonal to n (to 1e-12
-    of |n|), every independent triple inside the part has normal +-n, so n
-    (length 1) stands for them. Any other part is halved and split again; one of fewer
-    than three rows has no triple inside.
+    The normalized rows are split once, by the sign of the yaw column, into
+    parts A and B, which puts each spin layer of a wrench set in its own
+    part. A part of three or more rows is checked against n = (a_3, 0, 0,
+    -a_0) from its first row a, the yaw normal of a layer: when every row is
+    orthogonal to n (to 1e-12 of |n|), every independent triple inside the
+    part has normal +-n, so n (length 1) stands for them. A part that fails
+    is paired with itself, so its inside triples come from its pairs with its
+    own rows. Batches come as the seeds, the pairs of A with the rows of B,
+    those of B with A, then any self pairs.
 
-    Cross triples come as unscaled generalized cross products, one product
-    `_pair_minors(A) @ _cofactor_maps(rows of B)` per batch of about
-    _BATCH_FLOATS / (m + 1) normals (at least one row of B). Products
-    shorter than 1e-9 (dependent rows) are dropped.
+    Each batch is one product `_pair_minors(P) @ _cofactor_maps(rows of Q)`
+    of about _BATCH_FLOATS / (m + 1) unscaled generalized cross products (at
+    least one row of Q). Products shorter than 1e-9 (dependent rows, such as
+    a repeated one) are dropped; a triple repeated does not change a minimum.
     """
     norms = np.linalg.norm(generators, axis=1)
     rows = generators[norms > 0] / norms[norms > 0, None]
-    rows = rows[np.argsort(rows[:, 3] < 0.0, kind="stable")]
+    up = rows[:, 3] >= 0.0
+    a, b = rows[up], rows[~up]
+    seeds, pairs = [], [(a, b), (b, a)]
+    for part in (a, b):
+        if len(part) < 3:
+            continue
+        a0, a3 = part[0, 0], part[0, 3]
+        n = np.array([a3, 0.0, 0.0, -a0])
+        length = math.hypot(a0, a3)
+        if length > 1e-9 and float(np.abs(part @ n).max()) <= 1e-12 * length:
+            seeds.append(n / length)
+        else:
+            pairs.append((part, part))
+    if seeds:
+        yield np.array(seeds), np.ones(len(seeds))
     per_normal = generators.shape[0] + 1
-    splits = [(0, int(np.count_nonzero(rows[:, 3] >= 0.0)), rows.shape[0])]
-    for lo, mid, hi in splits:   # halved parts append their splits
-        seeds = []
-        for start, stop in ((lo, mid), (mid, hi)):
-            if stop - start < 3:
-                continue
-            a0, a3 = rows[start, 0], rows[start, 3]
-            n = np.array([a3, 0.0, 0.0, -a0])
-            length = math.hypot(a0, a3)
-            if length > 1e-9 and float(np.abs(rows[start:stop] @ n).max()) <= 1e-12 * length:
-                seeds.append(n / length)
-            else:
-                splits.append((start, (start + stop) // 2, stop))
-        if seeds:
-            yield np.array(seeds), np.ones(len(seeds))
-        for a, b in ((rows[lo:mid], rows[mid:hi]), (rows[mid:hi], rows[lo:mid])):
-            if len(a) < 2 or not len(b):
-                continue
-            minors = _pair_minors(a)
-            step = max(1, _BATCH_FLOATS // (len(minors) * per_normal))
-            for first in range(0, len(b), step):
-                normals = (minors @ _cofactor_maps(b[first:first + step])).reshape(-1, 4)
-                lens = np.linalg.norm(normals, axis=1)
-                ok = lens > 1e-9
-                if not ok.all():
-                    normals, lens = normals[ok], lens[ok]
-                yield normals, lens
+    for p, q in pairs:
+        if len(p) < 2 or not len(q):
+            continue
+        minors = _pair_minors(p)
+        step = max(1, _BATCH_FLOATS // (len(minors) * per_normal))
+        for first in range(0, len(q), step):
+            normals = (minors @ _cofactor_maps(q[first:first + step])).reshape(-1, 4)
+            lens = np.linalg.norm(normals, axis=1)
+            ok = lens > 1e-9
+            if not ok.all():
+                normals, lens = normals[ok], lens[ok]
+            yield normals, lens
 
 
 def facet_normal_candidates(generators: np.ndarray) -> np.ndarray:
@@ -237,11 +235,12 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray, floor: float = -math
     yaw_authority_bound. _facet_normal_batches splits the generators by the
     sign of their yaw column into the layers, seeds the running minimum with
     the two layer normals and enumerates only the cross-layer triples, a
-    pair of one layer with a row of the other. Only the running minimum is
-    kept, so memory is bounded by one batch, not by all triples: `normals @
-    probe` holds at most max(_BATCH_FLOATS, C(k, 2) * (m + 1)) floats, k < m
-    the rows of a layer. Exterior or degenerate case (generator rank < 4,
-    empty interior): minus the projection distance onto the set.
+    pair of one layer with a row of the other (a part off its yaw hyperplane
+    pairs with itself too). Only the running minimum is kept, so memory is
+    bounded by one batch, not by all triples: `normals @ probe` holds at most
+    max(_BATCH_FLOATS, C(k, 2) * (m + 1)) floats, k < m the rows of a
+    layer. A negative minimum (exterior) or a generator rank below 4 (empty
+    interior) ends at the one projection exit: minus the distance to the set.
 
     A margin at or above `floor` is returned exactly. Below it the result
     may instead be an upper bound u with margin <= u < floor - 1e-9: every
@@ -252,28 +251,26 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray, floor: float = -math
     g = np.asarray(g, dtype=float)
     scale = zono.scale() + float(np.linalg.norm(g)) + 1.0
     tol = 1e-9 * scale
-    if zono.m < 4 or np.linalg.matrix_rank(zono.generators, tol=1e-12 * scale) < 4:
-        d = _distance_to_zonotope(zono, g)
-        return 0.0 if d <= tol else -d
-    # One product per batch gives every eta.g_i and eta.(c - g); the weights
-    # add the first m absolute values and subtract the last, and dividing by
-    # the lengths rescales the unscaled normals to unit ones.
-    probe = np.column_stack((zono.generators.T, zono.center - g))
-    weights = np.ones(zono.m + 1)
-    weights[-1] = -1.0
-    margin = math.inf
-    for normals, lens in _facet_normal_batches(zono.generators):
-        products = normals @ probe
-        np.abs(products, out=products)
-        margin = min(margin, float((products @ weights / lens).min(initial=math.inf)))
-        # In [-tol, 0) the projection below may snap the margin to 0.0,
-        # which lies above this bound.
-        if margin < floor - tol and not -tol <= margin < 0.0:
+    if zono.m >= 4 and np.linalg.matrix_rank(zono.generators, tol=1e-12 * scale) == 4:
+        # One product per batch gives every eta.g_i and eta.(c - g); the
+        # weights add the first m absolute values and subtract the last, and
+        # dividing by the lengths rescales the unscaled normals to unit ones.
+        probe = np.column_stack((zono.generators.T, zono.center - g))
+        weights = np.ones(zono.m + 1)
+        weights[-1] = -1.0
+        margin = math.inf
+        for normals, lens in _facet_normal_batches(zono.generators):
+            products = normals @ probe
+            np.abs(products, out=products)
+            margin = min(margin, float((products @ weights / lens).min(initial=math.inf)))
+            # In [-tol, 0) the projection below may snap the margin to 0.0,
+            # which lies above this bound.
+            if margin < floor - tol and not -tol <= margin < 0.0:
+                return margin
+            if margin < 0.0:
+                break  # outside: the projection below gives the margin
+        else:
             return margin
-        if margin < 0.0:
-            break  # outside: the projection below gives the margin
-    if margin >= 0.0:
-        return margin
     d = _distance_to_zonotope(zono, g)
     return 0.0 if d <= tol else -d
 

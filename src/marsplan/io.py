@@ -216,7 +216,7 @@ def load_scenario(path: str | Path,
                   base_params: PhysicalParams = DEFAULT_PARAMS) -> Scenario:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
     try:
         data = json.loads(text)

@@ -200,21 +200,19 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
     components = connected_components(cells)
     component_of = {c: i for i, comp in enumerate(components) for c in comp}
     distinct_orders = sorted(set(permutations(fault_states)))
-    best: tuple[float, float, dict[Cell, FaultState]] | None = None  # (rounded cm, cm, placement)
+    # (rounded cm, cm, placement); the first candidate beats the -inf start
+    best: tuple[float, float, dict[Cell, FaultState]] = (-math.inf, -math.inf, {})
     for combo in combinations(cells, len(fault_states)):
         for order in distinct_orders:
             placement = dict(zip(combo, order))
-            if best is not None:
-                bound = _placement_bound(placement, components, component_of, params)
-                if round(bound + 1e-12, _TIE_DECIMALS) <= best[0] and max(bound, best[0]) >= 0.0:
-                    continue
+            bound = _placement_bound(placement, components, component_of, params)
+            if round(bound + 1e-12, _TIE_DECIMALS) <= best[0] and max(bound, best[0]) >= 0.0:
+                continue
             subs = (Subassembly(tuple((c, placement.get(c, HEALTHY)) for c in comp))
                     for comp in components)
-            floor = -math.inf if best is None else best[0]
-            cm = faulty_cm(subs, params, floor)
-            if best is None or round(cm, _TIE_DECIMALS) > best[0]:
+            cm = faulty_cm(subs, params, best[0])
+            if round(cm, _TIE_DECIMALS) > best[0]:
                 best = (round(cm, _TIE_DECIMALS), cm, placement)
-    assert best is not None
     return TargetConfiguration(Configuration.from_cells(cells, best[2]), best[1])
 
 

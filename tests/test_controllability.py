@@ -152,6 +152,10 @@ def test_thrust_axis_support_is_total_live_budget(name):
 SPIN_LAYOUTS = sorted(set(permutations((1, 1, -1, -1))))
 
 
+def spin_id(spin):
+    return "".join("+" if v > 0 else "-" for v in spin)
+
+
 def test_zonotope_matches_the_per_rotor_reference_bit_for_bit():
     rng = np.random.default_rng(14)
     subs = [
@@ -269,8 +273,12 @@ KERNEL_EDGES = {
     "zero-generator-outside": ([_E[0], np.zeros(4), _E[1], _E[2], _E[3]], _OUTSIDE),
     "coplanar-triple": ([_E[0], _E[1], _E[0] + _E[1], _E[2], _E[3]], _INSIDE),
     "coplanar-only": ([_E[0], _E[1], _E[0] - _E[1]], _INSIDE),
+    # rank 3 with the hover wrench in the set's hyperplane: inside the flat
+    # set it lies on the boundary (0.0), outside it 0.35 from the set
+    "flat-inside": ([_E[0], _E[1], _E[2], _E[0] + _E[1] + _E[2]], _INSIDE * [1, 1, 1, 0]),
+    "flat-outside": ([_E[0], _E[1], _E[2], _E[0] + _E[1] + _E[2]], _OUTSIDE),
     # yaw-sign parts of rank 4, which no hyperplane check passes, so each
-    # part is halved again; the nearest facet lies inside one of them
+    # part is paired with itself; the nearest facet lies inside one of them
     "gaussian": (np.random.default_rng(33).normal(size=(14, 4)), _INSIDE),
     "one-yaw-sign": (np.abs(np.random.default_rng(19).normal(size=(10, 4))), _INSIDE),
 }
@@ -294,15 +302,29 @@ def test_gaussian_edge_case_has_yaw_sign_parts_of_rank_4():
     assert np.all(np.asarray(KERNEL_EDGES["one-yaw-sign"][0])[:, 3] > 0)
 
 
-def test_the_kernel_enumerates_only_cross_layer_triples_on_a_3x3_block():
-    # 16 live rotors per spin layer: the two layer normals stand for every
-    # triple inside a layer, and 2 * C(16, 2) * 16 triples cross the layers
-    # (C(32, 3) = 4960 triples in all, 4920 of them independent).
-    zono = build_zonotope(_block(3, 3, {(1, 1): UNIT_FAULT}))
-    assert zono.m == 32
+def test_flat_wrench_sets_read_zero_inside_and_minus_the_distance_outside():
+    # Every triple of a rank-3 set has the same normal, whose slack is 0
+    # inside and outside alike; only the projection tells them apart.
+    inside, outside = (_zonotope_case(*KERNEL_EDGES[name]) for name in ("flat-inside", "flat-outside"))
+    assert np.linalg.matrix_rank(inside[0].generators) == np.linalg.matrix_rank(outside[0].generators) == 3
+    assert cm_signed_distance(*inside) == 0.0
+    assert cm_signed_distance(*outside) == pytest.approx(-0.35, abs=1e-12)
+
+
+@pytest.mark.parametrize("spin", SPIN_LAYOUTS, ids=spin_id)
+@pytest.mark.parametrize("name", sorted(KERNEL_BLOCKS))
+def test_the_kernel_enumerates_only_cross_layer_triples(name, spin):
+    # Each spin layer lies in the hyperplane of its yaw normal, which stands
+    # for every triple inside the layer; the other triples pair two rows of
+    # one layer with a row of the other. Pairing a layer of k rows with
+    # itself would add C(k, 2) * (k - 2) independent triples.
+    params = PhysicalParams(spin=spin)
+    zono = build_zonotope(_block(*KERNEL_BLOCKS[name]), params)
+    k_a = int(np.count_nonzero(zono.generators[:, 3] >= 0.0))
+    k_b = zono.m - k_a
     normals = facet_normal_candidates(zono.generators)
-    assert normals.shape == (2 + 2 * math.comb(16, 2) * 16, 4) == (3842, 4)
-    c_tau = DEFAULT_PARAMS.yaw_torque_coeff
+    assert len(normals) <= 2 + math.comb(k_a, 2) * k_b + math.comb(k_b, 2) * k_a
+    c_tau = params.yaw_torque_coeff
     for sigma in (1, -1):
         yaw = np.array([-sigma * c_tau, 0.0, 0.0, 1.0]) / math.hypot(1.0, c_tau)
         assert np.abs(np.abs(normals @ yaw) - 1.0).min() <= 1e-12
@@ -475,8 +497,7 @@ def test_a_bound_cached_for_one_image_answers_its_mirror_image(monkeypatch):
 CONGRUENCE_LAYOUTS = ((1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 
 
-@pytest.mark.parametrize("spin", CONGRUENCE_LAYOUTS,
-                         ids=lambda spin: "".join("+" if v > 0 else "-" for v in spin))
+@pytest.mark.parametrize("spin", CONGRUENCE_LAYOUTS, ids=spin_id)
 def test_congruent_images_get_their_own_margins_under_every_spin_layout(spin):
     # Which grid motions keep the margin depends on the spin layout: a
     # quarter turn does under the alternating layout only. However the
@@ -708,8 +729,7 @@ def test_interior_hover_wrench_iff_positive_margin(seed, n, nf):
 
 
 # all six spin layouts, then a stronger yaw drag and weaker rotors
-BOUND_PARAMS = {"".join("+" if v > 0 else "-" for v in spin): PhysicalParams(spin=spin)
-                for spin in SPIN_LAYOUTS}
+BOUND_PARAMS = {spin_id(spin): PhysicalParams(spin=spin) for spin in SPIN_LAYOUTS}
 BOUND_PARAMS |= {"ctau0.02": PhysicalParams(yaw_torque_coeff=0.02),
                  "fmax0.1": PhysicalParams(rotor_thrust_max=0.1)}
 

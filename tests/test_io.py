@@ -646,7 +646,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     huge = scenario_file(tmp_path, {"cells": [[0, 0]], "weights": {"c1": 10**400}}, "huge.json")
     long = tmp_path / "long.json"
     long.write_text('{"cells": [[0, 0]], "params": {"gravity": ' + "9" * 5000 + "}}")
-    for path in (huge, str(long)):
+    # so is a file that is not UTF-8
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"cells": [[0, 0]], "name": "caf\u00e9"}'.encode("latin-1"))
+    for path in (huge, str(long), str(latin1)):
         for command in (["cm"], ["plan", "--output", str(tmp_path / "o.json")]):
             assert main([*command, "--input", path]) == 1
             assert "input error" in capsys.readouterr().err
@@ -742,3 +745,21 @@ def test_documented_interface_exists():
         module = importlib.import_module(f"marsplan.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_readme_cli_examples_print_what_the_cli_prints(tmp_path, capsys, monkeypatch):
+    # The README shows each command's output as `# ` lines under it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    monkeypatch.delenv("MARSPLAN_PARAMS", raising=False)
+    scenario = str(SCENARIOS / "rect3x2_fault3.json")
+    for command, argv in (
+        ("cm", ["cm", "--input", scenario]),
+        ("plan", ["plan", "--input", scenario, "--output", str(tmp_path / "plan.json"),
+                  "--cm-trace", str(tmp_path / "trace.csv"), "--svg-dir", str(tmp_path / "frames")]),
+    ):
+        block = re.search(rf"```sh\nmarsplan {command} --input scenarios/rect3x2_fault3.json"
+                          rf"(.*?)```", readme, re.S)
+        assert block is not None, command
+        shown = [line[2:] for line in block.group(1).splitlines() if line.startswith("# ")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == shown
