@@ -16,15 +16,13 @@ built-in defaults (scenario overrides still apply on top).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from .controllability import DEFAULT_PARAMS, PhysicalParams, system_cm, cached_subassembly_cm
 from .errors import InfeasibleTargetError, PlanningError, ScenarioError
-from .io import _parse_params, load_scenario, save_plan, write_cm_trace
+from .io import load_json, load_scenario, parse_params, save_plan, write_cm_trace
 from .model import partition
 from .planner import plan as compute_plan
 from .render import render_plan_svgs
@@ -67,15 +65,11 @@ def _base_params() -> PhysicalParams:
     override = os.environ.get(_PARAMS_ENV)
     if not override:
         return DEFAULT_PARAMS
+    data = load_json(override, f"{_PARAMS_ENV} file")
     try:
-        data = json.loads(Path(override).read_text())
-    except (OSError, ValueError) as exc:     # ValueError covers JSONDecodeError
-        raise ScenarioError(f"cannot load params file {override} from "
-                            f"{_PARAMS_ENV}: {exc}") from None
-    try:
-        return _parse_params(data, DEFAULT_PARAMS)
+        return parse_params(data)
     except ScenarioError as exc:
-        raise ScenarioError(f"params file {override}: {exc}") from None
+        raise ScenarioError(f"{_PARAMS_ENV} file {override}: {exc}") from None
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:

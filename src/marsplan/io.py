@@ -13,7 +13,11 @@ Scenario schema::
       "flags":   {"relocation_rule": bool}
     }
 
-Unknown keys are rejected by name at every level. Plan files serialize every
+Every JSON input goes through shared readers: `load_json` reads a file,
+`_object` rejects unknown and missing keys by name at every level, `_optional`
+reads an optional string or boolean, `parse_params` a params object (the CLI's
+params file too), and `_header` the `name`, `params`, `weights` and `flags` a
+scenario shares with a plan document. Plan files serialize every
 controllability margin with six decimal digits and carry each step's full
 post-move configuration so a plan can be re-simulated and checked bit-exactly;
 replay certifies every step with the planner's gate, under the file's params
@@ -29,7 +33,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Collection
 
 from .controllability import DEFAULT_PARAMS, PhysicalParams, system_cm
 from .errors import PlanningError, ScenarioError
@@ -50,9 +54,11 @@ _FAULT_KEYS = {"cell", "kind", "rotor_index"}
 _WEIGHT_KEYS = {"c1", "c2", "epsilon"}
 _FLAG_KEYS = {"relocation_rule"}
 _PARAM_KEYS = {f.name for f in dataclasses.fields(PhysicalParams)}
-_STEP_KEYS = {"index", "kind", "phase", "moved_cells", "path", "post_cm", "post_config"}
+# in name order, so a step that lacks several keys is told of the first
+_STEP_KEYS = ("index", "kind", "moved_cells", "path", "phase", "post_cm", "post_config")
 _PLAN_KEYS = {"format", "name", "params", "weights", "flags", "start_config", "steps", "summary"}
 _PLAN_FORMAT = "marsplan-plan-v1"
+_KIND_NAMES = {str: "a string", bool: "a boolean"}
 
 
 @dataclass
@@ -73,10 +79,35 @@ class Scenario:
                 if (value := getattr(self, key)) is not None}
 
 
-def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
-    for key in data:
+def load_json(path: str | Path, what: str) -> Any:
+    """The JSON value in the UTF-8 file at `path`; a file that cannot be read
+    or parsed raises ScenarioError naming `what` and the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:     # decode errors and JSONDecodeError are ValueErrors
+        raise ScenarioError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _object(raw: Any, allowed: Collection[str], where: str,
+            required: tuple[str, ...] = ()) -> dict:
+    """`raw` as a JSON object of `allowed` keys that has every `required` key."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where} must be an object")
+    for key in raw:
         if key not in allowed:
             raise ScenarioError(f"unknown key {key!r} in {where}")
+    for key in required:
+        if key not in raw:
+            raise ScenarioError(f"missing key {key!r} in {where}")
+    return raw
+
+
+def _optional(data: dict, key: str, kind: type, where: str) -> Any:
+    """`data[key]`, which must be a `kind` (str or bool), or None if it is unset."""
+    value = data.get(key)
+    if value is not None and not isinstance(value, kind):
+        raise ScenarioError(f"{where} must be {_KIND_NAMES[kind]}")
+    return value
 
 
 def _list(raw: Any, where: str) -> list:
@@ -104,11 +135,7 @@ def _parse_cell(raw: Any, where: str) -> Cell:
 
 
 def _parse_fault(raw: Any, where: str) -> tuple[Cell, FaultState]:
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where} must be an object")
-    _reject_unknown(raw, _FAULT_KEYS, where)
-    if "cell" not in raw:
-        raise ScenarioError(f"missing key 'cell' in {where}")
+    raw = _object(raw, _FAULT_KEYS, where, ("cell",))
     cell = _parse_cell(raw["cell"], f"{where}.cell")
     kind = raw.get("kind")
     if kind == "unit":
@@ -149,10 +176,9 @@ def _parse_config(data: dict, prefix: str) -> Configuration:
     return Configuration.from_cells(cells, faults)
 
 
-def _parse_params(raw: Any, base: PhysicalParams) -> PhysicalParams:
-    if not isinstance(raw, dict):
-        raise ScenarioError("'params' must be an object")
-    _reject_unknown(raw, _PARAM_KEYS, "params")
+def parse_params(raw: Any, base: PhysicalParams = DEFAULT_PARAMS) -> PhysicalParams:
+    """`base` with the physical-parameter overrides of the params object `raw`."""
+    raw = _object(raw, _PARAM_KEYS, "'params'")
     overrides: dict[str, Any] = {}
     try:
         for key, value in raw.items():
@@ -168,61 +194,33 @@ def _parse_params(raw: Any, base: PhysicalParams) -> PhysicalParams:
         raise ScenarioError(f"invalid params: {exc}") from None
 
 
-def _parse_weights(data: dict) -> dict[str, float]:
-    """The `weights` of a scenario or plan document: any subset of c1, c2, epsilon."""
-    weights = data.get("weights", {})
-    if not isinstance(weights, dict):
-        raise ScenarioError("'weights' must be an object")
-    _reject_unknown(weights, _WEIGHT_KEYS, "weights")
-    return {key: _number(value, f"weights.{key}") for key, value in weights.items()}
-
-
-def _parse_name(data: dict) -> str | None:
-    """The optional `name` of a scenario or plan document."""
-    name = data.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ScenarioError("'name' must be a string")
-    return name
-
-
-def _parse_relocation_rule(data: dict) -> bool | None:
-    flags = data.get("flags", {})
-    if not isinstance(flags, dict):
-        raise ScenarioError("'flags' must be an object")
-    _reject_unknown(flags, _FLAG_KEYS, "flags")
-    rule = flags.get("relocation_rule")
-    if rule is not None and not isinstance(rule, bool):
-        raise ScenarioError("flags.relocation_rule must be a boolean")
-    return rule
+def _header(data: dict, base: PhysicalParams) -> tuple[str | None, PhysicalParams, dict[str, Any]]:
+    """The `name`, `params` (over `base`), `weights` and `flags` that a scenario
+    and a plan document share; the last two as the keywords of `plan()` they set."""
+    name = _optional(data, "name", str, "'name'")
+    params = parse_params(data["params"], base) if "params" in data else base
+    weights = _object(data.get("weights", {}), _WEIGHT_KEYS, "'weights'")
+    settings = {key: _number(value, f"weights.{key}") for key, value in weights.items()}
+    flags = _object(data.get("flags", {}), _FLAG_KEYS, "'flags'")
+    rule = _optional(flags, "relocation_rule", bool, "flags.relocation_rule")
+    if rule is not None:
+        settings["relocation_rule"] = rule
+    return name, params, settings
 
 
 def parse_scenario(data: Any, base_params: PhysicalParams = DEFAULT_PARAMS) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
-    _reject_unknown(data, _SCENARIO_KEYS, "scenario")
+    _object(data, _SCENARIO_KEYS, "scenario")
     config = _parse_config(data, "")
-    params = _parse_params(data["params"], base_params) if "params" in data else base_params
-    weights = _parse_weights(data)
-    notes = data.get("notes")
-    if notes is not None and not isinstance(notes, str):
-        raise ScenarioError("'notes' must be a string")
-
-    return Scenario(config=config, params=params, name=_parse_name(data), c1=weights.get("c1"),
-                    c2=weights.get("c2"), epsilon=weights.get("epsilon"),
-                    relocation_rule=_parse_relocation_rule(data))
+    _optional(data, "notes", str, "'notes'")
+    name, params, settings = _header(data, base_params)
+    return Scenario(config=config, params=params, name=name, **settings)
 
 
 def load_scenario(path: str | Path,
                   base_params: PhysicalParams = DEFAULT_PARAMS) -> Scenario:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except ValueError as exc:     # JSONDecodeError, or an int over the digit limit
-        raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from None
-    return parse_scenario(data, base_params)
+    return parse_scenario(load_json(path, "scenario file"), base_params)
 
 
 # -- serialization --------------------------------------------------------
@@ -251,10 +249,7 @@ def config_to_json(config: Configuration) -> dict:
 
 
 def config_from_json(data: Any, where: str = "config") -> Configuration:
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{where} must be an object")
-    _reject_unknown(data, {"cells", "faults"}, where)
-    return _parse_config(data, f"{where}.")
+    return _parse_config(_object(data, ("cells", "faults"), where), f"{where}.")
 
 
 def params_to_json(params: PhysicalParams) -> dict:
@@ -326,12 +321,7 @@ def save_plan(plan: Plan, start: Configuration, path: str | Path,
 def _step_from_json(raw: Any, index: int) -> PlanStep:
     """Inverse of step_to_json; structural faults raise ScenarioError."""
     where = f"steps[{index}]"
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where} must be an object")
-    _reject_unknown(raw, _STEP_KEYS | {"note"}, where)
-    missing = _STEP_KEYS - raw.keys()
-    if missing:
-        raise ScenarioError(f"missing key {min(missing)!r} in {where}")
+    raw = _object(raw, (*_STEP_KEYS, "note"), where, _STEP_KEYS)
     if type(raw["index"]) is not int or raw["index"] != index:
         raise ScenarioError(f"{where}.index must be {index}, got {raw['index']!r}")
     try:
@@ -344,9 +334,7 @@ def _step_from_json(raw: Any, index: int) -> PlanStep:
         raise ScenarioError(f"{where}.moved_cells must not be empty")
     if (kind is StepKind.MOVE_UNIT) != (len(cells) == 1):
         raise ScenarioError(f"{where}.kind {kind.value!r} does not fit {len(cells)} moved cells")
-    note = raw.get("note")
-    if note is not None and not isinstance(note, str):
-        raise ScenarioError(f"{where}.note must be a string")
+    note = _optional(raw, "note", str, f"{where}.note")
     post_cm = math.inf if raw["post_cm"] is None else _number(raw["post_cm"], f"{where}.post_cm")
     waypoints = tuple(_parse_cell(c, f"{where}.path")
                       for c in _list(raw["path"], f"{where}.path"))
@@ -368,25 +356,18 @@ def replay_document(doc: dict) -> Configuration:
     malformed document raises ScenarioError; a step that fails validate_plan,
     or a `summary` other than the replayed plan's, raises PlanningError.
     """
-    if not isinstance(doc, dict):
-        raise ScenarioError("plan document must be an object")
-    _reject_unknown(doc, _PLAN_KEYS, "plan document")
+    _object(doc, _PLAN_KEYS, "plan document", ("start_config", "steps"))
     if doc.get("format", _PLAN_FORMAT) != _PLAN_FORMAT:
         raise ScenarioError(f"plan document format must be {_PLAN_FORMAT!r}")
-    for key in ("start_config", "steps"):
-        if key not in doc:
-            raise ScenarioError(f"missing key {key!r} in plan document")
-    _parse_name(doc)
-    params = _parse_params(doc["params"], DEFAULT_PARAMS) if "params" in doc else DEFAULT_PARAMS
-    weights = _parse_weights(doc)
+    _, params, settings = _header(doc, DEFAULT_PARAMS)
     start = config_from_json(doc["start_config"], "start_config")
     steps = [_step_from_json(raw, i) for i, raw in enumerate(_list(doc["steps"], "steps"))]
     final = steps[-1].post_config if steps else start
     # c1, c2 and the rule do not enter the check; they stay None when unset
+    settings = {"c1": None, "c2": None, "epsilon": DEFAULT_EPSILON, "relocation_rule": None,
+                **settings}
     replayed = Plan(steps=steps, target=TargetConfiguration(final, system_cm(final, params)),
-                    relocation_rule=_parse_relocation_rule(doc), c1=weights.get("c1"),
-                    c2=weights.get("c2"), epsilon=weights.get("epsilon", DEFAULT_EPSILON),
-                    params=params)
+                    params=params, **settings)
     validate_plan(start, replayed)
     summary = _summary(replayed)
     if doc.get("summary", summary) != summary:

@@ -161,13 +161,10 @@ class Configuration:
 
     __slots__ = ("_units", "_hash")
 
-    def __init__(self, units: Mapping[Cell, FaultState] | Iterable[tuple[Cell, FaultState]]):
-        items = list(units.items()) if isinstance(units, Mapping) else list(units)
-        for c, _ in items:
+    def __init__(self, units: Mapping[Cell, FaultState]):
+        for c in units:
             require_cell(c)
-        if len({c for c, _ in items}) != len(items):
-            raise CellOccupiedError("duplicate cell in configuration")
-        self._units: dict[Cell, FaultState] = dict(sorted(items))
+        self._units: dict[Cell, FaultState] = dict(sorted(units.items()))
         self._hash: int | None = None
 
     @classmethod
@@ -230,7 +227,7 @@ class Configuration:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Configuration({list(self._units.items())!r})"
+        return f"Configuration({self._units!r})"
 
     # -- edits -----------------------------------------------------------
 
@@ -257,8 +254,6 @@ class Configuration:
             dest = c + delta
             if dest in stationary:
                 raise DestinationCollisionError(f"{c} -> {dest} collides with a stationary unit")
-            if dest in units:
-                raise DestinationCollisionError(f"duplicate destination {dest}")
             units[dest] = self._units[c]
         return Configuration(units)
 

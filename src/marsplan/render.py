@@ -24,18 +24,12 @@ _MOVE_EDGE = "#1f6feb"
 
 
 def _bounds(plan: Plan, start: Configuration) -> tuple[int, int, int, int]:
-    xs: list[int] = []
-    ys: list[int] = []
-    for config in [start] + [s.post_config for s in plan.steps]:
-        for c in config.cells:
-            xs.append(c.x)
-            ys.append(c.y)
+    """The box around every configuration and every waypoint of the plan."""
+    cells = list(start.cells)
     for step in plan.steps:
-        span = max(c.x for c in step.moved_cells) - min(c.x for c in step.moved_cells)
-        rise = max(c.y for c in step.moved_cells) - min(c.y for c in step.moved_cells)
-        for w in step.path.waypoints:
-            xs.extend((w.x, w.x + span))
-            ys.extend((w.y, w.y + rise))
+        cells += [*step.post_config.cells, *step.path.waypoints]
+    xs = [c.x for c in cells]
+    ys = [c.y for c in cells]
     return min(xs), min(ys), max(xs), max(ys)
 
 

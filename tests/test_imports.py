@@ -1,4 +1,5 @@
-"""Every name a `marsplan` module imports is read in that module."""
+"""Every name a `marsplan` module imports is read in that module, and none is
+another module's private (underscore) name."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,22 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names that `source` imports from a `marsplan` module."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "marsplan")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_the_check_finds_a_private_import():
+    source = ("from __future__ import annotations\nfrom .io import _a, b\n"
+              "from marsplan.model import _c\nfrom os import _exit\n")
+    assert private_imports(source) == ["_a", "_c"]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_private_name_of_another(module):
+    assert private_imports(module.read_text()) == []

@@ -425,6 +425,11 @@ def test_replay_rejects_a_flight_that_leaves_the_arena():
     ("summary", "target_cm", 5.0, PlanningError, "summary does not match"),
     ("summary", "target_config", RECT32, PlanningError, "summary does not match"),
     ("name", None, 7, ScenarioError, "'name' must be a string"),
+    # the header a plan document shares with a scenario is read the same way
+    ("params", None, "x", ScenarioError, "'params' must be an object"),
+    ("params", "mass", 1, ScenarioError, "unknown key 'mass' in 'params'"),
+    ("flags", "relocation_rule", 1, ScenarioError, r"flags\.relocation_rule must be a boolean"),
+    ("weights", "c3", 1, ScenarioError, "unknown key 'c3' in 'weights'"),
 ])
 def test_replay_checks_the_documents_top_level_fields(rect_plan, key, field, value, error,
                                                       fragment):
@@ -716,6 +721,25 @@ def test_cli_params_environment_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MARSPLAN_PARAMS", str(long_params))
     assert main(["cm", "--input", inp]) == 1
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, b"{not json", '{"name": "caf\u00e9"}'.encode("latin-1")],
+                         ids=["missing", "malformed", "not-utf-8"])
+def test_cli_names_a_json_file_it_cannot_read(tmp_path, capsys, monkeypatch, content):
+    # scenario files and the MARSPLAN_PARAMS file are read by one reader
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_bytes(content)
+    good = scenario_file(tmp_path, RECT32, "good.json")
+    monkeypatch.delenv("MARSPLAN_PARAMS", raising=False)
+    for command in (["cm"], ["plan", "--output", str(tmp_path / "o.json")]):
+        assert main([*command, "--input", str(bad)]) == 1
+        assert f"input error: cannot read scenario file {bad}: " in capsys.readouterr().err
+        monkeypatch.setenv("MARSPLAN_PARAMS", str(bad))
+        assert main([*command, "--input", good]) == 1
+        assert f"input error: cannot read MARSPLAN_PARAMS file {bad}: " in capsys.readouterr().err
+        monkeypatch.delenv("MARSPLAN_PARAMS")
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_cli_params_label_notes_scenario_overrides(tmp_path, capsys):
