@@ -43,6 +43,7 @@ class InfeasibleAssignmentError(PlanningError):
 
 
 class SafetyViolationError(PlanningError):
+    """A move the gate rejects; `info["cause"]` names the check that failed."""
     reason = "safety-violation"
 
 

@@ -330,8 +330,8 @@ def _step_from_json(raw: Any, index: int) -> PlanStep:
         raise ScenarioError(f"{where}: {exc}") from None
     cells = [_parse_cell(c, f"{where}.moved_cells")
              for c in _list(raw["moved_cells"], f"{where}.moved_cells")]
-    if not cells:
-        raise ScenarioError(f"{where}.moved_cells must not be empty")
+    if not cells or len(set(cells)) < len(cells):
+        raise ScenarioError(f"{where}.moved_cells must be one or more distinct cells")
     if (kind is StepKind.MOVE_UNIT) != (len(cells) == 1):
         raise ScenarioError(f"{where}.kind {kind.value!r} does not fit {len(cells)} moved cells")
     note = _optional(raw, "note", str, f"{where}.note")

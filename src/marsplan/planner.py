@@ -21,10 +21,10 @@ Pipeline, in order:
    takes its A* route around the units standing at the time; a round
    commits its first flight as the assignment gated it.
 
-Every step passes one gate, `step_verdict`: the flying piece (when it carries
-faults) and the configuration after the move keep a margin at or above the
-floor. `_Pipeline._step` gates every step of every phase with it, and
-`validate_plan` re-checks every step of a finished plan with it. The
+Every step passes one gate, `step_verdict`, which owns every check of a move
+and names the first that fails: "unoccupied", "disconnected", "arena",
+"collision", "piece" or "post". `_Pipeline._step` gates every step of every
+phase with it, and `validate_plan` replays a finished plan through it. The
 structure left behind while the piece is in flight is not gated; only the
 donor ranking (`plan_vmcs_completion`) skips donors whose removal drops a
 faulty subassembly below the floor.
@@ -201,17 +201,29 @@ def conflict_free_targets(config: Configuration, target_cells: Iterable[Cell],
     return [t for t in reached if t not in crossed]
 
 
-def step_verdict(config: Configuration, moved: Sequence[Cell], path: GridPath,
+def step_verdict(config: Configuration, moved: Sequence[Cell], path: GridPath, arena: Arena,
                  params: PhysicalParams, epsilon: float
-                 ) -> tuple[Configuration, float | None, str | None]:
-    """The one safety gate: fly `moved` ((y, x) order) along `path` from `config`.
+                 ) -> tuple[Configuration | None, float | None, str | None]:
+    """The one move gate: fly `moved` ((y, x) order) along `path` from `config`.
 
     Returns the configuration after the move, its margin (exact when at or
-    above `epsilon`) and the first check that fails: "piece" when the flying
-    piece carries a fault and is below `epsilon` (the margin is then None),
-    "post" when the configuration after the move is, or None.
+    above `epsilon`) and the first check that fails, or None. "unoccupied",
+    "disconnected" (not 4-connected), "arena" (sweeps a cell outside `arena`)
+    and "collision" (sweeps a stationary unit) read no margin and return
+    (None, None, cause); "piece" (a faulty piece below `epsilon`) returns no
+    margin, and "post" (the configuration after the move below it) does.
     """
+    occupied = config.cell_set
+    if not occupied.issuperset(moved):
+        return None, None, "unoccupied"
+    if len(moved) > 1 and len(connected_components(moved)) > 1:
+        return None, None, "disconnected"
     ref = moved[0]
+    swept = swept_cells(moved, ref, path)
+    if not all(c in arena for c in swept):
+        return None, None, "arena"
+    if not occupied.isdisjoint(swept.difference(moved)):
+        return None, None, "collision"
     post = config.translate_set(moved, (path.goal.x - ref.x, path.goal.y - ref.y))
     flying = tuple((c, config.state(c)) for c in moved)
     if (any(s.is_faulty for _, s in flying)
@@ -282,11 +294,11 @@ class _Pipeline:
 
     def _step(self, moved: Sequence[Cell], path: GridPath, phase: Phase,
               note: str | None = None) -> PlanStep | None:
-        """The step that flies `moved` from `self.work` along `path` (which runs
-        from the smallest moved cell), or None when `step_verdict` rejects it."""
+        """The step flying `moved` along `path` (from its smallest cell), or None if rejected."""
         moved = tuple(sorted(moved))
-        post, post_cm, failure = step_verdict(self.work, moved, path, self.params, self.epsilon)
-        if failure is not None:
+        post, post_cm, cause = step_verdict(self.work, moved, path, self.arena, self.params,
+                                            self.epsilon)
+        if cause is not None:
             return None
         kind = StepKind.MOVE_UNIT if len(moved) == 1 else StepKind.MOVE_SUBASSEMBLY
         return PlanStep(kind=kind, phase=phase, moved_cells=moved, path=path,
@@ -523,39 +535,26 @@ def validate_plan(start: Configuration, plan: Plan) -> Configuration:
     """Re-simulate a plan; returns the final configuration.
 
     Reads `plan.steps`, `plan.params` and `plan.epsilon`, which must be
-    finite (else ValueError). Each step flies one 4-connected piece of
-    occupied cells along a path that starts at its smallest cell and crosses
-    only free cells of `arena_around(start)` (else SafetyViolationError), ends
-    in its recorded post_config, passes `step_verdict` (else
-    SafetyViolationError with the failed check as `cause`) and records its
-    margin to six decimals.
+    finite (else ValueError). A step that fails `step_verdict` in
+    `arena_around(start)` raises SafetyViolationError naming the `cause`.
+    Only what the plan records is checked here, each mismatch a
+    PlanningError: the path starts at the smallest moved cell, and the step
+    ends in its recorded post_config with its margin to six decimals.
     """
     if not math.isfinite(plan.epsilon):
         raise ValueError(f"plan epsilon must be finite, got {plan.epsilon}")
     work = start
     arena = arena_around(start.cells)
     for idx, step in enumerate(plan.steps):
-        moved = step.moved_cells
-        ref = moved[0]
-        if step.path.start != ref:
-            raise PlanningError(f"step {idx} path does not start at the reference cell",
-                                step=idx)
-        occupied = work.cell_set
-        if not occupied.issuperset(moved):
-            raise PlanningError(f"step {idx} moves an unoccupied cell", step=idx)
-        if len(connected_components(moved)) != 1:
-            raise PlanningError(f"step {idx} flies cells that are not 4-connected", step=idx)
-        swept = swept_cells(moved, ref, step.path)
-        if not all(c in arena for c in swept):
-            raise SafetyViolationError(f"step {idx} leaves the arena", step=idx)
-        if swept & (occupied - set(moved)):
-            raise SafetyViolationError(f"step {idx} sweeps through occupied cells", step=idx)
-        work, margin, failure = step_verdict(work, moved, step.path, plan.params, plan.epsilon)
+        if step.path.start != step.moved_cells[0]:
+            raise PlanningError(f"step {idx} path does not start at the reference cell", step=idx)
+        work, margin, cause = step_verdict(work, step.moved_cells, step.path, arena,
+                                           plan.params, plan.epsilon)
+        if cause is not None:
+            raise SafetyViolationError(f"step {idx} fails the {cause} check", step=idx,
+                                       cause=cause)
         if work != step.post_config:
             raise PlanningError(f"step {idx} post configuration mismatch", step=idx)
-        if failure is not None:
-            raise SafetyViolationError(f"step {idx} fails the {failure} check", step=idx,
-                                       cause=failure)
         # a recorded margin is rounded to six decimals
         if not (margin == step.post_cm or abs(margin - step.post_cm) <= 5e-7 + 1e-12):
             raise PlanningError(f"step {idx} records margin {step.post_cm!r}, "

@@ -444,7 +444,7 @@ def gated_fill_assignment(config: Configuration, targets: list[Cell], candidates
                 path = astar_unit(cand, t, obstacles, arena)
             except NoPathError:
                 continue
-            if step_verdict(config, (cand,), path, params, epsilon)[2] is None:
+            if step_verdict(config, (cand,), path, arena, params, epsilon)[2] is None:
                 cost[i, j] = path.length
     cols = lexicographic_min_assignment(cost)
     return [(targets[i], candidates[j]) for i, j in enumerate(cols) if cost[i, j] < _BIG]

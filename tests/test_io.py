@@ -316,8 +316,9 @@ def test_replay_rejects_corrupted_documents(rect_plan):
     ghost = json.loads(document_to_bytes(doc).decode())
     ghost["steps"][0]["moved_cells"] = [[7, 7]]
     ghost["steps"][0]["path"] = [[7, 7]]
-    with pytest.raises(PlanningError):
+    with pytest.raises(SafetyViolationError, match="step 0 fails the unoccupied check") as exc:
         replay_document(ghost)
+    assert exc.value.info == {"step": 0, "cause": "unoccupied"}
     # a recorded margin must be a finite number (json reads NaN, and ints of
     # any size) and must be the margin of its step's configuration
     for margin, error, fragment in ((math.nan, ScenarioError, r"steps\[0\]\.post_cm"),
@@ -335,15 +336,17 @@ def test_replay_rejects_corrupted_documents(rect_plan):
         edited["weights"][key] = 10**400
         with pytest.raises(ScenarioError, match=f"weights.{key}"):
             replay_document(edited)
-    # a step has only its known keys, a string note, an integer index and
-    # the kind that fits its number of moved cells
+    # a step has only its known keys, a string note, an integer index,
+    # distinct moved cells and the kind that fits their number
     for i, key, value, fragment in ((0, "bogus", 1, r"unknown key 'bogus' in steps\[0\]"),
                                     (1, "note", 5, r"steps\[1\]\.note"),
                                     (1, "note", [1], r"steps\[1\]\.note"),
                                     (1, "index", True, r"steps\[1\]\.index"),
                                     (1, "index", 1.0, r"steps\[1\]\.index"),
                                     (0, "kind", "move-subassembly", r"steps\[0\]\.kind"),
-                                    (2, "kind", "move-unit", r"steps\[2\]\.kind")):
+                                    (2, "kind", "move-unit", r"steps\[2\]\.kind"),
+                                    (2, "moved_cells", [[2, -1], [2, -1]],
+                                     r"steps\[2\]\.moved_cells")):
         edited = json.loads(document_to_bytes(doc).decode())
         edited["steps"][i][key] = value
         with pytest.raises(ScenarioError, match=fragment):
@@ -380,9 +383,9 @@ def test_replay_rejects_sweeps_through_occupied_cells():
             }
         ],
     }
-    with pytest.raises(PlanningError) as exc:
+    with pytest.raises(SafetyViolationError, match="step 0 fails the collision check") as exc:
         replay_document(doc)
-    assert "sweeps through" in str(exc.value)
+    assert exc.value.info == {"step": 0, "cause": "collision"}
 
 
 def test_replay_rejects_a_flight_that_leaves_the_arena():
@@ -403,9 +406,9 @@ def test_replay_rejects_a_flight_that_leaves_the_arena():
             }
         ],
     }
-    with pytest.raises(SafetyViolationError, match="leaves the arena") as exc:
+    with pytest.raises(SafetyViolationError, match="step 0 fails the arena check") as exc:
         replay_document(doc)
-    assert exc.value.info == {"step": 0}
+    assert exc.value.info == {"step": 0, "cause": "arena"}
     # the same flight ending inside the arena replays
     doc["steps"][0]["path"] = path[:3]
     doc["steps"][0]["post_config"]["cells"][1] = [1, 2]
@@ -493,9 +496,9 @@ def test_replay_rejects_a_piece_that_is_not_4_connected():
             }
         ],
     }
-    with pytest.raises(PlanningError, match="not 4-connected") as exc:
+    with pytest.raises(SafetyViolationError, match="step 0 fails the disconnected check") as exc:
         replay_document(doc)
-    assert exc.value.info == {"step": 0}
+    assert exc.value.info == {"step": 0, "cause": "disconnected"}
 
 
 @pytest.mark.parametrize(

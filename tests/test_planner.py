@@ -610,10 +610,12 @@ def test_validate_plan_rejects_corruption():
     bad = dataclasses.replace(p, steps=[p.steps[0], wrong_post, *p.steps[2:]])
     with pytest.raises(PlanningError):
         validate_plan(start, bad)
-    ghost_mover = dataclasses.replace(p.steps[0], moved_cells=(Cell(9, 9),))
+    ghost_mover = dataclasses.replace(p.steps[0], moved_cells=(Cell(9, 9),),
+                                      path=GridPath((Cell(9, 9),)))
     bad2 = dataclasses.replace(p, steps=[ghost_mover, *p.steps[1:]])
-    with pytest.raises((PlanningError, SafetyViolationError)):
+    with pytest.raises(SafetyViolationError, match="step 0 fails the unoccupied check") as exc:
         validate_plan(start, bad2)
+    assert exc.value.info == {"step": 0, "cause": "unoccupied"}
     # step 0 (one donor) re-routed to start on a free cell beside its goal
     start = rect32({Cell(2, 0): UNIT_FAULT})
     p = plan(start)
@@ -657,11 +659,17 @@ def test_step_verdict_matches_independent_margins(seed, n, nf, pick, on_piece):
             piece.add(grow[int(rng.integers(len(grow)))])
     moved = tuple(sorted(piece))
     stationary = {c: s for c, s in config.items() if c not in piece}
-    deltas = [(dx, dy) for dx in range(-n - 1, n + 2) for dy in range(-n - 1, n + 2)
-              if (dx, dy) != (0, 0) and not any(c + (dx, dy) in stationary for c in moved)]
-    delta = deltas[int(rng.integers(len(deltas)))]
-    goal = moved[0] + delta
-    path = astar_unit(moved[0], goal, frozenset(), arena_around([moved[0], goal]))
+    # a flight around the stationary units to any placement it reaches in
+    # the arena, the piece's own placement (a zero-length path) included
+    arena = arena_around(config.cells)
+    paths = []
+    for goal in arena.cells():
+        try:
+            paths.append(astar_subassembly(piece, moved[0], goal, frozenset(stationary), arena))
+        except NoPathError:
+            continue
+    path = paths[int(rng.integers(len(paths)))]
+    delta = (path.goal.x - moved[0].x, path.goal.y - moved[0].y)
     # oracles: the translation built cell by cell, the piece's margin uncached
     post = Configuration({**stationary, **{c + delta: config.state(c) for c in moved}})
     post_cm = system_cm(post)
@@ -670,7 +678,7 @@ def test_step_verdict_matches_independent_margins(seed, n, nf, pick, on_piece):
     exact = piece_cm if on_piece and faulty_piece else post_cm
     floor = (-0.05, 0.0, exact - 1e-6, exact + 1e-6)[pick if math.isfinite(exact) else 1]
     clear_cm_cache()
-    after, margin, failure = step_verdict(config, moved, path, DEFAULT_PARAMS, floor)
+    after, margin, failure = step_verdict(config, moved, path, arena, DEFAULT_PARAMS, floor)
     assert after == post
     if faulty_piece and piece_cm < floor:
         assert (margin, failure) == (None, "piece")
@@ -678,6 +686,28 @@ def test_step_verdict_matches_independent_margins(seed, n, nf, pick, on_piece):
         assert failure == "post" and post_cm - 1e-12 <= margin < floor
     else:
         assert failure is None and margin == pytest.approx(post_cm, abs=1e-12)
+
+
+@pytest.mark.parametrize("moved, waypoints, cause", [
+    ([(0, 1)], [(0, 1)], "unoccupied"),
+    ([(0, 0), (2, 0)], [(0, 0), (0, 1)], "disconnected"),
+    ([(2, 0)], [(2, 0), (2, 1), (2, 2), (2, 3)], "arena"),
+    ([(0, 0)], [(0, 0), (1, 0), (1, 1)], "collision"),
+])
+def test_step_verdict_rejects_a_structural_fault_before_any_margin(monkeypatch, moved, waypoints,
+                                                                   cause):
+    # each move passes every check before its own, and the row's arena
+    # spans y in -2..2; a margin read or a translation would raise here
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a structural check must come first")
+
+    for name in ("system_cm", "cached_subassembly_cm"):
+        monkeypatch.setattr(planner, name, forbidden)
+    monkeypatch.setattr(Configuration, "translate_set", forbidden)
+    row = Configuration.from_cells([Cell(0, 0), Cell(1, 0), Cell(2, 0)], {Cell(0, 0): UNIT_FAULT})
+    path = GridPath(tuple(Cell(*c) for c in waypoints))
+    assert step_verdict(row, tuple(Cell(*c) for c in moved), path, arena_around(row.cells),
+                        DEFAULT_PARAMS, 0.0) == (None, None, cause)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(3, 7))
