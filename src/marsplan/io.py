@@ -301,7 +301,9 @@ def _summary(plan: Plan) -> dict:
     }
 
 
-_PAIR = re.compile(r"\[\s+(-?\d+),\s+(-?\d+)\s+\]")
+# json.dumps(indent=2) breaks a structural pair over lines; it escapes a
+# newline inside a string, so a name or note never matches
+_PAIR = re.compile(r"\[\n\s+(-?\d+),\n\s+(-?\d+)\n\s+\]")
 
 
 def document_to_bytes(doc: dict) -> bytes:

@@ -7,14 +7,18 @@ Pipeline, in order:
    displacement (goal minus cell) whose cells are 4-connected share one
    support group.
 3. For each group, pick the best feasible support shape anchored at the
-   faults' current cells and fly donor units into its vacant cells.
+   faults' current cells and fly donor units into its vacant cells, each
+   the best-ranked donor flight that passes the gate. Donors are scored
+   best first, so no donor ranked behind that flight is scored.
 4. Clear every stationary unit off the planned transfer corridors. With the
    relocation rule on, a blocker parks on the vacant target cell off the
    corridors with the shortest gated flight (so it never moves again); with
    it off, on the gated free cell of its own row nearest by |dx|, and is
    fetched later if that cell is off the target. Failing that, it parks on
    the free cell off the corridors and off the target with the shortest
-   gated flight.
+   gated flight. Spots are routed and gated best first under their
+   Manhattan distance, a lower bound of the rank, so no spot ranked behind
+   the winner reaches the gate.
 5. Rigidly transfer each support group so its faults land on their goals.
 6. Fill the remaining vacant target cells with conflict-free assignment
    rounds until the configuration equals the target exactly. Each flight
@@ -32,6 +36,7 @@ faulty subassembly below the floor.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -445,22 +450,31 @@ class _Pipeline:
         """Gated step to the spot of least rank, or None when no spot passes the gate.
 
         The rank is (flight length, (y, x)) with `by_length`, otherwise
-        (Manhattan distance, (y, x)). Spots are tried in (Manhattan distance,
-        (y, x)) order; the Manhattan distance bounds the flight length from
-        below, so no spot after one whose bound exceeds the best rank can win.
+        (Manhattan distance, (y, x)). Spots wait in a heap under (Manhattan
+        distance, (y, x)), which bounds the rank from below. A spot whose
+        bound leads is routed; with `by_length` it goes back under its flight
+        length, otherwise its flight is gated at once. A flight gated when
+        its rank leads is the best that can pass, so the first that passes
+        wins and no spot ranked behind it reaches the gate.
         """
-        best: PlanStep | None = None
-        best_rank = None
-        for bound, w in sorted((blocker.manhattan(w), w) for w in spots):
-            if best_rank is not None and (bound, w) > best_rank:
-                break
-            step = self._unit_step(blocker, w, Phase.PATH_CLEARANCE, note)
-            if step is None:
-                continue
-            rank = (step.path.length if by_length else bound, w)
-            if best_rank is None or rank < best_rank:
-                best, best_rank = step, rank
-        return best
+        obstacles = self.work.cell_set - {blocker}
+        # (rank, spot) is unique: a spot has one entry at a time
+        heap = [(blocker.manhattan(w), w, None) for w in spots]
+        heapq.heapify(heap)
+        while heap:
+            _, w, path = heapq.heappop(heap)
+            if path is None:
+                try:
+                    path = astar_unit(blocker, w, obstacles, self.arena)
+                except NoPathError:
+                    continue
+                if by_length:
+                    heapq.heappush(heap, (path.length, w, path))
+                    continue
+            step = self._step((blocker,), path, Phase.PATH_CLEARANCE, note)
+            if step is not None:
+                return step
+        return None
 
     # -- phase 5: rigid transfers ------------------------------------------
 

@@ -4,7 +4,8 @@ A faulty unit cannot fly alone, so it travels inside a VMCS: the smallest
 rigidly connected group of normal units around the faulty one(s) whose wrench
 set still covers hover. Identification grows k (the number of normal units),
 keeps the best-margin shape at each size, and stops at the first k whose best
-shape clears the safety floor.
+shape clears the safety floor; a size whose yaw-authority bound lies below
+the floor is skipped without ranking its shapes.
 
 The companion search picks where the faulty units should end up: among all
 placements of the fault multiset on the fixed footprint, the one maximizing
@@ -17,10 +18,11 @@ far is skipped without building its subassemblies.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .controllability import (
     DEFAULT_PARAMS,
@@ -118,21 +120,32 @@ def smallest_supports(faults: Mapping[Cell, FaultState], params: PhysicalParams,
 
     Margins are asked with floor epsilon, so shapes below it may carry upper
     bounds; the shapes at or above epsilon lead the list with exact margins.
+
+    A size is skipped, with no enumeration and no kernel call, when the
+    yaw-authority bound U of its s = |faults| + k units lies more than
+    1e-9 * S below epsilon, S = 4s * f_max * (1 + 2 * (arm + s * pitch) +
+    c_tau) + s * m * g0 + 1. Every margin of that size is at most U up to
+    rounding, and S bounds cm_signed_distance's `scale` for s units, so even
+    the 0.0 the kernel reads within its tolerance outside the set stays
+    below epsilon: no shape of a skipped size could have reached it.
     """
     for cell, state in faults.items():
         if not state.is_faulty:
             raise ValueError(f"{cell} is not faulty")
-    k = 0
-    while True:
-        if k > max_normal_units:
-            raise VmcsSearchError(
-                f"no controllable support with up to {max_normal_units} normal units",
-                faults=tuple(sorted(faults)),
-            )
+    for k in range(max_normal_units + 1):
+        s = len(faults) + k
+        scale = (4 * s * params.rotor_thrust_max
+                 * (1 + 2 * (params.arm_offset + s * params.module_pitch) + params.yaw_torque_coeff)
+                 + s * params.unit_mass * params.gravity + 1)
+        if yaw_authority_bound(s, faults.values(), params) < epsilon - 1e-9 * scale:
+            continue
         ranked = ranked_support_shapes(faults, k, params, epsilon)
         if ranked and ranked[0][1] >= epsilon:
             return k, ranked
-        k += 1
+    raise VmcsSearchError(
+        f"no controllable support with up to {max_normal_units} normal units",
+        faults=tuple(sorted(faults)),
+    )
 
 
 def identify_vmcs(faults: Mapping[Cell, FaultState], params: PhysicalParams = DEFAULT_PARAMS,
@@ -220,29 +233,45 @@ def plan_vmcs_completion(config: Configuration, target_cm: float, vacancy: Cell,
                          params: PhysicalParams, c1: float, c2: float, *,
                          reserved: frozenset[Cell] = frozenset(),
                          arena: Arena, epsilon: float,
-                         ) -> list[GridPath]:
-    """Flights of donor units into `vacancy`, best donor first.
+                         ) -> Iterator[GridPath]:
+    """Flights of donor units into `vacancy`, best donor first, one at a time.
 
     A donor is a healthy unit off `reserved` whose removal keeps every faulty
     subassembly at or above the floor and that has a flight path to the
     vacancy. Donors rank by c1 * (cm_after_detach - target_cm)^2 -
     c2 * path_length, then by (y, x). The landing is not gated here: the
     caller gates each flight as a step and commits the first that passes.
+
+    The first flight asked for routes every donor; margins are asked best
+    first. A donor enters a heap under round(-c2 * path_length) as a lower
+    bound of its rank (c1 * delta^2 >= 0 and rounding is monotone; -inf when
+    c1 < 0), and only when that bound leads is its detach margin asked and
+    the donor pushed again under its exact rank. An exact rank that leads is
+    yielded, so a caller that stops at the first gated flight never asks the
+    margins of donors ranked below it.
     """
-    ranked: list[tuple[tuple[float, Cell], GridPath]] = []
+    heap = []
     for donor in config.cells:
         if config.state(donor).is_faulty or donor in reserved:
             continue
         after = config.detach(donor)
-        # exact whenever it clears the floor, so it also scores the donor
-        after_cm = system_cm(after, params, epsilon)
-        if after_cm < epsilon:
-            continue
         try:
             path = astar_unit(donor, vacancy, frozenset(after.cells), arena)
         except NoPathError:
             continue
+        bound = round(-c2 * path.length, _TIE_DECIMALS) if c1 >= 0 else -math.inf
+        heap.append((bound, donor, path, after))
+    # (rank, donor) is unique: a donor has one entry at a time
+    heapq.heapify(heap)
+    while heap:
+        _, donor, path, after = heapq.heappop(heap)
+        if after is None:
+            yield path
+            continue
+        # exact whenever it clears the floor, so it also scores the donor
+        after_cm = system_cm(after, params, epsilon)
+        if after_cm < epsilon:
+            continue
         delta = after_cm - target_cm
-        ranked.append(((round(c1 * delta * delta - c2 * path.length, _TIE_DECIMALS), donor), path))
-    ranked.sort(key=lambda entry: entry[0])
-    return [path for _, path in ranked]
+        rank = round(c1 * delta * delta - c2 * path.length, _TIE_DECIMALS)
+        heapq.heappush(heap, (rank, donor, path, None))

@@ -29,6 +29,7 @@ from marsplan.controllability import (
     WrenchZonotope,
     build_zonotope,
     gravity_wrench,
+    system_cm,
 )
 from marsplan.model import (
     UNIT_FAULT,
@@ -448,6 +449,30 @@ def gated_fill_assignment(config: Configuration, targets: list[Cell], candidates
                 cost[i, j] = path.length
     cols = lexicographic_min_assignment(cost)
     return [(targets[i], candidates[j]) for i, j in enumerate(cols) if cost[i, j] < _BIG]
+
+
+def ranked_donors(config: Configuration, target_cm: float, vacancy: Cell, params: PhysicalParams,
+                  c1: float, c2: float, reserved: frozenset[Cell], arena: Arena,
+                  epsilon: float) -> list[tuple[Cell, int]]:
+    """(donor, flight length) of every eligible donor, sorted by the donor rank.
+
+    Scores every donor: its exact detach margin (no floor) must reach
+    epsilon, and its BFS length to the vacancy around the other units must
+    exist. The rank is round(c1 * delta^2 - c2 * length, 9), delta the
+    detach margin minus target_cm, then (y, x).
+    """
+    ranked = []
+    for donor in config.cells:
+        if config.state(donor).is_faulty or donor in reserved:
+            continue
+        after = config.detach(donor)
+        after_cm = system_cm(after, params)
+        length = bfs_unit_length(donor, vacancy, frozenset(after.cells), arena)
+        if after_cm < epsilon or length is None:
+            continue
+        delta = after_cm - target_cm
+        ranked.append((round(c1 * delta * delta - c2 * length, 9), donor, length))
+    return [(donor, length) for _, donor, length in sorted(ranked)]
 
 
 def exhaustive_parking(blocker: Cell, spots: list[Cell], gate, by_length: bool):

@@ -234,6 +234,16 @@ def test_document_bytes_are_stable_and_compact(rect_plan):
     assert document_to_bytes(plan_to_document(p, start)) == blob
 
 
+@pytest.mark.parametrize("name", ["shape [ 1,  2 ]", "[\n  1,\n  2\n]", "[ -3, 4 ] and [5,\t6]"])
+def test_document_bytes_keep_a_name_that_looks_like_a_pair(rect_plan, name):
+    # Only the pairs json.dumps breaks over lines are collapsed; a string
+    # holding brackets and digits is written as it is.
+    start, p = rect_plan
+    blob = document_to_bytes(plan_to_document(p, start, name=name))
+    assert json.loads(blob.decode())["name"] == name
+    assert b"[2, 0]" in blob
+
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # sha256 of the plan document of each bundled scenario under the default

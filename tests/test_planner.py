@@ -267,12 +267,18 @@ def test_fill_targets_match_the_path_storing_reference():
 # -- blocker parking ---------------------------------------------------------------
 
 
-def test_parking_search_matches_an_exhaustive_scan():
-    # Fault-free assemblies with scattered single units: every spot the
-    # blocker can reach passes the gate, so detours around the scattered
-    # units and (y, x) ties decide which spot wins.
+def check_parking_against_an_exhaustive_scan(monkeypatch, rejecting):
+    """Compare `_park` with `exhaustive_parking` under one gate on 60 seeded
+    cases; returns how many cases had a rejected spot as the unrejected winner.
+
+    Fault-free assemblies with scattered single units: every spot the
+    blocker can reach passes the margin checks, so detours around the
+    scattered units and (y, x) ties decide which spot wins. With
+    `rejecting` the gate also turns away a seeded third of the spots.
+    """
     rng = np.random.default_rng(41)
-    detours = 0
+    reject_rng = np.random.default_rng(43)
+    detours = passed_over = 0
     for _ in range(60):
         cells = set(random_connected_cells(rng, int(rng.integers(3, 9))))
         free = [c for c in arena_around(cells).cells() if c not in cells]
@@ -281,23 +287,43 @@ def test_parking_search_matches_an_exhaustive_scan():
         pipeline = _Pipeline(config, optimal_configuration(config), DEFAULT_PARAMS,
                              2.0, -0.1, True, 0.0)
         blocker = sorted(cells)[int(rng.integers(len(cells)))]
-        obstacles = frozenset(cells - {blocker})
         free = [c for c in pipeline.arena.cells() if c not in cells]
         spots = [free[int(i)] for i in sorted(rng.choice(len(free), len(free) // 5, replace=False))]
+        rejected = set()
+        gate_step = pipeline._step
+        monkeypatch.setattr(pipeline, "_step", lambda moved, path, phase, note=None:
+                            None if path.goal in rejected else gate_step(moved, path, phase, note))
 
         def gate(spot):
-            step = pipeline._unit_step(blocker, spot, obstacles, Phase.PATH_CLEARANCE)
+            step = pipeline._unit_step(blocker, spot, Phase.PATH_CLEARANCE)
             return step and step.path
 
+        if rejecting:
+            winners = [exhaustive_parking(blocker, spots, gate, by_length)
+                       for by_length in (True, False)]
+            rejected.update(spots[int(i)] for i in reject_rng.choice(len(spots), len(spots) // 3,
+                                                                     replace=False))
+            passed_over += any(w and w.goal in rejected for w in winners)
         chosen = []
         for by_length in (True, False):
             got = pipeline._park(blocker, spots, by_length)
             got = got and got.path
             want = exhaustive_parking(blocker, spots, gate, by_length)
             assert (got and got.waypoints) == (want and want.waypoints)
+            assert not (got and got.goal in rejected)
             chosen.append(got and got.goal)
         detours += chosen[0] != chosen[1]
     assert detours
+    return passed_over
+
+
+def test_parking_search_matches_an_exhaustive_scan(monkeypatch):
+    assert check_parking_against_an_exhaustive_scan(monkeypatch, rejecting=False) == 0
+
+
+def test_parking_search_matches_an_exhaustive_scan_under_a_rejecting_gate(monkeypatch):
+    # The search must pass over rejected spots, often the one that would win.
+    assert check_parking_against_an_exhaustive_scan(monkeypatch, rejecting=True) >= 10
 
 
 # -- support completion ------------------------------------------------------------

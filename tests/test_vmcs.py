@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import marsplan.controllability as controllability
 import marsplan.vmcs as vmcs
-from marsplan.controllability import DEFAULT_PARAMS, PhysicalParams, clear_cm_cache, system_cm
+from marsplan.controllability import (
+    DEFAULT_PARAMS,
+    PhysicalParams,
+    clear_cm_cache,
+    system_cm,
+    yaw_authority_bound,
+)
 from marsplan.errors import VmcsSearchError
 from marsplan.io import load_scenario
 from marsplan.model import (
@@ -21,12 +27,14 @@ from marsplan.model import (
     is_connected,
     rotor_fault,
 )
+from marsplan.paths import arena_around
 from marsplan.vmcs import (
     enumerate_connected_shapes,
     identify_vmcs,
     optimal_configuration,
     plan_vmcs_completion,
     ranked_support_shapes,
+    smallest_supports,
 )
 
 from helpers import (
@@ -34,6 +42,7 @@ from helpers import (
     enumerate_shapes_brute_force,
     random_connected_cells,
     random_fault_states,
+    ranked_donors,
     row_scenario,
 )
 
@@ -185,6 +194,66 @@ def test_identify_vmcs_is_translation_invariant():
     here = identify_vmcs({Cell(0, 0): UNIT_FAULT})
     there = identify_vmcs({Cell(30, -7): UNIT_FAULT})
     assert here == there
+
+
+def unpruned_supports(faults, params, max_normal_units, epsilon):
+    """smallest_supports without its skip: every size is ranked until one
+    reaches epsilon; None when none does."""
+    for k in range(max_normal_units + 1):
+        ranked = ranked_support_shapes(faults, k, params, epsilon)
+        if ranked and ranked[0][1] >= epsilon:
+            return k, ranked
+    return None
+
+
+def test_support_search_skips_only_sizes_that_cannot_reach_the_floor():
+    # Seeded groups of one or two unit or rotor faults. Besides floors at
+    # and below zero, each group is asked at floors within 1e-9 of the
+    # yaw-authority bound U of every size, where a shape's margin can equal
+    # U: the skip must never drop a size whose best shape reaches the floor.
+    rng = np.random.default_rng(15)
+    skipped = 0
+    for _ in range(10):
+        cells = random_connected_cells(rng, int(rng.integers(1, 3)))
+        faults = random_fault_states(rng, cells, len(cells))
+        bounds = [yaw_authority_bound(len(faults) + k, faults.values()) for k in range(4)]
+        floors = [-0.01, 0.0] + [u + d for u in bounds if u > 0 for d in (-5e-10, 0.0, 5e-10)]
+        for epsilon in floors:
+            clear_cm_cache()
+            want = unpruned_supports(faults, DEFAULT_PARAMS, 3, epsilon)
+            clear_cm_cache()
+            try:
+                got = smallest_supports(faults, DEFAULT_PARAMS, 3, epsilon)
+            except VmcsSearchError:
+                got = None
+            assert got == want, (faults, epsilon)
+            skipped += sum(u < epsilon for u in bounds[:want[0] if want else 4])
+    assert skipped
+
+
+def test_support_search_keeps_a_size_whose_margin_snaps_to_zero():
+    # A unit mass that makes the support column 1e-10 N heavier than its
+    # full thrust: its yaw-authority bound is about -6e-13, but the kernel
+    # reads a hover wrench that close to the set as 0.0, which reaches a
+    # floor of 0. The skip keeps that size by its 1e-9 * S margin.
+    params = PhysicalParams(unit_mass=(0.4 + 1e-10 / 3) / 9.81)
+    faults = {Cell(0, 0): UNIT_FAULT}
+    assert -1e-12 < yaw_authority_bound(3, faults.values(), params) < 0.0
+    clear_cm_cache()
+    want = unpruned_supports(faults, params, 3, 0.0)
+    clear_cm_cache()
+    assert smallest_supports(faults, params, 3, 0.0) == want
+    assert want[0] == 2 and want[1][0][1] == 0.0
+
+
+def test_support_search_asks_no_margin_below_the_yaw_bound(monkeypatch):
+    # A unit fault with fewer than two helpers has fewer live rotors of one
+    # spin than its weight needs, so k = 0 and k = 1 are skipped unranked.
+    calls = _count_kernel_calls(monkeypatch)
+    clear_cm_cache()
+    k, ranked = smallest_supports({Cell(0, 0): UNIT_FAULT}, DEFAULT_PARAMS, 16, 0.0)
+    assert k == 2 and ranked[0][1] == pytest.approx(LIVE_DEAD_LIVE_CM, abs=1e-12)
+    assert calls and all(sub.n == 3 for sub, *_ in calls)
 
 
 # -- optimal_configuration ------------------------------------------------------------
@@ -407,8 +476,8 @@ def test_donor_ranking_scores_detach_margin_against_target():
     # path length; the one whose removal keeps the margin closer to the
     # target ranks first even though it is lexicographically later.
     cfg, vm, arena = row_scenario(6, 2)
-    flights = plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, Cell(2, -1), DEFAULT_PARAMS,
-                                   2.0, -0.1, arena=arena, epsilon=0.0)
+    flights = list(plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, Cell(2, -1), DEFAULT_PARAMS,
+                                        2.0, -0.1, arena=arena, epsilon=0.0))
     assert all(p.goal == Cell(2, -1) for p in flights)
     assert [(p.start, p.length) for p in flights[:2]] == [(Cell(4, 0), 3), (Cell(0, 0), 3)]
 
@@ -420,8 +489,9 @@ def test_donor_ranking_skips_reserved_cells():
     reserved = frozenset([Cell(0, 0)])
     work, donors = cfg, []
     for vacancy in (Cell(2, -1), Cell(2, 1)):
-        flights = plan_vmcs_completion(work, LIVE_DEAD_LIVE_CM, vacancy, DEFAULT_PARAMS,
-                                       2.0, -0.1, reserved=reserved, arena=arena, epsilon=0.0)
+        flights = list(plan_vmcs_completion(work, LIVE_DEAD_LIVE_CM, vacancy, DEFAULT_PARAMS,
+                                            2.0, -0.1, reserved=reserved, arena=arena,
+                                            epsilon=0.0))
         assert flights and all(p.start not in reserved for p in flights)
         donors.append(flights[0].start)
         donor = flights[0].start
@@ -434,8 +504,52 @@ def test_donor_ranking_skips_donors_that_break_the_support():
     # Every healthy unit in the 4-row is load-bearing for the dead end unit:
     # removing any of them drops some faulty subassembly below the floor.
     cfg, vm, arena = row_scenario(4, 0)
-    assert plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, Cell(0, -1), DEFAULT_PARAMS,
-                                2.0, -0.1, arena=arena, epsilon=0.0) == []
+    assert list(plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, Cell(0, -1), DEFAULT_PARAMS,
+                                     2.0, -0.1, arena=arena, epsilon=0.0)) == []
+
+
+@pytest.mark.parametrize("c1,c2", [(c1, c2) for c1 in (0.0, 2.0, -1.0) for c2 in (-0.1, 0.2)])
+def test_donor_ranking_matches_a_full_sort_of_every_donor(c1, c2):
+    # Seeded faulty assemblies, a free arena cell as the vacancy and now and
+    # then a reserved healthy unit. The best-first ranking must yield the
+    # flights of a ranking that scores every donor, in the same order.
+    rng = np.random.default_rng(22)
+    dropped = 0
+    for _ in range(25):
+        cells = random_connected_cells(rng, int(rng.integers(4, 10)))
+        faults = random_fault_states(rng, cells, int(rng.integers(1, 3)))
+        cfg = Configuration.from_cells(cells, faults)
+        arena = arena_around(cells)
+        free = [c for c in arena.cells() if c not in cfg]
+        vacancy = free[int(rng.integers(len(free)))]
+        healthy = [c for c in cells if c not in faults]
+        reserved = frozenset(healthy[:int(rng.integers(2))])
+        target_cm = optimal_configuration(cfg).cm
+        flights = list(plan_vmcs_completion(cfg, target_cm, vacancy, DEFAULT_PARAMS, c1, c2,
+                                            reserved=reserved, arena=arena, epsilon=0.0))
+        want = ranked_donors(cfg, target_cm, vacancy, DEFAULT_PARAMS, c1, c2, reserved, arena, 0.0)
+        assert all(p.goal == vacancy for p in flights)
+        assert [(p.start, p.length) for p in flights] == want
+        dropped += len(healthy) - len(reserved) - len(want)
+    assert dropped
+
+
+def test_the_first_donor_flight_skips_the_margins_of_donors_ranked_below(monkeypatch):
+    # On the 8-row the fault's two neighbours lead at path length 2. (3, 0)
+    # is load-bearing and dropped; the exact rank of (1, 0) beats the bound
+    # of every donor at length 3 or more, so those five are never scored.
+    cfg, vm, arena = row_scenario(8, 2)
+    calls = []
+    original = vmcs.system_cm
+    monkeypatch.setattr(vmcs, "system_cm", lambda *args: calls.append(args) or original(*args))
+    flights = plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, Cell(2, -1), DEFAULT_PARAMS,
+                                   2.0, -0.1, arena=arena, epsilon=0.0)
+    first = next(flights)
+    want = ranked_donors(cfg, LIVE_DEAD_LIVE_CM, Cell(2, -1), DEFAULT_PARAMS, 2.0, -0.1,
+                         frozenset(), arena, 0.0)
+    assert (first.start, first.length) == want[0] == (Cell(1, 0), 2)
+    eligible = [c for c in cfg.cells if not cfg.state(c).is_faulty]
+    assert len(calls) == 2 < len(eligible) == 7
 
 
 # -- properties -------------------------------------------------------------------------
