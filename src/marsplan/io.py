@@ -29,9 +29,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii     # json.dumps's writer of a str
 from pathlib import Path
 from typing import Any, Collection
 
@@ -301,16 +301,58 @@ def _summary(plan: Plan) -> dict:
     }
 
 
-# json.dumps(indent=2) breaks a structural pair over lines; it escapes a
-# newline inside a string, so a name or note never matches
-_PAIR = re.compile(r"\[\n\s+(-?\d+),\n\s+(-?\d+)\n\s+\]")
-
-
 def document_to_bytes(doc: dict) -> bytes:
-    text = json.dumps(doc, indent=2)
-    # keep [x, y] pairs on one line for diffability; purely cosmetic
-    text = _PAIR.sub(r"[\1, \2]", text)
-    return (text + "\n").encode()
+    """The bytes `marsplan plan` writes: json.dumps(doc, indent=2) with every
+    [x, y] pair on one line, plus a final newline, written in one pass.
+
+    A non-empty dict or list puts each entry on its own line, two spaces
+    deeper than its own; `,` follows every entry but the last and `: ` each
+    key. Empty ones are `{}` and `[]`. A list or tuple of exactly two ints,
+    not bools, is the one-line `[x, y]`. Keys must be strings. Strings go
+    through json's own ASCII escaper, a pair's ints print as int repr does,
+    and every other scalar goes through json.dumps, so escaping, float repr
+    and NaN/Infinity are json's.
+    """
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out).encode()
+
+
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append `value` to `out`; `newline` is a newline plus its line's indent."""
+    if isinstance(value, (list, tuple)):
+        if len(value) == 2:
+            x, y = value
+            if (isinstance(x, int) and isinstance(y, int)
+                    and type(x) is not bool and type(y) is not bool):
+                out.append("[%d, %d]" % (x, y))
+                return
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    else:
+        out.append(json.dumps(value))
 
 
 def save_plan(plan: Plan, start: Configuration, path: str | Path,

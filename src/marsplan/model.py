@@ -11,7 +11,6 @@ over cells follow it.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
@@ -259,23 +258,26 @@ class Configuration:
 
 
 def connected_components(cells: Iterable[Cell]) -> list[tuple[Cell, ...]]:
-    """4-connected components of a cell set, sorted by their minimal cell."""
-    remaining = set(cells)
+    """4-connected components of a cell set, sorted by their minimal cell.
+
+    A breadth-first search from each component's smallest cell, over plain
+    (y, x) neighbour tuples: each cell found is popped from a dict of the
+    input cells, so a component holds the caller's own Cells, in (y, x)
+    order, and no new ones.
+    """
+    remaining = {c: c for c in cells}
     comps: list[tuple[Cell, ...]] = []
     # each seed is its component's smallest cell, so components come out sorted
     for seed in sorted(remaining):
         if seed not in remaining:
             continue
-        comp = {seed}
-        remaining.discard(seed)
-        queue = deque([seed])
-        while queue:
-            cur = queue.popleft()
-            for nb in cur.neighbors4():
-                if nb in remaining:
-                    remaining.discard(nb)
-                    comp.add(nb)
-                    queue.append(nb)
+        comp = [remaining.pop(seed)]
+        # the loop visits the cells appended while it runs: a FIFO queue
+        for y, x in comp:
+            for nb in ((y - 1, x), (y, x - 1), (y, x + 1), (y + 1, x)):
+                cell = remaining.pop(nb, None)
+                if cell is not None:
+                    comp.append(cell)
         comps.append(tuple(sorted(comp)))
     return comps
 

@@ -5,7 +5,9 @@ One A* search with the Manhattan heuristic moves a rigid footprint on
 inflated by two cells); a single unit is the one-cell footprint. Ties are
 broken deterministically: among equal f-scores the state whose reference cell
 comes first in the (y, x) cell order is expanded first, so identical inputs
-always yield identical paths.
+always yield identical paths. The search runs on plain (y, x) tuples, which
+order exactly as Cells do, so the ties are the same as on Cells; Cells are
+built only for the returned waypoints.
 """
 
 from __future__ import annotations
@@ -86,15 +88,6 @@ class GridPath:
         return self.waypoints[-1]
 
 
-def _reconstruct(parent: dict[Cell, Cell], state: Cell) -> list[Cell]:
-    out = [state]
-    while state in parent:
-        state = parent[state]
-        out.append(state)
-    out.reverse()
-    return out
-
-
 def astar_unit(start: Cell, goal: Cell, obstacles: frozenset[Cell] | set[Cell],
                arena: Arena) -> GridPath:
     """Shortest 4-connected path for a single unit.
@@ -127,49 +120,56 @@ def _rigid_search(footprint: Iterable[Cell], ref: Cell, goal_ref: Cell,
     A single unit is the one-cell footprint whose reference is itself. A
     position fits when every footprint cell lies in the arena and off the
     obstacles; the arena test is one range check on the reference cell.
+    States are plain (y, x) tuples, which hash, compare and order as the
+    Cells they stand for; Cells are built only for the returned waypoints.
     """
-    others = tuple((c.x - ref.x, c.y - ref.y) for c in footprint if c != ref)
-    dxs = [0] + [dx for dx, _ in others]
-    dys = [0] + [dy for _, dy in others]
+    ry, rx = ref
+    gy, gx = goal_ref
+    others = tuple((y - ry, x - rx) for y, x in footprint if (y, x) != (ry, rx))
+    dys = [0] + [dy for dy, _ in others]
+    dxs = [0] + [dx for _, dx in others]
     lo_x, hi_x = arena.min_x - min(dxs), arena.max_x - max(dxs)
     lo_y, hi_y = arena.min_y - min(dys), arena.max_y - max(dys)
 
-    def fits(pos: Cell) -> bool:
-        y, x = pos
-        if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y) or pos in obstacles:
+    def fits(y: int, x: int) -> bool:
+        if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y) or (y, x) in obstacles:
             return False
-        for dx, dy in others:
-            if Cell(x + dx, y + dy) in obstacles:
+        for dy, dx in others:
+            if (y + dy, x + dx) in obstacles:
                 return False
         return True
 
-    if not fits(ref):
+    if not fits(ry, rx):
         raise NoPathError(f"start placement at {ref} collides or leaves the arena")
-    if not fits(goal_ref):
+    if not fits(gy, gx):
         raise NoPathError(f"goal placement at {goal_ref} collides or leaves the arena")
-    if ref == goal_ref:
+    start, goal = (ry, rx), (gy, gx)
+    if start == goal:
         return GridPath((ref,))
-    open_heap: list[tuple[int, Cell]] = []
-    g_score = {ref: 0}
-    parent: dict[Cell, Cell] = {}
-    heapq.heappush(open_heap, (ref.manhattan(goal_ref), ref))
-    closed: set[Cell] = set()
+    open_heap = [(abs(ry - gy) + abs(rx - gx), start)]
+    g_score = {start: 0}
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+    closed: set[tuple[int, int]] = set()
     while open_heap:
         _, cur = heapq.heappop(open_heap)
         if cur in closed:
             continue
-        if cur == goal_ref:
-            return GridPath(tuple(_reconstruct(parent, cur)))
+        if cur == goal:
+            cells = [cur]
+            while cur in parent:
+                cur = parent[cur]
+                cells.append(cur)
+            return GridPath(tuple(Cell(x, y) for y, x in reversed(cells)))
         closed.add(cur)
-        g = g_score[cur]
-        for nb in cur.neighbors4():
-            if not fits(nb):
-                continue
-            tentative = g + 1
-            if tentative < g_score.get(nb, 1 << 30):
+        tentative = g_score[cur] + 1
+        y, x = cur
+        # the order of Cell.neighbors4
+        for nb in ((y - 1, x), (y, x - 1), (y, x + 1), (y + 1, x)):
+            if tentative < g_score.get(nb, 1 << 30) and fits(*nb):
                 g_score[nb] = tentative
                 parent[nb] = cur
-                heapq.heappush(open_heap, (tentative + nb.manhattan(goal_ref), nb))
+                ny, nx = nb
+                heapq.heappush(open_heap, (tentative + abs(ny - gy) + abs(nx - gx), nb))
     raise NoPathError(f"no path moving {ref} -> {goal_ref}")
 
 

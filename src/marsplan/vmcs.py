@@ -242,29 +242,39 @@ def plan_vmcs_completion(config: Configuration, target_cm: float, vacancy: Cell,
     c2 * path_length, then by (y, x). The landing is not gated here: the
     caller gates each flight as a step and commits the first that passes.
 
-    The first flight asked for routes every donor; margins are asked best
-    first. A donor enters a heap under round(-c2 * path_length) as a lower
-    bound of its rank (c1 * delta^2 >= 0 and rounding is monotone; -inf when
-    c1 < 0), and only when that bound leads is its detach margin asked and
-    the donor pushed again under its exact rank. An exact rank that leads is
-    yielded, so a caller that stops at the first gated flight never asks the
-    margins of donors ranked below it.
+    Ranks are settled best first. A donor enters a heap unrouted, under
+    round(-c2 * Manhattan distance to the vacancy) when c1 >= 0 and c2 <= 0
+    and under -inf otherwise: a lower bound of its rank either way (A*'s
+    length is at least the Manhattan distance, c1 * delta^2 >= 0 and rounding
+    is monotone), and it is routed only when that bound leads. A routed donor
+    enters under round(-c2 * path_length) (-inf when c1 < 0), again a lower
+    bound, and only when that bound leads is its detach margin asked and the
+    donor pushed again under its exact rank. An exact rank that leads is yielded,
+    so a caller that stops at the first gated flight never scores the donors
+    ranked below it, nor, under the distance bound, routes them.
     """
-    heap = []
-    for donor in config.cells:
-        if config.state(donor).is_faulty or donor in reserved:
-            continue
+    def routed(donor: Cell) -> tuple | None:
         after = config.detach(donor)
         try:
             path = astar_unit(donor, vacancy, frozenset(after.cells), arena)
         except NoPathError:
-            continue
+            return None
         bound = round(-c2 * path.length, _TIE_DECIMALS) if c1 >= 0 else -math.inf
-        heap.append((bound, donor, path, after))
+        return (bound, donor, path, after)
+
+    by_distance = c1 >= 0 and c2 <= 0
+    heap = [(round(-c2 * donor.manhattan(vacancy), _TIE_DECIMALS) if by_distance else -math.inf,
+             donor, None, None)
+            for donor in config.cells
+            if not config.state(donor).is_faulty and donor not in reserved]
     # (rank, donor) is unique: a donor has one entry at a time
     heapq.heapify(heap)
     while heap:
         _, donor, path, after = heapq.heappop(heap)
+        if path is None:
+            if (entry := routed(donor)) is not None:
+                heapq.heappush(heap, entry)
+            continue
         if after is None:
             yield path
             continue

@@ -11,12 +11,18 @@ against it. The fill-target reference is the library's earlier
 `conflict_free_targets`, which kept every entry path; it runs the library's
 A*, and the leaner version is checked against it. The fill-assignment
 reference is the library's earlier fill round, which ran the library's gate
-on every (unit, target) pair; the lazy round is checked against it.
+on every (unit, target) pair; the lazy round is checked against it. The
+plan-document writer, the grid A* and `connected_components` are checked
+against the library's earlier versions too: json.dumps(indent=2) plus a pair
+regex, and the same two searches run on `Cell` objects.
 """
 
 from __future__ import annotations
 
+import heapq
+import json
 import math
+import re
 from collections import deque
 from itertools import combinations, permutations
 
@@ -544,3 +550,88 @@ def zonotope_support_monte_carlo(zono: WrenchZonotope, rng: np.random.Generator,
     lam = rng.uniform(-1.0, 1.0, size=(n_points, zono.m))
     points = zono.center + lam @ zono.generators
     return float((points @ direction).max())
+
+
+# json.dumps(indent=2) breaks a structural pair over lines; it escapes a
+# newline inside a string, so a name or note never matches
+_PAIR = re.compile(r"\[\n\s+(-?\d+),\n\s+(-?\d+)\n\s+\]")
+
+
+def reference_document_bytes(doc: dict) -> bytes:
+    """`document_to_bytes` as it was: json.dumps(indent=2), then every pair
+    that it broke over lines joined into one line by a regex."""
+    text = json.dumps(doc, indent=2)
+    text = _PAIR.sub(r"[\1, \2]", text)
+    return (text + "\n").encode()
+
+
+def reference_rigid_search(footprint, ref: Cell, goal_ref: Cell, obstacles,
+                           arena: Arena) -> GridPath:
+    """The library's rigid-footprint A* as it was, on `Cell` states."""
+    others = tuple((c.x - ref.x, c.y - ref.y) for c in footprint if c != ref)
+    dxs = [0] + [dx for dx, _ in others]
+    dys = [0] + [dy for _, dy in others]
+    lo_x, hi_x = arena.min_x - min(dxs), arena.max_x - max(dxs)
+    lo_y, hi_y = arena.min_y - min(dys), arena.max_y - max(dys)
+
+    def fits(pos: Cell) -> bool:
+        y, x = pos
+        if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y) or pos in obstacles:
+            return False
+        for dx, dy in others:
+            if Cell(x + dx, y + dy) in obstacles:
+                return False
+        return True
+
+    if not fits(ref):
+        raise NoPathError(f"start placement at {ref} collides or leaves the arena")
+    if not fits(goal_ref):
+        raise NoPathError(f"goal placement at {goal_ref} collides or leaves the arena")
+    if ref == goal_ref:
+        return GridPath((ref,))
+    open_heap = [(ref.manhattan(goal_ref), ref)]
+    g_score = {ref: 0}
+    parent: dict[Cell, Cell] = {}
+    closed: set[Cell] = set()
+    while open_heap:
+        _, cur = heapq.heappop(open_heap)
+        if cur in closed:
+            continue
+        if cur == goal_ref:
+            out = [cur]
+            while cur in parent:
+                cur = parent[cur]
+                out.append(cur)
+            return GridPath(tuple(reversed(out)))
+        closed.add(cur)
+        g = g_score[cur]
+        for nb in cur.neighbors4():
+            if not fits(nb):
+                continue
+            tentative = g + 1
+            if tentative < g_score.get(nb, 1 << 30):
+                g_score[nb] = tentative
+                parent[nb] = cur
+                heapq.heappush(open_heap, (tentative + nb.manhattan(goal_ref), nb))
+    raise NoPathError(f"no path moving {ref} -> {goal_ref}")
+
+
+def reference_connected_components(cells) -> list[tuple[Cell, ...]]:
+    """The library's `connected_components` as it was, on `Cell` neighbours."""
+    remaining = set(cells)
+    comps: list[tuple[Cell, ...]] = []
+    for seed in sorted(remaining):
+        if seed not in remaining:
+            continue
+        comp = {seed}
+        remaining.discard(seed)
+        queue = deque([seed])
+        while queue:
+            cur = queue.popleft()
+            for nb in cur.neighbors4():
+                if nb in remaining:
+                    remaining.discard(nb)
+                    comp.add(nb)
+                    queue.append(nb)
+        comps.append(tuple(sorted(comp)))
+    return comps

@@ -10,6 +10,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import marsplan
 from marsplan import cli
@@ -33,6 +35,8 @@ from marsplan.model import UNIT_FAULT, Cell, Configuration, rotor_fault
 from marsplan.paths import arena_around, astar_unit
 from marsplan.planner import Phase, PlanStep, StepKind, plan
 from marsplan.render import render_plan_svgs
+
+from helpers import reference_document_bytes
 
 RECT32 = {
     "cells": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]],
@@ -245,6 +249,41 @@ def test_document_bytes_keep_a_name_that_looks_like_a_pair(rect_plan, name):
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+# strings that hold what the pair regex and the escaper look for
+_TEXT = st.text(alphabet='"\\\n\t []{},:-0123456789aé→\u2028\x00', max_size=10) | st.text(max_size=6)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**30, 10**30)
+            | st.floats() | st.sampled_from([-0.0, 1e300, 1.0, 2.5, math.inf]) | _TEXT)
+
+
+def _json_trees(children):
+    return (st.lists(children, max_size=4)
+            | st.lists(children, max_size=3).map(tuple)
+            | st.dictionaries(_TEXT, children, max_size=4)
+            | st.lists(st.integers(-10**30, 10**30), min_size=2, max_size=2)
+            | st.tuples(st.booleans() | st.floats(-3, 3) | st.integers(), st.integers()).map(list))
+
+
+@given(st.dictionaries(_TEXT, st.recursive(_SCALARS, _json_trees, max_leaves=25), max_size=5))
+@example({"a": [True, 1], "b": [1.0, 2], "c": -0.0, "d": 1e300, "e": None, "f": {},
+          "g": [], "h": [[], {}, [{}], {"": []}], "i": [-10**30, 10**30 - 1], "j": [[1, 2]],
+          "k": "[\n  1,\n  2\n]", "\"[3, 4]\"\n": ["é", "\u2028"], "l": [1, 2, 3]})
+@settings(max_examples=300, deadline=None)
+def test_document_bytes_match_the_reference_writer_on_json_trees(doc):
+    # The reference is json.dumps(indent=2) plus the pair regex; its input is
+    # a document, a dict, so a pair is never the top-level value.
+    assert document_to_bytes(doc) == reference_document_bytes(doc)
+
+
+def test_document_bytes_match_the_reference_writer_on_bundled_plans():
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario = load_scenario(path)
+        for rule in (True, False):
+            result = plan(scenario.config, scenario.params, relocation_rule=rule)
+            doc = plan_to_document(result, scenario.config, scenario.name)
+            assert document_to_bytes(doc) == reference_document_bytes(doc), (path.stem, rule)
+
 
 # sha256 of the plan document of each bundled scenario under the default
 # weights (no bundled scenario sets its own), relocation rule on, plus the

@@ -27,7 +27,7 @@ from marsplan.model import (
 
 from marsplan.io import config_to_json
 
-from helpers import random_connected_cells, random_fault_states
+from helpers import random_connected_cells, random_fault_states, reference_connected_components
 
 
 # -- Cell ------------------------------------------------------------------
@@ -183,6 +183,24 @@ def test_connected_components_split_and_order():
     assert not is_connected([Cell(0, 0), Cell(2, 0)])
     assert is_connected([Cell(0, 0), Cell(1, 0), Cell(1, 1)])
     assert is_connected([])  # vacuous
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_connected_components_match_the_cell_based_reference(seed):
+    # Seeded cell sets in boxes up to 9x9 off the origin: the same components
+    # in the same order, made of the caller's own Cell objects.
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        x0, y0 = (int(v) for v in rng.integers(-5, 5, size=2))
+        w, h = (int(v) for v in rng.integers(1, 10, size=2))
+        density = rng.uniform(0.1, 0.9)
+        cells = [Cell(x, y) for x in range(x0, x0 + w) for y in range(y0, y0 + h)
+                 if rng.random() < density]
+        rng.shuffle(cells)
+        comps = connected_components(cells)
+        assert comps == reference_connected_components(cells)
+        mine = {id(c) for c in cells}
+        assert all(type(c) is Cell and id(c) in mine for comp in comps for c in comp)
 
 
 def test_diagonal_is_not_adjacent():

@@ -55,6 +55,7 @@ from helpers import (
     random_connected_cells,
     random_fault_states,
     reference_conflict_free_targets,
+    reference_rigid_search,
     row_scenario,
 )
 
@@ -170,6 +171,49 @@ def test_astar_unit_agrees_with_bfs_on_random_grids(seed):
     except NoPathError:
         got = None
     assert got == expected
+
+
+def _waypoints_or_none(search):
+    """The search's waypoints, each checked to be a Cell, or None on NoPathError."""
+    try:
+        path = search()
+    except NoPathError:
+        return None
+    assert all(type(c) is Cell for c in path.waypoints)
+    return path.waypoints
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_astar_matches_the_cell_based_reference_on_seeded_fields(seed):
+    # Arenas up to 9x9 off the origin, seeded obstacle fields and footprints
+    # of 1-4 cells placed anywhere near the arena, so that starts and goals
+    # also collide or leave it. Both searches must return the same waypoints
+    # or both raise NoPathError.
+    rng = np.random.default_rng(seed)
+    found = failed = 0
+    for _ in range(150):
+        x0, y0 = (int(v) for v in rng.integers(-5, 5, size=2))
+        w, h = (int(v) for v in rng.integers(1, 10, size=2))
+        arena = Arena(x0, y0, x0 + w - 1, y0 + h - 1)
+        cells = arena.cells()
+        density = rng.uniform(0.0, 0.4)
+        obstacles = frozenset(c for c in cells if rng.random() < density)
+        shift = (int(rng.integers(x0 - 1, x0 + w)), int(rng.integers(y0 - 1, y0 + h)))
+        footprint = frozenset(c + shift for c in random_connected_cells(rng, int(rng.integers(1, 5))))
+        ref = sorted(footprint)[int(rng.integers(len(footprint)))]
+        goal = Cell(int(rng.integers(x0 - 1, x0 + w + 1)), int(rng.integers(y0 - 1, y0 + h + 1)))
+        stationary = obstacles - footprint if rng.random() < 0.8 else obstacles
+        want = _waypoints_or_none(
+            lambda: reference_rigid_search(footprint, ref, goal, stationary, arena))
+        if len(footprint) == 1:
+            got = _waypoints_or_none(lambda: astar_unit(ref, goal, stationary, arena))
+        else:
+            got = _waypoints_or_none(
+                lambda: astar_subassembly(footprint, ref, goal, stationary, arena))
+        assert got == want
+        found += want is not None
+        failed += want is None
+    assert found and failed
 
 
 # -- assignment --------------------------------------------------------------------

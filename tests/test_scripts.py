@@ -52,3 +52,23 @@ def test_study_scripts_keep_the_scenario_floor(script, tmp_path):
     done = _run(script, "--scenario", path, check=False)
     assert done.returncode != 0
     assert "InfeasibleTargetError" in done.stderr
+
+
+def test_bench_writes_every_end_to_end_metric_of_a_correct_run(tmp_path):
+    _run("bench.py", "--label", "check", "--workloads", "blocks", "--seeds", 1,
+         "--seconds", 0.3, "--out", tmp_path)
+    record = json.loads((tmp_path / "BENCH_check.json").read_text())
+    assert record["label"] == "check" and record["seeds"] == [1]
+    assert record["env"] and "layer_timings" in record
+    assert "git_head" in record and "git_dirty" in record
+    (workload,) = record["workloads"]
+    assert workload == "blocks"
+    blocks = record["workloads"]["blocks"]
+    assert set(blocks["plan_digests"]) == {"1"} and len(blocks["plan_digests"]["1"]) == 64
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(blocks["metrics"]) == {m["name"] for m in spec["end_to_end"]}
+    for name, metric in blocks["metrics"].items():
+        assert set(metric) == {"values", "median", "q1", "q3", "unit"}, name
+        assert len(metric["values"]) == 1
+        assert all(v > 0 for v in (*metric["values"], metric["median"], metric["q1"], metric["q3"]))
+        assert metric["q1"] <= metric["median"] <= metric["q3"]

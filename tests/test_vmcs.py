@@ -552,6 +552,21 @@ def test_the_first_donor_flight_skips_the_margins_of_donors_ranked_below(monkeyp
     assert len(calls) == 2 < len(eligible) == 7
 
 
+def test_the_first_donor_flight_routes_fewer_donors_than_are_eligible(monkeypatch):
+    # With c1 >= 0 and c2 <= 0 a donor is routed only when its Manhattan
+    # bound leads: on the 8-row only the fault's two neighbours are.
+    cfg, vm, arena = row_scenario(8, 2)
+    routed = []
+    original = vmcs.astar_unit
+    monkeypatch.setattr(vmcs, "astar_unit", lambda *args: routed.append(args[0]) or original(*args))
+    first = next(plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, Cell(2, -1), DEFAULT_PARAMS,
+                                      2.0, -0.1, arena=arena, epsilon=0.0))
+    assert first.start == Cell(1, 0)
+    eligible = [c for c in cfg.cells if not cfg.state(c).is_faulty]
+    assert sorted(routed) == [Cell(1, 0), Cell(3, 0)]
+    assert len(routed) < len(eligible) == 7
+
+
 # -- properties -------------------------------------------------------------------------
 
 
