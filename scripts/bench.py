@@ -12,23 +12,35 @@ value per seed, median, quartiles (inclusive method) and unit, plus the first
 run's environment and the checkout's git commit. A plan digest hashes a
 pass's documents in the case order the seed draws, so it differs between
 seeds; two files made with the same seeds compare seed by seed, and equal
-digests mean byte-identical plans. Layer timings are not recorded: they wait
-for per-plan statistics in the library.
+digests mean byte-identical plans.
+
+The file also times the margin kernel by generator count m (`kernel_by_m`):
+warm `cm_signed_distance` calls on solid w x w blocks with a centre unit
+fault, w = 1..7 (m = 0..192), with BLAS on one thread. Each block records the
+median of its repeated calls, scaled by the speed probe of
+`perfbench/speed.py` as the end-to-end times are. The other layer timings
+are not recorded: they wait for per-plan statistics in the library.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("bundled", "fuzz", "blocks", "sweep")
 _DIGEST = "# plan digest "
 _ENV = "# env "
+# kernel timing: block widths, and per block at least KERNEL_MIN_CALLS calls
+# and more while they take under KERNEL_SECONDS, up to KERNEL_MAX_CALLS
+KERNEL_WIDTHS = range(1, 8)
+KERNEL_MIN_CALLS, KERNEL_MAX_CALLS, KERNEL_SECONDS = 5, 200, 0.3
 
 
 def run_once(workload: str, seed: int, seconds: float) -> dict:
@@ -54,6 +66,39 @@ def summary(values: list[float], unit: str) -> dict:
                  if len(values) > 1 else [values[0]] * 3)
     return {"values": values, "median": statistics.median(values),
             "q1": quartiles[0], "q3": quartiles[2], "unit": unit}
+
+
+def kernel_by_m() -> list[dict]:
+    """Median scaled seconds of warm margin-kernel calls per block, with its m."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"         # before numpy loads, as perfbench/run.py does
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import speed
+    from marsplan.controllability import build_zonotope, cm_signed_distance, gravity_wrench
+    from marsplan.model import UNIT_FAULT, Cell, Configuration, partition
+
+    probe = speed.SpeedProbe().start()
+    blocks = []
+    try:
+        for w in KERNEL_WIDTHS:
+            cells = [Cell(x, y) for y in range(w) for x in range(w)]
+            (sub,) = partition(Configuration.from_cells(cells, {Cell(w // 2, w // 2): UNIT_FAULT}))
+            zono, g = build_zonotope(sub), gravity_wrench(sub.n)
+            cm_signed_distance(zono, g)            # warm: the kernel's index caches
+            spans = []
+            start = perf_counter()
+            while len(spans) < KERNEL_MIN_CALLS or (len(spans) < KERNEL_MAX_CALLS
+                                                    and perf_counter() - start < KERNEL_SECONDS):
+                t0 = perf_counter()
+                cm_signed_distance(zono, g)
+                spans.append((t0, perf_counter()))
+            blocks.append((f"{w}x{w}", zono.m, spans))
+    finally:
+        probe.stop()
+    scaled = probe.scaler()
+    return [{"block": block, "m": m, "calls": len(spans),
+             "median_scaled_s": statistics.median(scaled(t0, t1) for t0, t1 in spans)}
+            for block, m, spans in blocks]
 
 
 def git(*args: str) -> str | None:
@@ -95,8 +140,9 @@ def main(argv: list[str] | None = None) -> int:
         "git_head": git("rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
         "env": env,
-        "layer_timings": "not recorded: per-layer timings wait for per-plan statistics "
-                         "(PlanStats) in the library",
+        "layer_timings": "kernel_by_m only: the other per-layer timings wait for per-plan "
+                         "statistics (PlanStats) in the library",
+        "kernel_by_m": kernel_by_m(),
         "workloads": workloads,
     }
     args.out.mkdir(parents=True, exist_ok=True)

@@ -224,6 +224,142 @@ def _distance_to_zonotope(zono: WrenchZonotope, point: np.ndarray) -> float:
     return float(np.linalg.norm(zono.generators.T @ res.x - delta))
 
 
+def _general_slacks(generators: np.ndarray, d: np.ndarray):
+    """Yield the least slack sum_i |eta.g_i| - |eta.d| of each batch of
+    _facet_normal_batches, eta a unit normal and d = c - g.
+
+    One product per batch gives every eta.g_i and eta.d; the weights add the
+    first m absolute values and subtract the last, and dividing by the
+    lengths rescales the unscaled normals to unit ones.
+    """
+    probe = np.column_stack((generators.T, d))
+    weights = np.ones(generators.shape[0] + 1)
+    weights[-1] = -1.0
+    for normals, lens in _facet_normal_batches(generators):
+        products = normals @ probe
+        np.abs(products, out=products)
+        yield float((products @ weights / lens).min(initial=math.inf))
+
+
+def _rotor_layers(generators: np.ndarray) -> np.ndarray | None:
+    """The mask of the rows with yaw > 0 when every row is lam * (1, u_i, +-c)
+    for one lam > 0 and one c > 0, as every row of `build_zonotope` is;
+    else None. The test is exact."""
+    lam, yaw = generators[0, 0], abs(generators[0, 3])
+    up = generators[:, 3] == yaw
+    rotors = (generators[:, 0] == lam).all() and (up | (generators[:, 3] == -yaw)).all()
+    return up if lam > 0.0 and yaw > 0.0 and rotors else None
+
+
+# y @ _TURN = (y_1, -y_0), so (U_p - U_p') . (y @ _TURN) = w . y for the
+# pair's line normal w = (-(U_p - U_p')_1, (U_p - U_p')_0).
+_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+# The row that the layer pass pads with: its w.y is NaN.
+_NAN_ROW = np.full((1, 2), math.nan)
+
+
+@lru_cache(maxsize=256)
+def _layer_plan(layers: bytes) -> tuple[int, int, tuple | None]:
+    """Layer sizes and index arrays of the layer pass for the mask of the
+    rows in layer P (yaw > 0), as bytes; the other rows form layer Q.
+
+    Side P pairs rows j < l of P (np.triu_indices order) with each row of Q,
+    side Q the other way round; a side with no pair or no other row is left
+    out (no side at all gives None). The sides are stacked on a leading
+    axis, each padded to the larger side: pairs by repeating its own (a
+    repeated facet does not change a minimum), rows by index m + 1, the NaN
+    row. The plan holds per side the layer sign, the pair rows j and l,
+    `columns`: the other layer's rows, then the own layer's, each padded to
+    K = max(k_up, k_down), then m for (d_1, d_2); `at`, the column of each
+    pair's j; `ranks`, 2r + 2 - k at the r-th of the k other rows; and
+    `real`, the mask of unpadded columns (True when no column is padded).
+    """
+    mask = np.frombuffer(layers, dtype=bool)
+    up, down = np.flatnonzero(mask), np.flatnonzero(~mask)
+    sides = [(sign, own, other) for sign, own, other in ((1.0, up, down), (-1.0, down, up))
+             if len(own) >= 2 and len(other)]
+    if not sides:
+        return len(up), len(down), None
+    m, width = len(mask), max(len(up), len(down))
+    count = max(math.comb(len(own), 2) for _, own, _ in sides)
+    rank = np.arange(width)
+    plans = []
+    for sign, own, other in sides:
+        j, l = (np.resize(i, count) for i in np.triu_indices(len(own), k=1))
+        real = np.concatenate((rank < len(other), rank < len(own)))
+        columns = np.where(real, np.concatenate((np.resize(other, width), np.resize(own, width))), m + 1)
+        plans.append((sign, own[j], own[l], np.append(columns, m), width + j,
+                      np.where(rank < len(other), 2.0 * rank + 2 - len(other), 0.0), real))
+    signs, j, l, columns, j_at, ranks, real = (np.array(x) for x in zip(*plans))
+    at = (np.arange(len(sides))[:, None, None], np.arange(count)[None, :, None], j_at[:, :, None])
+    return len(up), len(down), (signs[:, None, None], j, l, columns, at, ranks[:, None, :],
+                                True if real.all() else real[:, None, :])
+
+
+def _layer_slacks(generators: np.ndarray, d: np.ndarray, up: np.ndarray):
+    """Yield the least facet slacks of a rotor wrench set, `up` its
+    `_rotor_layers` mask, batch by batch, over the hyperplanes of
+    _general_slacks.
+
+    Row i is (lam, U_i, sigma_i * Y): U_i the rotor's torque arm times lam,
+    Y = lam * c. Layer P (sigma = +1) lies in the hyperplane of (Y, 0, 0,
+    -lam), layer Q (sigma = -1) in that of (Y, 0, 0, lam); a layer of three
+    or more rows seeds the minimum with its closed-form slack
+    (2 lam Y k_other - |Y d_0 - sigma lam d_3|) / hypot(lam, Y).
+
+    The facet through a pair (p, p') of one layer, sign sigma, and a row q
+    of the other has the normal eta = (-(a + b) / (2 lam), w, sigma (b - a)
+    / (2 Y)), w a perpendicular of U_p - U_p', a = w.U_p and b = w.U_q.
+    Then eta.g_i is w.U_i - a on the pair's layer and w.U_j - b on the
+    other, so the slack is (sum_i |w.U_i - a| + sum_j |w.U_j - b| -
+    |eta.d|) / |eta|. The first sum is one number per pair; sorting the
+    other layer's t_j = w.U_j gives every second sum at once, t_r (2r + 2 -
+    k) - 2 cumsum_r + total for the r-th smallest. Every such triple is
+    independent (Y > 0). A pair at one position has w = 0 and a padded row
+    NaN projections: their slacks are NaN, and the minimum skips them. Both
+    sides share each batch of pairs, which holds about _BATCH_FLOATS floats
+    of t.
+    """
+    lam, yaw = float(generators[0, 0]), abs(float(generators[0, 3]))
+    d0, d3 = float(d[0]), float(d[3])
+    k_up, k_down, plan = _layer_plan(up.tobytes())
+    hyp = math.hypot(lam, yaw)
+    seeds = [(2.0 * lam * yaw * k_other - abs(yaw * d0 - sign * lam * d3)) / hyp
+             for sign, k_own, k_other in ((1.0, k_up, k_down), (-1.0, k_down, k_up)) if k_own >= 3]
+    if seeds:
+        yield min(seeds)
+    if plan is None:
+        return
+    signs, j, l, columns, (side, pair, j_at), ranks, real = plan
+    arms = generators[:, 1:3]
+    perp = arms[j] - arms[l]
+    lens = np.add.reduce(perp * perp, axis=2, keepdims=True)     # |w|^2
+    if not lens.all():
+        lens[lens == 0.0] = math.nan
+    onto = (np.concatenate((arms, d[None, 1:3], _NAN_ROW)) @ _TURN)[columns].transpose(0, 2, 1)
+    i0, i3 = 0.5 / lam, 0.5 / yaw       # eta_0 = -(t + a) i0, eta_3 = sigma (t - a) i3
+    # eta.d = t (sigma d_3 i3 - d_0 i0) + w.(d_1, d_2) - a (sigma d_3 i3 + d_0 i0)
+    slope = signs * (d3 * i3) - d0 * i0
+    shift = slope + 2.0 * d0 * i0
+    k = ranks.shape[2]
+    step = max(1, _BATCH_FLOATS // (len(j) * k))
+    for first in range(0, j.shape[1], step):
+        b = slice(first, first + step)
+        proj = perp[:, b] @ onto              # w.U of the other layer, the own layer, then w.(d_1, d_2)
+        a = proj[side, pair[:, :proj.shape[1]], j_at[:, b]]
+        t = proj[..., :k]
+        t.sort(axis=2)
+        own = proj[..., k:-1]
+        own -= a
+        np.abs(own, out=own)
+        # the other layer's total plus the own layer's sum of |w.U_i - a|
+        sums = np.add.reduce(proj[..., :-1], axis=2, keepdims=True, where=real)
+        slack = ((t * ranks - 2.0 * np.add.accumulate(t, axis=2) + sums
+                  - np.abs(t * slope + (proj[..., -1:] - a * shift)))
+                 / np.sqrt(((t + a) * i0) ** 2 + ((t - a) * i3) ** 2 + lens[:, b]))
+        yield float(np.fmin.reduce(slack, axis=None))
+
+
 def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray, floor: float = -math.inf) -> float:
     """Signed distance from the hover wrench to the boundary of the wrench set.
 
@@ -232,15 +368,26 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray, floor: float = -math
     that is sum_i |eta.g_i| - |eta.(c - g)|. The generators of one spin
     layer lie in the hyperplane of its yaw normal (-sigma * c_tau, 0, 0, 1),
     so every triple inside a layer has that normal, whose slack is
-    yaw_authority_bound. _facet_normal_batches splits the generators by the
-    sign of their yaw column into the layers, seeds the running minimum with
-    the two layer normals and enumerates only the cross-layer triples, a
-    pair of one layer with a row of the other (a part off its yaw hyperplane
-    pairs with itself too). Only the running minimum is kept, so memory is
-    bounded by one batch, not by all triples: `normals @ probe` holds at most
-    max(_BATCH_FLOATS, C(k, 2) * (m + 1)) floats, k < m the rows of a
-    layer. A negative minimum (exterior) or a generator rank below 4 (empty
-    interior) ends at the one projection exit: minus the distance to the set.
+    yaw_authority_bound. The generators are split by the sign of their yaw
+    column into the layers, a layer of three or more rows seeds the running
+    minimum with its yaw normal, and only the cross-layer triples, a pair of
+    one layer with a row of the other, are enumerated, by one of two passes
+    over the same hyperplanes. The layer pass (_layer_slacks) takes a set
+    of rotor rows lam * (1, u_i, +-c), which _rotor_layers tests exactly and
+    every `build_zonotope` output is: the facet through a pair (p, p') and
+    a row q of the other layer has the slack (sum over the pair's layer of
+    |w.u_i - w.u_p| + sum over the other of |w.u_j - w.u_q| - |eta.(c -
+    g)|) / |eta|, w a perpendicular of u_p - u_p', and one sort per pair
+    gives each in O(1), O(m^3 log m) a call. Any other set takes the general
+    loop (_general_slacks over _facet_normal_batches), one O(m) product per
+    facet, where a part off its yaw hyperplane pairs with itself too.
+
+    Only the running minimum is kept, so memory is bounded by one batch, not
+    by all triples: the general loop's `normals @ probe` holds at most
+    max(_BATCH_FLOATS, C(k, 2) * (m + 1)) floats, k < m the rows of a layer,
+    and an array of the layer pass about _BATCH_FLOATS. A negative minimum
+    (exterior) or a generator rank below 4 (empty interior) ends at the one
+    projection exit: minus the distance to the set.
 
     A margin at or above `floor` is returned exactly. Below it the result
     may instead be an upper bound u with margin <= u < floor - 1e-9: every
@@ -251,18 +398,14 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray, floor: float = -math
     g = np.asarray(g, dtype=float)
     scale = zono.scale() + float(np.linalg.norm(g)) + 1.0
     tol = 1e-9 * scale
-    if zono.m >= 4 and np.linalg.matrix_rank(zono.generators, tol=1e-12 * scale) == 4:
-        # One product per batch gives every eta.g_i and eta.(c - g); the
-        # weights add the first m absolute values and subtract the last, and
-        # dividing by the lengths rescales the unscaled normals to unit ones.
-        probe = np.column_stack((zono.generators.T, zono.center - g))
-        weights = np.ones(zono.m + 1)
-        weights[-1] = -1.0
+    # rank 4: the least of the four singular values clears the tolerance
+    if zono.m >= 4 and np.linalg.svd(zono.generators, compute_uv=False)[3] > 1e-12 * scale:
+        up = _rotor_layers(zono.generators)
+        d = zono.center - g
+        slacks = _general_slacks(zono.generators, d) if up is None else _layer_slacks(zono.generators, d, up)
         margin = math.inf
-        for normals, lens in _facet_normal_batches(zono.generators):
-            products = normals @ probe
-            np.abs(products, out=products)
-            margin = min(margin, float((products @ weights / lens).min(initial=math.inf)))
+        for slack in slacks:
+            margin = min(margin, slack)
             # In [-tol, 0) the projection below may snap the margin to 0.0,
             # which lies above this bound.
             if margin < floor - tol and not -tol <= margin < 0.0:
@@ -271,8 +414,8 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray, floor: float = -math
                 break  # outside: the projection below gives the margin
         else:
             return margin
-    d = _distance_to_zonotope(zono, g)
-    return 0.0 if d <= tol else -d
+    distance = _distance_to_zonotope(zono, g)
+    return 0.0 if distance <= tol else -distance
 
 
 def subassembly_cm(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS,

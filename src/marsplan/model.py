@@ -167,6 +167,15 @@ class Configuration:
         self._hash: int | None = None
 
     @classmethod
+    def _of_cells(cls, units: dict[Cell, FaultState]) -> "Configuration":
+        """A configuration of units whose keys are already `Cell`s, as an
+        edit's are: the constructor without its per-cell check."""
+        config = cls.__new__(cls)
+        config._units = dict(sorted(units.items()))
+        config._hash = None
+        return config
+
+    @classmethod
     def from_cells(cls, cells: Iterable[Cell], faults: Mapping[Cell, FaultState] | None = None) -> "Configuration":
         faults = dict(faults or {})
         for c in faults:
@@ -235,7 +244,7 @@ class Configuration:
             raise CellNotOccupiedError(f"{cell} is not occupied")
         units = dict(self._units)
         del units[cell]
-        return Configuration(units)
+        return Configuration._of_cells(units)
 
     def translate_set(self, moving: Iterable[Cell], delta: tuple[int, int]) -> "Configuration":
         """Rigidly shift a subset of units by delta (dx, dy).
@@ -254,7 +263,7 @@ class Configuration:
             if dest in stationary:
                 raise DestinationCollisionError(f"{c} -> {dest} collides with a stationary unit")
             units[dest] = self._units[c]
-        return Configuration(units)
+        return Configuration._of_cells(units)
 
 
 def connected_components(cells: Iterable[Cell]) -> list[tuple[Cell, ...]]:

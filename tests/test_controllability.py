@@ -347,6 +347,70 @@ def test_kernel_peak_allocation_stays_within_one_triple_chunk():
     assert peak <= math.comb(m - 1, 2) * (m + 1) * 8
 
 
+def _kernel_slacks(name, zono, g):
+    """The least slack of `name`'s batches, a pass of the margin kernel."""
+    d = zono.center - g
+    if name == "_layer_slacks":
+        batches = controllability._layer_slacks(zono.generators, d, controllability._rotor_layers(zono.generators))
+    else:
+        batches = controllability._general_slacks(zono.generators, d)
+    return min(batches, default=math.inf)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(0, 3),
+       st.sampled_from(SPIN_LAYOUTS), st.sampled_from((0.006, 0.02, 0.1)),
+       st.sampled_from((0.0325, 0.05)))
+@settings(max_examples=80, deadline=None)
+def test_layer_pass_matches_the_reference_and_the_general_loop(seed, n, nf, spin, c_tau, arm):
+    params = PhysicalParams(spin=spin, yaw_torque_coeff=c_tau, arm_offset=arm)
+    sub = random_faulty_subassembly(np.random.default_rng(seed), n, nf)
+    zono, g = build_zonotope(sub, params), gravity_wrench(sub.n, params)
+    exact = cm_signed_distance(zono, g)
+    assert exact == pytest.approx(reference_cm_signed_distance(zono, g), abs=1e-9)
+    if zono.m:
+        assert controllability._rotor_layers(zono.generators) is not None
+        scale = zono.scale() + float(np.linalg.norm(g)) + 1.0
+        layer, general = (_kernel_slacks(name, zono, g) for name in ("_layer_slacks", "_general_slacks"))
+        assert layer == general or abs(layer - general) <= 1e-12 * scale
+    for floor in (-1e-6, 0.0, 1e-6):
+        _honours_floor(cm_signed_distance(zono, g, floor), exact, floor)
+
+
+def test_layer_pass_takes_every_rotor_wrench_set_and_only_those(monkeypatch):
+    passes = []
+    for name in ("_layer_slacks", "_general_slacks"):
+        def counting(*args, _name=name, _pass=getattr(controllability, name)):
+            passes.append(_name)
+            return _pass(*args)
+        monkeypatch.setattr(controllability, name, counting)
+    for name in sorted(PINNED) + sorted(KERNEL_BLOCKS):
+        sub = sub_of(*PINNED[name][:2]) if name in PINNED else _block(*KERNEL_BLOCKS[name])
+        cm_signed_distance(build_zonotope(sub), gravity_wrench(sub.n))
+    # the dead sets and the three-rotor singleton end at the rank check
+    assert passes == ["_layer_slacks"] * (len(PINNED) + len(KERNEL_BLOCKS) - 3)
+    passes.clear()
+    for name in sorted(KERNEL_EDGES):
+        cm_signed_distance(*_zonotope_case(*KERNEL_EDGES[name]))
+    # m2, coplanar-only and the two flat sets have rank below 4
+    assert passes == ["_general_slacks"] * (len(KERNEL_EDGES) - 4)
+
+
+def test_layer_pass_skips_a_pair_at_one_position():
+    # A repeated rotor row passes the layout test; the pair of the row and
+    # its copy spans no facet, and every facet through the row is still
+    # found through its other pairs.
+    sub = _block(2, 2, {(0, 0): rotor_fault(1)})
+    zono = build_zonotope(sub)
+    twin = np.vstack((zono.generators, zono.generators[4]))
+    zono = WrenchZonotope(center=twin.sum(axis=0), generators=twin)
+    g = gravity_wrench(sub.n) + [0.02, 0.0, 0.0, 0.0]
+    assert controllability._rotor_layers(zono.generators) is not None
+    assert cm_signed_distance(zono, g) == pytest.approx(reference_cm_signed_distance(zono, g), abs=1e-9)
+    scale = zono.scale() + float(np.linalg.norm(g)) + 1.0
+    layer, general = (_kernel_slacks(name, zono, g) for name in ("_layer_slacks", "_general_slacks"))
+    assert abs(layer - general) <= 1e-12 * scale
+
+
 def test_all_dead_margin_is_exactly_minus_weight():
     for n in (1, 2, 3):
         cells = [Cell(i, 0) for i in range(n)]

@@ -169,6 +169,18 @@ def test_translate_set_rejects_collisions():
         cfg.translate_set([Cell(9, 9)], (1, 0))
 
 
+def test_edited_configurations_hold_only_cells():
+    # edits build their result without the constructor's per-cell check;
+    # every key they produce is still a Cell
+    cfg = square()
+    edited = [cfg.detach(Cell(0, 1)), cfg.translate_set([Cell(0, 1), Cell(1, 1)], (0, 1)),
+              cfg.translate_set(cfg.cells, (3, -2))]
+    for config in edited:
+        assert all(type(c) is Cell for c in config.cells)
+        assert config == Configuration(dict(config.items()))
+        assert list(config.cells) == sorted(config.cells)
+
+
 def test_empty_configuration_is_representable():
     cfg = Configuration({})
     assert cfg.n == 0

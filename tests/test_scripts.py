@@ -72,3 +72,9 @@ def test_bench_writes_every_end_to_end_metric_of_a_correct_run(tmp_path):
         assert len(metric["values"]) == 1
         assert all(v > 0 for v in (*metric["values"], metric["median"], metric["q1"], metric["q3"]))
         assert metric["q1"] <= metric["median"] <= metric["q3"]
+    kernel = record["kernel_by_m"]
+    assert [entry["block"] for entry in kernel] == [f"{w}x{w}" for w in range(1, 8)]
+    assert [entry["m"] for entry in kernel] == [0, 12, 32, 60, 96, 140, 192]
+    for entry in kernel:
+        assert entry["calls"] >= 5
+        assert entry["m"] == 0 or entry["median_scaled_s"] > 0, entry
