@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -106,108 +107,29 @@ def gravity_wrench(n_units: int, params: PhysicalParams = DEFAULT_PARAMS) -> np.
     return np.array([n_units * params.unit_mass * params.gravity, 0.0, 0.0, 0.0])
 
 
-# Coordinate pairs (p, q), p < q, of the 2x2 minors of two generator rows.
-_MINOR_P = np.array([0, 0, 0, 1, 1, 2])
-_MINOR_Q = np.array([1, 2, 3, 2, 3, 3])
-# Cofactor map L(a) with cross(a, b, c) = minors(b, c) @ L(a): entry (p, k)
-# is _COFACTOR_SIGN[p, k] * a[_COFACTOR_INDEX[p, k]]. It is the Laplace
-# expansion of the generalized cross product along a, whose component k is
-# (-1)^k times the 3x3 minor of (a, b, c) that omits column k.
-_COFACTOR_INDEX = np.array([[0, 0, 3, 2], [0, 3, 0, 1], [0, 2, 1, 0],
-                            [3, 0, 0, 0], [2, 0, 0, 0], [1, 0, 0, 0]])
-_COFACTOR_SIGN = np.array([[0, 0, 1, -1], [0, -1, 0, 1], [0, 1, -1, 0],
-                           [1, 0, 0, -1], [-1, 0, 1, 0], [1, -1, 0, 0]], dtype=float)
-# Floats of `normals @ probe` in one batch of the margin kernel.
+# Floats of the sorted projections t in one batch of the layer pass.
 _BATCH_FLOATS = 1 << 14
 
 
-@lru_cache
-def _pair_index(m: int) -> np.ndarray:
-    """Flat indices into m rows of 4 of the factors of every pair's minors.
-
-    Entry [:, t, p] is (4j + P, 4k + Q, 4j + Q, 4k + P) for the t-th pair
-    (j, k), j < k, of np.triu_indices and (P, Q) = (_MINOR_P, _MINOR_Q)[p].
-    """
-    j, k = np.triu_indices(m, k=1)
-    j, k = 4 * j[:, None], 4 * k[:, None]
-    return np.stack((j + _MINOR_P, k + _MINOR_Q, j + _MINOR_Q, k + _MINOR_P))
-
-
-def _pair_minors(rows: np.ndarray) -> np.ndarray:
-    """minors(b, c) of every row pair (b, c), b before c, shape (C(m, 2), 6)."""
-    f = rows.ravel()[_pair_index(rows.shape[0])]
-    return f[0] * f[1] - f[2] * f[3]
-
-
-def _cofactor_maps(rows: np.ndarray) -> np.ndarray:
-    """The maps L(a) of the rows side by side, shape (6, 4m): column block i is L(rows[i])."""
-    return (rows[:, _COFACTOR_INDEX] * _COFACTOR_SIGN).transpose(1, 0, 2).reshape(6, -1)
-
-
-def _facet_normal_batches(generators: np.ndarray):
-    """Yield (normals, lengths) covering every hyperplane spanned by three
-    independent generators.
-
-    The normalized rows are split once, by the sign of the yaw column, into
-    parts A and B, which puts each spin layer of a wrench set in its own
-    part. A part of three or more rows is checked against n = (a_3, 0, 0,
-    -a_0) from its first row a, the yaw normal of a layer: when every row is
-    orthogonal to n (to 1e-12 of |n|), every independent triple inside the
-    part has normal +-n, so n (length 1) stands for them. A part that fails
-    is paired with itself, so its inside triples come from its pairs with its
-    own rows. Batches come as the seeds, the pairs of A with the rows of B,
-    those of B with A, then any self pairs.
-
-    Each batch is one product `_pair_minors(P) @ _cofactor_maps(rows of Q)`
-    of about _BATCH_FLOATS / (m + 1) unscaled generalized cross products (at
-    least one row of Q). Products shorter than 1e-9 (dependent rows, such as
-    a repeated one) are dropped; a triple repeated does not change a minimum.
-    """
-    norms = np.linalg.norm(generators, axis=1)
-    rows = generators[norms > 0] / norms[norms > 0, None]
-    up = rows[:, 3] >= 0.0
-    a, b = rows[up], rows[~up]
-    seeds, pairs = [], [(a, b), (b, a)]
-    for part in (a, b):
-        if len(part) < 3:
-            continue
-        a0, a3 = part[0, 0], part[0, 3]
-        n = np.array([a3, 0.0, 0.0, -a0])
-        length = math.hypot(a0, a3)
-        if length > 1e-9 and float(np.abs(part @ n).max()) <= 1e-12 * length:
-            seeds.append(n / length)
-        else:
-            pairs.append((part, part))
-    if seeds:
-        yield np.array(seeds), np.ones(len(seeds))
-    per_normal = generators.shape[0] + 1
-    for p, q in pairs:
-        if len(p) < 2 or not len(q):
-            continue
-        minors = _pair_minors(p)
-        step = max(1, _BATCH_FLOATS // (len(minors) * per_normal))
-        for first in range(0, len(q), step):
-            normals = (minors @ _cofactor_maps(q[first:first + step])).reshape(-1, 4)
-            lens = np.linalg.norm(normals, axis=1)
-            ok = lens > 1e-9
-            if not ok.all():
-                normals, lens = normals[ok], lens[ok]
-            yield normals, lens
-
-
 def facet_normal_candidates(generators: np.ndarray) -> np.ndarray:
-    """Unit normals of the kernel's batches, which cover every hyperplane
-    spanned by three independent generators.
+    """Unit normals of every hyperplane spanned by three independent generators.
 
     Facets of a 4-D zonotope are spanned by generator triples, so this set
     contains every facet normal (plus harmless extras from triples that do
-    not actually support a facet). A part of rows in one hyperplane gives its
-    normal once; every other triple gives one row, with no sign
-    canonicalization and no deduplication: the margin is symmetric in +-eta
-    and a minimum ignores repeats.
+    not actually support a facet). Each triple of normalized nonzero rows
+    gives its generalized cross product, whose component k is (-1)^k times
+    the 3x3 minor that omits column k; products shorter than 1e-9 (dependent
+    rows) are dropped. There is no sign canonicalization and no
+    deduplication: the margin is symmetric in +-eta and a minimum ignores
+    repeats. Nothing in `src/` calls it; it stays because perfbench/tracing.py
+    wraps it by name (ROADMAP item 11).
     """
-    batches = [normals / lens[:, None] for normals, lens in _facet_normal_batches(generators)]
-    return np.concatenate([np.zeros((0, 4)), *batches])
+    norms = np.linalg.norm(generators, axis=1)
+    rows = generators[norms > 0] / norms[norms > 0, None]
+    triples = rows[np.array(list(combinations(range(len(rows)), 3)), dtype=int).reshape(-1, 3)]
+    normals = np.stack([(-1) ** k * np.linalg.det(np.delete(triples, k, axis=2)) for k in range(4)], axis=1)
+    lens = np.linalg.norm(normals, axis=1)
+    return normals[lens > 1e-9] / lens[lens > 1e-9, None]
 
 
 def _distance_to_zonotope(zono: WrenchZonotope, point: np.ndarray) -> float:
@@ -224,31 +146,20 @@ def _distance_to_zonotope(zono: WrenchZonotope, point: np.ndarray) -> float:
     return float(np.linalg.norm(zono.generators.T @ res.x - delta))
 
 
-def _general_slacks(generators: np.ndarray, d: np.ndarray):
-    """Yield the least slack sum_i |eta.g_i| - |eta.d| of each batch of
-    _facet_normal_batches, eta a unit normal and d = c - g.
+def _rotor_layers(generators: np.ndarray) -> np.ndarray:
+    """The mask of the rows with yaw > 0 of a rotor wrench set, the input
+    check of the layer pass.
 
-    One product per batch gives every eta.g_i and eta.d; the weights add the
-    first m absolute values and subtract the last, and dividing by the
-    lengths rescales the unscaled normals to unit ones.
+    Every row must be lam * (1, u_i, +-c) for one lam > 0 and one c > 0, as
+    every row of `build_zonotope` is; the test is exact, and any other set
+    raises ValueError.
     """
-    probe = np.column_stack((generators.T, d))
-    weights = np.ones(generators.shape[0] + 1)
-    weights[-1] = -1.0
-    for normals, lens in _facet_normal_batches(generators):
-        products = normals @ probe
-        np.abs(products, out=products)
-        yield float((products @ weights / lens).min(initial=math.inf))
-
-
-def _rotor_layers(generators: np.ndarray) -> np.ndarray | None:
-    """The mask of the rows with yaw > 0 when every row is lam * (1, u_i, +-c)
-    for one lam > 0 and one c > 0, as every row of `build_zonotope` is;
-    else None. The test is exact."""
     lam, yaw = generators[0, 0], abs(generators[0, 3])
     up = generators[:, 3] == yaw
     rotors = (generators[:, 0] == lam).all() and (up | (generators[:, 3] == -yaw)).all()
-    return up if lam > 0.0 and yaw > 0.0 and rotors else None
+    if not (lam > 0.0 and yaw > 0.0 and rotors):
+        raise ValueError("the margin kernel takes rotor wrench sets: rows lam * (1, u, +-c), lam > 0, c > 0")
+    return up
 
 
 # y @ _TURN = (y_1, -y_0), so (U_p - U_p') . (y @ _TURN) = w . y for the
@@ -298,8 +209,10 @@ def _layer_plan(layers: bytes) -> tuple[int, int, tuple | None]:
 
 def _layer_slacks(generators: np.ndarray, d: np.ndarray, up: np.ndarray):
     """Yield the least facet slacks of a rotor wrench set, `up` its
-    `_rotor_layers` mask, batch by batch, over the hyperplanes of
-    _general_slacks.
+    `_rotor_layers` mask, batch by batch, over hyperplanes that cover every
+    one spanned by three independent generators: the hyperplane of each
+    layer of three or more rows and each hyperplane through a pair of one
+    layer and a row of the other.
 
     Row i is (lam, U_i, sigma_i * Y): U_i the rotor's torque arm times lam,
     Y = lam * c. Layer P (sigma = +1) lies in the hyperplane of (Y, 0, 0,
@@ -371,23 +284,19 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray, floor: float = -math
     yaw_authority_bound. The generators are split by the sign of their yaw
     column into the layers, a layer of three or more rows seeds the running
     minimum with its yaw normal, and only the cross-layer triples, a pair of
-    one layer with a row of the other, are enumerated, by one of two passes
-    over the same hyperplanes. The layer pass (_layer_slacks) takes a set
-    of rotor rows lam * (1, u_i, +-c), which _rotor_layers tests exactly and
-    every `build_zonotope` output is: the facet through a pair (p, p') and
+    one layer with a row of the other, are enumerated, by the layer pass
+    (_layer_slacks). It takes a set of rotor rows lam * (1, u_i, +-c), as
+    every `build_zonotope` output is; a set of rank 4 with any other row
+    raises ValueError (_rotor_layers). The facet through a pair (p, p') and
     a row q of the other layer has the slack (sum over the pair's layer of
     |w.u_i - w.u_p| + sum over the other of |w.u_j - w.u_q| - |eta.(c -
     g)|) / |eta|, w a perpendicular of u_p - u_p', and one sort per pair
-    gives each in O(1), O(m^3 log m) a call. Any other set takes the general
-    loop (_general_slacks over _facet_normal_batches), one O(m) product per
-    facet, where a part off its yaw hyperplane pairs with itself too.
+    gives each in O(1), O(m^3 log m) a call.
 
     Only the running minimum is kept, so memory is bounded by one batch, not
-    by all triples: the general loop's `normals @ probe` holds at most
-    max(_BATCH_FLOATS, C(k, 2) * (m + 1)) floats, k < m the rows of a layer,
-    and an array of the layer pass about _BATCH_FLOATS. A negative minimum
-    (exterior) or a generator rank below 4 (empty interior) ends at the one
-    projection exit: minus the distance to the set.
+    by all triples: an array of the layer pass holds about _BATCH_FLOATS
+    floats. A negative minimum (exterior) or a generator rank below 4 (empty
+    interior) ends at the one projection exit: minus the distance to the set.
 
     A margin at or above `floor` is returned exactly. Below it the result
     may instead be an upper bound u with margin <= u < floor - 1e-9: every
@@ -400,11 +309,8 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray, floor: float = -math
     tol = 1e-9 * scale
     # rank 4: the least of the four singular values clears the tolerance
     if zono.m >= 4 and np.linalg.svd(zono.generators, compute_uv=False)[3] > 1e-12 * scale:
-        up = _rotor_layers(zono.generators)
-        d = zono.center - g
-        slacks = _general_slacks(zono.generators, d) if up is None else _layer_slacks(zono.generators, d, up)
         margin = math.inf
-        for slack in slacks:
+        for slack in _layer_slacks(zono.generators, zono.center - g, _rotor_layers(zono.generators)):
             margin = min(margin, slack)
             # In [-tol, 0) the projection below may snap the margin to 0.0,
             # which lies above this bound.
@@ -570,7 +476,9 @@ def system_cm(config: Configuration, params: PhysicalParams = DEFAULT_PARAMS,
 
 def quick_cm_upper(sub: Subassembly, params: PhysicalParams = DEFAULT_PARAMS) -> float:
     """Upper bound on the margin: the least slack along the eight axes +-e_k,
-    min_k (sum_i |G_ik| - |c_k - g_k|); every unit direction's slack bounds it."""
+    min_k (sum_i |G_ik| - |c_k - g_k|); every unit direction's slack bounds it.
+    Nothing in `src/` calls it; it stays because perfbench/tracing.py wraps it
+    by name (ROADMAP item 11)."""
     zono = build_zonotope(sub, params)
     g = gravity_wrench(sub.n, params)
     return float((np.abs(zono.generators).sum(axis=0) - np.abs(zono.center - g)).min())

@@ -304,7 +304,8 @@ def partition(config: Configuration) -> list[Subassembly]:
     Deterministic: components are ordered by their minimal (y, x) cell and
     unit lists inside each component are sorted the same way.
     """
+    units = config._units   # connected_components yields occupied Cells only
     return [
-        Subassembly(tuple((c, config.state(c)) for c in comp))
+        Subassembly(tuple((c, units[c]) for c in comp))
         for comp in connected_components(config.cells)
     ]

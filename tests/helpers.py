@@ -6,7 +6,7 @@ paths by breadth-first search, assignments by permutation enumeration,
 parking spots by gating every spot, and shape counts by brute-force subset
 growth. There are two exceptions. The margin kernel's reference is the
 library's earlier facet enumeration (all triples at once, sign-canonicalized
-and deduplicated), kept here so that the streaming kernel can be checked
+and deduplicated), kept here so that the kernel's layer pass can be checked
 against it. The fill-target reference is the library's earlier
 `conflict_free_targets`, which kept every entry path; it runs the library's
 A*, and the leaner version is checked against it. The fill-assignment

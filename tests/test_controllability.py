@@ -8,7 +8,7 @@ every case in the table.
 
 import math
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +214,16 @@ def test_facet_normal_candidates_cover_the_canonical_normals():
         assert gap.min() <= 1e-9
 
 
+def test_facet_normal_candidates_of_generic_rows_are_one_per_triple():
+    # Rows in general position, unlike the symmetric wrench sets above, whose
+    # mirror images can hide a wrong sign in the cross product.
+    rows = np.random.default_rng(5).normal(size=(7, 4))
+    normals = facet_normal_candidates(rows)
+    assert len(normals) == math.comb(7, 3)
+    units = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    assert np.all((np.abs(normals @ units.T) <= 1e-12).sum(axis=1) == 3)
+
+
 def test_fewer_than_three_generators_yield_no_normals():
     assert facet_normal_candidates(np.zeros((0, 4))).shape == (0, 4)
     assert facet_normal_candidates(np.eye(4)[:2]).shape == (0, 4)
@@ -267,18 +277,22 @@ KERNEL_BLOCKS = {
     "6x5-ur": (6, 5, {(2, 2): UNIT_FAULT, (5, 0): rotor_fault(0)}),
 }
 
+# Generator sets of rank below 4, which end at the projection whatever
+# their rows are.
 KERNEL_EDGES = {
     "m2": ([_E[0], _E[1]], _INSIDE),
-    "zero-generator": ([_E[0], _E[1], np.zeros(4), _E[2], _E[3], _E.sum(axis=0)], _INSIDE),
-    "zero-generator-outside": ([_E[0], np.zeros(4), _E[1], _E[2], _E[3]], _OUTSIDE),
-    "coplanar-triple": ([_E[0], _E[1], _E[0] + _E[1], _E[2], _E[3]], _INSIDE),
     "coplanar-only": ([_E[0], _E[1], _E[0] - _E[1]], _INSIDE),
     # rank 3 with the hover wrench in the set's hyperplane: inside the flat
     # set it lies on the boundary (0.0), outside it 0.35 from the set
     "flat-inside": ([_E[0], _E[1], _E[2], _E[0] + _E[1] + _E[2]], _INSIDE * [1, 1, 1, 0]),
     "flat-outside": ([_E[0], _E[1], _E[2], _E[0] + _E[1] + _E[2]], _OUTSIDE),
-    # yaw-sign parts of rank 4, which no hyperplane check passes, so each
-    # part is paired with itself; the nearest facet lies inside one of them
+}
+
+# Generator sets of rank 4 whose rows are not rotor rows lam * (1, u, +-c).
+NON_ROTOR_SETS = {
+    "zero-generator": ([_E[0], _E[1], np.zeros(4), _E[2], _E[3], _E.sum(axis=0)], _INSIDE),
+    "zero-generator-outside": ([_E[0], np.zeros(4), _E[1], _E[2], _E[3]], _OUTSIDE),
+    "coplanar-triple": ([_E[0], _E[1], _E[0] + _E[1], _E[2], _E[3]], _INSIDE),
     "gaussian": (np.random.default_rng(33).normal(size=(14, 4)), _INSIDE),
     "one-yaw-sign": (np.abs(np.random.default_rng(19).normal(size=(10, 4))), _INSIDE),
 }
@@ -295,11 +309,12 @@ def test_kernel_matches_the_all_triples_reference(name):
         reference_cm_signed_distance(zono, g), abs=1e-9)
 
 
-def test_gaussian_edge_case_has_yaw_sign_parts_of_rank_4():
-    generators = np.asarray(KERNEL_EDGES["gaussian"][0])
-    for part in (generators[generators[:, 3] >= 0], generators[generators[:, 3] < 0]):
-        assert np.linalg.matrix_rank(part) == 4
-    assert np.all(np.asarray(KERNEL_EDGES["one-yaw-sign"][0])[:, 3] > 0)
+@pytest.mark.parametrize("name", sorted(NON_ROTOR_SETS))
+def test_layer_pass_rejects_a_rank_4_set_of_other_rows(name):
+    zono, g = _zonotope_case(*NON_ROTOR_SETS[name])
+    assert np.linalg.matrix_rank(zono.generators) == 4
+    with pytest.raises(ValueError, match="rotor wrench sets"):
+        cm_signed_distance(zono, g)
 
 
 def test_flat_wrench_sets_read_zero_inside_and_minus_the_distance_outside():
@@ -315,19 +330,29 @@ def test_flat_wrench_sets_read_zero_inside_and_minus_the_distance_outside():
 @pytest.mark.parametrize("name", sorted(KERNEL_BLOCKS))
 def test_the_kernel_enumerates_only_cross_layer_triples(name, spin):
     # Each spin layer lies in the hyperplane of its yaw normal, which stands
-    # for every triple inside the layer; the other triples pair two rows of
-    # one layer with a row of the other. Pairing a layer of k rows with
-    # itself would add C(k, 2) * (k - 2) independent triples.
-    params = PhysicalParams(spin=spin)
-    zono = build_zonotope(_block(*KERNEL_BLOCKS[name]), params)
-    k_a = int(np.count_nonzero(zono.generators[:, 3] >= 0.0))
-    k_b = zono.m - k_a
-    normals = facet_normal_candidates(zono.generators)
-    assert len(normals) <= 2 + math.comb(k_a, 2) * k_b + math.comb(k_b, 2) * k_a
-    c_tau = params.yaw_torque_coeff
-    for sigma in (1, -1):
-        yaw = np.array([-sigma * c_tau, 0.0, 0.0, 1.0]) / math.hypot(1.0, c_tau)
-        assert np.abs(np.abs(normals @ yaw) - 1.0).min() <= 1e-12
+    # for every triple inside the layer; the layer pass pairs two rows of
+    # one layer with each row of the other and nothing else. Pairing a layer
+    # of k rows with itself would add C(k, 2) * (k - 2) triples.
+    zono = build_zonotope(_block(*KERNEL_BLOCKS[name]), PhysicalParams(spin=spin))
+    up = controllability._rotor_layers(zono.generators)
+    assert np.array_equal(up, zono.generators[:, 3] > 0.0)
+    layers = {1.0: np.flatnonzero(up), -1.0: np.flatnonzero(~up)}
+    k_up, k_down, plan = controllability._layer_plan(up.tobytes())
+    assert (k_up, k_down) == (len(layers[1.0]), len(layers[-1.0]))
+    signs, j, l, columns = plan[:4]
+    width = max(k_up, k_down)
+    assert sorted(signs.ravel()) == [-1.0, 1.0]
+    for sign, side_j, side_l, side_columns in zip(signs.ravel(), j, l, columns):
+        own, other = layers[sign], layers[-sign]
+        count = math.comb(len(own), 2)
+        # the pairs past the first C(k_own, 2) repeat them
+        assert list(zip(side_j[:count], side_l[:count])) == list(combinations(own, 2))
+        assert set(zip(side_j, side_l)) == set(combinations(own, 2))
+        # other-layer rows, own-layer rows, each padded by the NaN row m + 1
+        padded = np.full(width, zono.m + 1)
+        assert np.array_equal(side_columns[:width], np.concatenate((other, padded[len(other):])))
+        assert np.array_equal(side_columns[width:-1], np.concatenate((own, padded[len(own):])))
+        assert side_columns[-1] == zono.m
 
 
 def test_kernel_peak_allocation_stays_within_one_triple_chunk():
@@ -347,52 +372,47 @@ def test_kernel_peak_allocation_stays_within_one_triple_chunk():
     assert peak <= math.comb(m - 1, 2) * (m + 1) * 8
 
 
-def _kernel_slacks(name, zono, g):
-    """The least slack of `name`'s batches, a pass of the margin kernel."""
-    d = zono.center - g
-    if name == "_layer_slacks":
-        batches = controllability._layer_slacks(zono.generators, d, controllability._rotor_layers(zono.generators))
-    else:
-        batches = controllability._general_slacks(zono.generators, d)
-    return min(batches, default=math.inf)
+def _kernel_slacks(zono, g):
+    """The least slack of the layer pass's batches."""
+    up = controllability._rotor_layers(zono.generators)
+    return min(controllability._layer_slacks(zono.generators, zono.center - g, up), default=math.inf)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(0, 3),
        st.sampled_from(SPIN_LAYOUTS), st.sampled_from((0.006, 0.02, 0.1)),
        st.sampled_from((0.0325, 0.05)))
 @settings(max_examples=80, deadline=None)
-def test_layer_pass_matches_the_reference_and_the_general_loop(seed, n, nf, spin, c_tau, arm):
+def test_layer_pass_matches_the_reference(seed, n, nf, spin, c_tau, arm):
     params = PhysicalParams(spin=spin, yaw_torque_coeff=c_tau, arm_offset=arm)
     sub = random_faulty_subassembly(np.random.default_rng(seed), n, nf)
     zono, g = build_zonotope(sub, params), gravity_wrench(sub.n, params)
     exact = cm_signed_distance(zono, g)
     assert exact == pytest.approx(reference_cm_signed_distance(zono, g), abs=1e-9)
     if zono.m:
-        assert controllability._rotor_layers(zono.generators) is not None
-        scale = zono.scale() + float(np.linalg.norm(g)) + 1.0
-        layer, general = (_kernel_slacks(name, zono, g) for name in ("_layer_slacks", "_general_slacks"))
-        assert layer == general or abs(layer - general) <= 1e-12 * scale
+        assert np.array_equal(controllability._rotor_layers(zono.generators), zono.generators[:, 3] > 0.0)
     for floor in (-1e-6, 0.0, 1e-6):
         _honours_floor(cm_signed_distance(zono, g, floor), exact, floor)
 
 
 def test_layer_pass_takes_every_rotor_wrench_set_and_only_those(monkeypatch):
+    # Other sets of rank 4 raise (test_layer_pass_rejects_a_rank_4_set_of_other_rows).
     passes = []
-    for name in ("_layer_slacks", "_general_slacks"):
-        def counting(*args, _name=name, _pass=getattr(controllability, name)):
-            passes.append(_name)
-            return _pass(*args)
-        monkeypatch.setattr(controllability, name, counting)
+    layer_slacks = controllability._layer_slacks
+
+    def counting(*args):
+        passes.append(len(args[0]))
+        return layer_slacks(*args)
+    monkeypatch.setattr(controllability, "_layer_slacks", counting)
     for name in sorted(PINNED) + sorted(KERNEL_BLOCKS):
         sub = sub_of(*PINNED[name][:2]) if name in PINNED else _block(*KERNEL_BLOCKS[name])
         cm_signed_distance(build_zonotope(sub), gravity_wrench(sub.n))
     # the dead sets and the three-rotor singleton end at the rank check
-    assert passes == ["_layer_slacks"] * (len(PINNED) + len(KERNEL_BLOCKS) - 3)
+    assert len(passes) == len(PINNED) + len(KERNEL_BLOCKS) - 3
     passes.clear()
     for name in sorted(KERNEL_EDGES):
         cm_signed_distance(*_zonotope_case(*KERNEL_EDGES[name]))
-    # m2, coplanar-only and the two flat sets have rank below 4
-    assert passes == ["_general_slacks"] * (len(KERNEL_EDGES) - 4)
+    # rank below 4: the projection alone
+    assert passes == []
 
 
 def test_layer_pass_skips_a_pair_at_one_position():
@@ -404,11 +424,14 @@ def test_layer_pass_skips_a_pair_at_one_position():
     twin = np.vstack((zono.generators, zono.generators[4]))
     zono = WrenchZonotope(center=twin.sum(axis=0), generators=twin)
     g = gravity_wrench(sub.n) + [0.02, 0.0, 0.0, 0.0]
-    assert controllability._rotor_layers(zono.generators) is not None
-    assert cm_signed_distance(zono, g) == pytest.approx(reference_cm_signed_distance(zono, g), abs=1e-9)
-    scale = zono.scale() + float(np.linalg.norm(g)) + 1.0
-    layer, general = (_kernel_slacks(name, zono, g) for name in ("_layer_slacks", "_general_slacks"))
-    assert abs(layer - general) <= 1e-12 * scale
+    reference = reference_cm_signed_distance(zono, g)
+    assert cm_signed_distance(zono, g) == pytest.approx(reference, abs=1e-9)
+    # inside, the pair's NaN slacks do not reach the least slack, which is
+    # the least over all triples
+    assert reference > 0.0
+    normals = facet_normal_candidates(zono.generators)
+    slack = np.abs(normals @ zono.generators.T).sum(axis=1) - np.abs(normals @ (zono.center - g))
+    assert abs(_kernel_slacks(zono, g) - slack.min()) <= 1e-12 * (zono.scale() + float(np.linalg.norm(g)) + 1.0)
 
 
 def test_all_dead_margin_is_exactly_minus_weight():
