@@ -22,7 +22,6 @@ from itertools import combinations
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .model import Configuration, FaultKind, FaultState, Subassembly, partition
 
@@ -132,18 +131,82 @@ def facet_normal_candidates(generators: np.ndarray) -> np.ndarray:
     return normals[lens > 1e-9] / lens[lens > 1e-9, None]
 
 
+def _bvls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |a x - b| over the box x in [-1, 1]^n: bounded-variable least
+    squares (Stark & Parker, Comput. Stat. 10, 1995), an active-set method
+    that ends on the exact optimum up to rounding.
+
+    The unbounded least-squares point is returned when it lies in the box.
+    Otherwise it is clipped to the box, and the free variables are solved
+    again, those leaving the box fixed at their bound, until the free
+    solution is feasible. Then each main iteration frees the bound variable
+    whose gradient points most into the box and walks toward the free
+    solution, fixing the variable that leaves the box first, until the KKT
+    violation falls below 1e-14 or the cost drops by less than 1e-14 times
+    itself, for at most 400 iterations. The update order is that of scipy's
+    `lsq_linear(method="bvls")`, so the results are the same bits.
+    """
+    x = np.linalg.lstsq(a, b, rcond=-1)[0]
+    if ((x >= -1.0) & (x <= 1.0)).all():
+        return x
+    on_bound = np.zeros(a.shape[1])      # -1, 0, +1: at the lower bound, free, at the upper
+    on_bound[x <= -1.0] = -1.0
+    on_bound[x >= 1.0] = 1.0
+    x = np.clip(x, -1.0, 1.0)
+    free = np.flatnonzero(on_bound == 0)
+    while free.size:
+        z = np.linalg.lstsq(a[:, free], b - a.dot(x * (on_bound != 0)), rcond=None)[0]
+        low, high = z < -1.0, z > 1.0
+        x[free[low]] = on_bound[free[low]] = -1.0
+        x[free[high]] = on_bound[free[high]] = 1.0
+        inside = ~(low | high)
+        x[free[inside]] = z[inside]
+        if inside.all():
+            break
+        free = free[inside]
+    tol = 1e-14
+    r = a.dot(x) - b
+    cost = 0.5 * np.dot(r, r)
+    for _ in range(400):
+        g = a.T.dot(r)
+        if np.where(on_bound == 0, np.abs(g), g * on_bound).max() < tol:
+            break
+        on_bound[np.argmax(g * on_bound)] = 0.0
+        while True:
+            free = np.flatnonzero(on_bound == 0)
+            x_free = x[free]
+            z = np.linalg.lstsq(a[:, free], b - a.dot(x * (on_bound != 0)), rcond=None)[0]
+            low, = np.nonzero(z < -1.0)
+            high, = np.nonzero(z > 1.0)
+            leaving = np.hstack((low, high))
+            if not leaving.size:
+                x[free] = z
+                break
+            alphas = (np.hstack((-1.0 - x_free[low], 1.0 - x_free[high]))
+                      / (z[leaving] - x_free[leaving]))
+            i = np.argmin(alphas)
+            x_free *= 1 - alphas[i]
+            x_free += alphas[i] * z
+            x[free] = x_free
+            on_bound[free[leaving[i]]] = -1.0 if i < low.size else 1.0
+        r = a.dot(x) - b
+        cost_new = 0.5 * np.dot(r, r)
+        if cost - cost_new < tol * cost:
+            break
+        cost = cost_new
+    return x
+
+
 def _distance_to_zonotope(zono: WrenchZonotope, point: np.ndarray) -> float:
     """Euclidean distance from a point to the zonotope (0 if inside).
 
-    Solved as box-constrained least squares over the generator coefficients
-    by the active-set solver, which ends on the exact optimum up to rounding.
+    Solved as least squares over the generator coefficients in the box
+    [-1, 1]^m by bounded-variable least squares (_bvls).
     """
     delta = point - zono.center
     if zono.m == 0:
         return float(np.linalg.norm(delta))
-    res = lsq_linear(zono.generators.T, delta, bounds=(-1.0, 1.0), method="bvls",
-                     tol=1e-14, max_iter=400)
-    return float(np.linalg.norm(zono.generators.T @ res.x - delta))
+    return float(np.linalg.norm(zono.generators.T @ _bvls(zono.generators.T, delta) - delta))
 
 
 def _rotor_layers(generators: np.ndarray) -> np.ndarray:

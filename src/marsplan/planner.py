@@ -43,7 +43,6 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .controllability import DEFAULT_PARAMS, PhysicalParams, cached_subassembly_cm, system_cm
 from .errors import (
@@ -139,6 +138,59 @@ class _Group:
         return frozenset(c + self.delta for c in self.shape)
 
 
+def _min_cost_assignment(c: list[list[float]]) -> list[int]:
+    """The column of each row in one minimum-cost assignment of a finite
+    cost matrix, as a list of rows, with rows <= columns.
+
+    The Hungarian method by shortest augmenting paths (Jonker & Volgenant,
+    Computing 38, 1987): row by row, a Dijkstra search over reduced costs
+    c[i][j] - u[i] - v[j] finds the cheapest path from the new row to a free
+    column, the dual potentials u and v are updated so that reduced costs
+    stay >= 0, and the assignment is flipped along the path. Columns are scanned
+    in scipy's `linear_sum_assignment` order, last first, and a tie prefers
+    a free column.
+    """
+    nr, nc = len(c), len(c[0])
+    u, v = [0.0] * nr, [0.0] * nc
+    col_of, row_of = [-1] * nr, [-1] * nc
+    for row in range(nr):
+        dist, via = [math.inf] * nc, [-1] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        seen_rows, seen_cols = [], []
+        i, reach, sink = row, 0.0, -1
+        while sink < 0:
+            seen_rows.append(i)
+            best, at = math.inf, -1
+            for k, j in enumerate(remaining):
+                r = reach + c[i][j] - u[i] - v[j]
+                if r < dist[j]:
+                    via[j], dist[j] = i, r
+                if dist[j] < best or (dist[j] == best and row_of[j] < 0):
+                    best, at = dist[j], k
+            reach = best
+            j = remaining[at]
+            remaining[at] = remaining[-1]
+            remaining.pop()
+            seen_cols.append(j)
+            if row_of[j] < 0:
+                sink = j
+            else:
+                i = row_of[j]
+        u[row] += reach
+        for i in seen_rows[1:]:
+            u[i] += reach - dist[col_of[i]]
+        for j in seen_cols:
+            v[j] -= reach - dist[j]
+        j = sink
+        while True:
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == row:
+                break
+    return col_of
+
+
 def lexicographic_min_assignment(cost: np.ndarray) -> list[int]:
     """Exact min-cost row->column assignment, lexicographically refined.
 
@@ -146,8 +198,10 @@ def lexicographic_min_assignment(cost: np.ndarray) -> list[int]:
     the row-major smallest column choice wins, so equal-cost solutions are
     deterministic: starting from one optimum, each row in turn takes the
     smallest free column that an optimal completion of the rows below keeps
-    at the minimum. Entries >= _BIG are treated as forbidden but may still be
-    chosen if no finite-cost perfect assignment exists; callers filter them.
+    at the minimum (within 1e-6). Every optimum and completion is solved by
+    the Hungarian method (_min_cost_assignment). Entries must be finite
+    (else ValueError); entries >= _BIG are treated as forbidden but may still
+    be chosen if no cheaper perfect assignment exists; callers filter them.
     """
     cost = np.asarray(cost, dtype=float)
     nr, nc = cost.shape
@@ -155,19 +209,21 @@ def lexicographic_min_assignment(cost: np.ndarray) -> list[int]:
         return []
     if nr > nc:
         raise InfeasibleAssignmentError(f"{nr} targets but only {nc} candidates")
-    rows, cols = linear_sum_assignment(cost)
-    best_total = float(cost[rows, cols].sum())
-    chosen = cols.tolist()
+    if not np.isfinite(cost).all():
+        raise ValueError("assignment costs must be finite")
+    c = cost.tolist()
+    chosen = _min_cost_assignment(c)
+    best_total = sum(c[i][j] for i, j in enumerate(chosen))
     for r in range(nr):
-        for c in range(chosen[r]):
-            if c in chosen[:r]:
+        for col in range(chosen[r]):
+            if col in chosen[:r]:
                 continue
-            trial = chosen[:r] + [c]
+            trial = chosen[:r] + [col]
             if r + 1 < nr:
                 free = [j for j in range(nc) if j not in trial]
-                _, rest = linear_sum_assignment(cost[r + 1:, free])
+                rest = _min_cost_assignment([[row[j] for j in free] for row in c[r + 1:]])
                 trial += [free[j] for j in rest]
-            if float(cost[rows, trial].sum()) - best_total <= 1e-6:
+            if sum(c[i][j] for i, j in enumerate(trial)) - best_total <= 1e-6:
                 chosen = trial
                 break
     return chosen
@@ -218,8 +274,8 @@ def step_verdict(config: Configuration, moved: Sequence[Cell], path: GridPath, a
     (None, None, cause); "piece" (a faulty piece below `epsilon`) returns no
     margin, and "post" (the configuration after the move below it) does.
     """
-    occupied = config.cell_set
-    if not occupied.issuperset(moved):
+    states = dict(config.items())
+    if not all(c in states for c in moved):
         return None, None, "unoccupied"
     if len(moved) > 1 and len(connected_components(moved)) > 1:
         return None, None, "disconnected"
@@ -227,10 +283,10 @@ def step_verdict(config: Configuration, moved: Sequence[Cell], path: GridPath, a
     swept = swept_cells(moved, ref, path)
     if not all(c in arena for c in swept):
         return None, None, "arena"
-    if not occupied.isdisjoint(swept.difference(moved)):
+    if not states.keys().isdisjoint(swept.difference(moved)):
         return None, None, "collision"
     post = config.translate_set(moved, (path.goal.x - ref.x, path.goal.y - ref.y))
-    flying = tuple((c, config.state(c)) for c in moved)
+    flying = tuple((c, states[c]) for c in moved)
     if (any(s.is_faulty for _, s in flying)
             and cached_subassembly_cm(Subassembly(flying), params, epsilon) < epsilon):
         return post, None, "piece"
@@ -332,9 +388,10 @@ class _Pipeline:
         for c, g in self._fault_goals().items():
             if c != g:
                 by_delta.setdefault((g.x - c.x, g.y - c.y), []).append(c)
+        states = dict(self.work.items())
         for delta, cells in by_delta.items():
             for comp in connected_components(cells):
-                self.groups.append(_Group({c: self.work.state(c) for c in comp}, delta))
+                self.groups.append(_Group({c: states[c] for c in comp}, delta))
         self.groups.sort(key=lambda g: g.sort_cell)
 
     def _fault_goals(self) -> dict[Cell, Cell]:
@@ -424,8 +481,8 @@ class _Pipeline:
 
     def _clear_corridor(self) -> None:
         members = frozenset().union(*(g.shape for g in self.groups))
-        blockers = sorted(c for c in self.corridor if c in self.work
-                          and not self.work.state(c).is_faulty and c not in members)
+        blockers = [c for c, s in self.work.items() if c in self.corridor
+                    and not s.is_faulty and c not in members]
         for blocker in blockers:
             self._relocate_blocker(blocker)
 

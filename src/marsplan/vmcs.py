@@ -265,8 +265,8 @@ def plan_vmcs_completion(config: Configuration, target_cm: float, vacancy: Cell,
     by_distance = c1 >= 0 and c2 <= 0
     heap = [(round(-c2 * donor.manhattan(vacancy), _TIE_DECIMALS) if by_distance else -math.inf,
              donor, None, None)
-            for donor in config.cells
-            if not config.state(donor).is_faulty and donor not in reserved]
+            for donor, state in config.items()
+            if not state.is_faulty and donor not in reserved]
     # (rank, donor) is unique: a donor has one entry at a time
     heapq.heapify(heap)
     while heap:

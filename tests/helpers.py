@@ -208,8 +208,9 @@ def reference_facet_normals(generators: np.ndarray) -> np.ndarray:
 def reference_cm_signed_distance(zono: WrenchZonotope, g: np.ndarray) -> float:
     """Signed margin from `reference_facet_normals` over all triples at once.
 
-    The exterior and rank-deficient cases use the same box-constrained
-    least-squares projection as the library.
+    The exterior and rank-deficient cases project with scipy's
+    `lsq_linear` (its default trust-region method), a solver independent of
+    the library's bounded-variable least squares.
     """
     g = np.asarray(g, dtype=float)
     scale = zono.scale() + float(np.linalg.norm(g)) + 1.0

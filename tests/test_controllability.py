@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import lsq_linear
 
 import marsplan.controllability as controllability
 from marsplan.controllability import (
@@ -703,6 +704,47 @@ def test_hover_wrench_within_tolerance_outside_is_not_certified_below_the_floor(
         assert cm_signed_distance(zono, g, floor) == 0.0
         clear_cm_cache()
         assert cached_subassembly_cm(sub, params, floor) == 0.0
+
+
+def _assert_projection_matches_scipy(zono, g):
+    a, delta = zono.generators.T, g - zono.center
+    ref = lsq_linear(a, delta, bounds=(-1.0, 1.0), method="bvls", tol=1e-14, max_iter=400).x
+    got = controllability._bvls(a, delta)
+    assert np.abs(got - ref).max() <= 1e-12
+    # a step to the box face may overshoot it by a rounding error
+    assert np.abs(got).max() <= 1.0 + 1e-12
+    return got
+
+
+def test_bvls_projection_matches_scipy_on_exterior_rotor_sets():
+    # scipy is the test-only reference of the in-house solver: the same
+    # active-set steps in the same order give the same point.
+    rng = np.random.default_rng(26)
+    exterior = bounded = 0
+    while exterior < 60:
+        sub = random_faulty_subassembly(rng, int(rng.integers(1, 9)), int(rng.integers(0, 3)))
+        zono = build_zonotope(sub)
+        g = gravity_wrench(sub.n)
+        if zono.m == 0 or cm_signed_distance(zono, g) >= 0.0:
+            continue
+        x = _assert_projection_matches_scipy(zono, g)
+        exterior += 1
+        bounded += bool((np.abs(x) < 1.0).any() and (np.abs(x) == 1.0).any())
+    # most nearest points have coefficients both at a bound and inside the box
+    assert bounded >= 30
+
+
+@pytest.mark.parametrize("excess", [1e-6, 5e-10])
+def test_bvls_projection_matches_scipy_in_the_tolerance_bands(excess):
+    # A healthy unit heavier than its full thrust by more than the kernel
+    # tolerance (1e-6 N) and by less (5e-10 N): the nearest point is every
+    # rotor at full thrust, and the distance is the excess weight.
+    params = PhysicalParams(unit_mass=(4 * 0.15 + excess) / 9.81)
+    zono = build_zonotope(sub_of([Cell(0, 0)]), params)
+    g = gravity_wrench(1, params)
+    assert (_assert_projection_matches_scipy(zono, g) == 1.0).all()
+    distance = controllability._distance_to_zonotope(zono, g)
+    assert abs(distance - (g[0] - 4 * params.rotor_thrust_max)) <= 1e-12
 
 
 def _axis_slack(sub):

@@ -1,7 +1,11 @@
-"""Every name a `marsplan` module imports is read in that module, and none is
-another module's private (underscore) name."""
+"""Every name a `marsplan` module imports is read in that module, none is
+another module's private (underscore) name, and the package runs on numpy
+alone: scipy is a test-only reference."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +56,13 @@ def test_the_check_finds_a_private_import():
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_no_private_name_of_another(module):
     assert private_imports(module.read_text()) == []
+
+
+def test_importing_marsplan_loads_no_scipy():
+    # a fresh interpreter, as the CLI starts: scipy.optimize alone took most
+    # of the start-up time when the package used it
+    code = ("import sys, marsplan, marsplan.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "[]"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from marsplan.controllability import DEFAULT_PARAMS, clear_cm_cache, subassembly_cm, system_cm
 from marsplan.errors import (
@@ -242,6 +243,35 @@ def test_assignment_matches_brute_force(seed, rows, extra_cols):
     assert len(set(got)) == rows
     assert sum(cost[i, c] for i, c in enumerate(got)) == pytest.approx(best_total)
     assert got == best_cols  # lexicographically smallest optimum
+
+
+@pytest.mark.parametrize("kind", ["integer", "float", "forbidden"])
+def test_hungarian_solve_reaches_the_scipy_optimum(kind):
+    # scipy is the test-only reference: the in-house solve is an assignment
+    # of every row to its own column with scipy's optimal total.
+    rng = np.random.default_rng({"integer": 1, "float": 2, "forbidden": 3}[kind])
+    for _ in range(300):
+        rows = int(rng.integers(1, 6))
+        cols = rows + int(rng.integers(0, 5))
+        if kind == "float":
+            cost = rng.uniform(0.0, 10.0, size=(rows, cols))
+        else:
+            cost = rng.integers(0, 5, size=(rows, cols)).astype(float)
+        if kind == "forbidden":
+            # path lengths with unreachable pairs, as the fill round builds them
+            cost[rng.random((rows, cols)) < 0.4] = planner._BIG
+        got = planner._min_cost_assignment(cost.tolist())
+        ref_rows, ref_cols = linear_sum_assignment(cost)
+        assert len(got) == rows and len(set(got)) == rows
+        assert cost[np.arange(rows), got].sum() == pytest.approx(cost[ref_rows, ref_cols].sum(),
+                                                                 rel=1e-12, abs=0.0)
+
+
+def test_assignment_costs_must_be_finite():
+    with pytest.raises(ValueError):
+        lexicographic_min_assignment(np.array([[0.0, math.nan]]))
+    with pytest.raises(ValueError):
+        lexicographic_min_assignment(np.array([[math.inf, 1.0], [1.0, 2.0]]))
 
 
 # -- conflict-free target filtering ---------------------------------------------------

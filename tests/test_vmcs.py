@@ -171,13 +171,13 @@ def test_support_search_runs_no_projection(monkeypatch, faults, k):
     # Every shape below the floor is settled by a facet slack, so the
     # search never projects a hover wrench onto a wrench set.
     calls = []
-    solve = controllability.lsq_linear
+    solve = controllability._bvls
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(controllability, "lsq_linear", counting)
+    monkeypatch.setattr(controllability, "_bvls", counting)
     clear_cm_cache()
     assert identify_vmcs(faults, epsilon=0.0).k == k
     assert calls == []
