@@ -415,6 +415,23 @@ def yaw_authority_bound(n_units: int, faults: Iterable[FaultState],
     return c_tau * slack / math.sqrt(1 + c_tau * c_tau)
 
 
+def margin_ceiling(n_units: int, faults: Iterable[FaultState],
+                   params: PhysicalParams = DEFAULT_PARAMS) -> float:
+    """The most `subassembly_cm` returns as a margin of n_units units with these faults.
+
+    U + 1e-12, U = yaw_authority_bound, which bounds every margin up to
+    rounding (measured under 1e-16); at least 0.0 when U lies within the
+    kernel's tolerance 1e-9 * scale below zero, where the kernel may read a
+    margin of 0.0. S = 4n * f_max * (1 + 2 * (arm + n * pitch) + c_tau) +
+    n * m * g0 + 1 bounds cm_signed_distance's `scale` for n units.
+    """
+    bound = yaw_authority_bound(n_units, faults, params)
+    scale = (4 * n_units * params.rotor_thrust_max
+             * (1 + 2 * (params.arm_offset + n_units * params.module_pitch) + params.yaw_torque_coeff)
+             + n_units * params.unit_mass * params.gravity + 1)
+    return max(bound + 1e-12, 0.0) if bound >= -1e-9 * scale else bound + 1e-12
+
+
 # The eight rigid motions of the grid about the origin, as (a, b, c, d):
 # (x, y) -> (a x + b y, c x + d y).
 _GRID_MOTIONS = (tuple((sx, 0, 0, sy) for sx in (1, -1) for sy in (1, -1))

@@ -240,10 +240,10 @@ def conflict_free_targets(config: Configuration, target_cells: Iterable[Cell],
     be discarded, so the result is nonempty whenever any target is reachable.
     """
     occupied = config.cell_set
-    pending = sorted(t for t in target_cells if t not in occupied)
+    target_set = set(target_cells)
+    pending = sorted(target_set - occupied)
     if not pending:
         return []
-    target_set = set(target_cells)
     entry = next((c for c in arena.cells_on_ring()
                   if c not in occupied and c not in target_set), None)
     if entry is None:

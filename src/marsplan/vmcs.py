@@ -4,16 +4,14 @@ A faulty unit cannot fly alone, so it travels inside a VMCS: the smallest
 rigidly connected group of normal units around the faulty one(s) whose wrench
 set still covers hover. Identification grows k (the number of normal units),
 keeps the best-margin shape at each size, and stops at the first k whose best
-shape clears the safety floor; a size whose yaw-authority bound lies below
-the floor is skipped without ranking its shapes.
+shape clears the safety floor.
 
 The companion search picks where the faulty units should end up: among all
 placements of the fault multiset on the fixed footprint, the one maximizing
 the system margin (ties broken toward the lexicographically smallest faulty
-cell set). The margin of a subassembly never exceeds its yaw-authority bound
-(controllability.yaw_authority_bound), which depends only on its unit count
-and fault states, so a placement whose bound cannot beat the best margin so
-far is skipped without building its subassemblies.
+cell set). Both searches skip by one rule, controllability.margin_ceiling:
+a support size whose ceiling lies below the floor goes unranked, and a
+placement whose ceiling cannot beat the best margin so far unbuilt.
 """
 
 from __future__ import annotations
@@ -29,8 +27,8 @@ from .controllability import (
     PhysicalParams,
     cached_subassembly_cm,
     faulty_cm,
+    margin_ceiling,
     system_cm,
-    yaw_authority_bound,
 )
 from .errors import NoPathError, VmcsSearchError
 from .model import (
@@ -52,9 +50,10 @@ def enumerate_connected_shapes(anchor: Iterable[Cell], k: int) -> list[frozenset
 
     Anchor cells keep their given coordinates (no translation quotient), so
     with a single anchor and k = 1 this yields the four dominoes through that
-    cell. Growth allows transiently disconnected partial sets, which is what
-    makes disconnected anchors (that the added cells must bridge) reachable;
-    the final connectivity filter keeps only true subassembly shapes.
+    cell. Each grown cell touches the set, so growth from a connected anchor
+    stays connected. From a disconnected anchor, growth passes through
+    disconnected partial sets to reach the shapes that bridge it, and only
+    then are the shapes filtered by connectivity.
     """
     anchor = frozenset(anchor)
     if not anchor:
@@ -70,7 +69,7 @@ def enumerate_connected_shapes(anchor: Iterable[Cell], k: int) -> list[frozenset
                     if nb not in shape:
                         grown.add(shape | {nb})
         shapes = grown
-    result = [s for s in shapes if is_connected(s)]
+    result = list(shapes) if is_connected(anchor) else [s for s in shapes if is_connected(s)]
     result.sort(key=sorted)
     return result
 
@@ -101,15 +100,15 @@ def ranked_support_shapes(faults: Mapping[Cell, FaultState], k: int,
                           ) -> list[tuple[frozenset[Cell], float]]:
     """Shapes with k normal units around the given faults, best margin first.
 
-    Anchored at the fault cells' own coordinates. Ties on margin fall back to
-    the canonical cell order, so the ranking is deterministic. Margins below
-    `floor` may be upper bounds (see cm_signed_distance); they still sort
-    after every margin at or above it, whose order is unchanged.
+    Anchored at the fault cells' own coordinates; ties on margin keep the
+    enumeration's cell order (the sort is stable). Margins below `floor`
+    may be upper bounds (see cm_signed_distance); they still sort after
+    every margin at or above it, whose order is unchanged.
     """
     ranked = []
     for shape in enumerate_connected_shapes(faults.keys(), k):
         ranked.append((shape, cached_subassembly_cm(_support(shape, faults), params, floor)))
-    ranked.sort(key=lambda it: (-round(it[1], _TIE_DECIMALS), sorted(it[0])))
+    ranked.sort(key=lambda it: -round(it[1], _TIE_DECIMALS))
     return ranked
 
 
@@ -122,22 +121,14 @@ def smallest_supports(faults: Mapping[Cell, FaultState], params: PhysicalParams,
     bounds; the shapes at or above epsilon lead the list with exact margins.
 
     A size is skipped, with no enumeration and no kernel call, when the
-    yaw-authority bound U of its s = |faults| + k units lies more than
-    1e-9 * S below epsilon, S = 4s * f_max * (1 + 2 * (arm + s * pitch) +
-    c_tau) + s * m * g0 + 1. Every margin of that size is at most U up to
-    rounding, and S bounds cm_signed_distance's `scale` for s units, so even
-    the 0.0 the kernel reads within its tolerance outside the set stays
-    below epsilon: no shape of a skipped size could have reached it.
+    margin_ceiling of its |faults| + k units lies below epsilon: no shape of
+    that size could have reached it.
     """
     for cell, state in faults.items():
         if not state.is_faulty:
             raise ValueError(f"{cell} is not faulty")
     for k in range(max_normal_units + 1):
-        s = len(faults) + k
-        scale = (4 * s * params.rotor_thrust_max
-                 * (1 + 2 * (params.arm_offset + s * params.module_pitch) + params.yaw_torque_coeff)
-                 + s * params.unit_mass * params.gravity + 1)
-        if yaw_authority_bound(s, faults.values(), params) < epsilon - 1e-9 * scale:
+        if margin_ceiling(len(faults) + k, faults.values(), params) < epsilon:
             continue
         ranked = ranked_support_shapes(faults, k, params, epsilon)
         if ranked and ranked[0][1] >= epsilon:
@@ -172,15 +163,6 @@ class TargetConfiguration:
     cm: float
 
 
-def _placement_bound(placement: Mapping[Cell, FaultState], components: list[tuple[Cell, ...]],
-                     component_of: Mapping[Cell, int], params: PhysicalParams) -> float:
-    """The smallest yaw-authority bound of the components holding the faults."""
-    held: dict[int, list[FaultState]] = {}
-    for cell, state in placement.items():
-        held.setdefault(component_of[cell], []).append(state)
-    return min(yaw_authority_bound(len(components[i]), states, params) for i, states in held.items())
-
-
 def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAULT_PARAMS,
                           ) -> TargetConfiguration:
     """Best relocation of the existing faults over the existing footprint.
@@ -197,14 +179,11 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
     margin returned with it is exact.
 
     A candidate is skipped, with no subassembly, cache lookup or kernel
-    call, when round(U + 1e-12, 9) is at most the best rounded margin, U
-    being the smallest yaw-authority bound of the components holding its
-    faults. Every margin is at most U up to rounding (measured under 1e-16),
-    so a skipped candidate could not have beaten the best, and every
-    candidate that could is still evaluated with the same floor: the winner
-    and its margin are the same as without the skip. The kernel reads a
-    hover wrench within its tolerance outside the set as 0.0, above a
-    negative U, so a negative U skips only once the best margin is at least 0.
+    call, when the smallest margin_ceiling of the components holding its
+    faults rounds to at most the best rounded margin: it could not have
+    beaten the best, and every candidate that could is still evaluated with
+    the same floor, so the winner and its margin are the same as without
+    the skip.
     """
     fault_states = sorted(s for _, s in config.items() if s.is_faulty)
     if not fault_states:
@@ -218,8 +197,11 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
     for combo in combinations(cells, len(fault_states)):
         for order in distinct_orders:
             placement = dict(zip(combo, order))
-            bound = _placement_bound(placement, components, component_of, params)
-            if round(bound + 1e-12, _TIE_DECIMALS) <= best[0] and max(bound, best[0]) >= 0.0:
+            held: dict[int, list[FaultState]] = {}
+            for cell, state in placement.items():
+                held.setdefault(component_of[cell], []).append(state)
+            ceiling = min(margin_ceiling(len(components[i]), states, params) for i, states in held.items())
+            if round(ceiling, _TIE_DECIMALS) <= best[0]:
                 continue
             subs = (Subassembly(tuple((c, placement.get(c, HEALTHY)) for c in comp))
                     for comp in components)

@@ -14,7 +14,10 @@ reference is the library's earlier fill round, which ran the library's gate
 on every (unit, target) pair; the lazy round is checked against it. The
 plan-document writer, the grid A* and `connected_components` are checked
 against the library's earlier versions too: json.dumps(indent=2) plus a pair
-regex, and the same two searches run on `Cell` objects.
+regex, and the same two searches run on `Cell` objects. The support-shape
+references are the library's earlier enumeration, which filtered every grown
+shape by connectivity, and its earlier ranking, which sorted by rounded
+margin and then by sorted cells; they take margins from the library's cache.
 """
 
 from __future__ import annotations
@@ -34,10 +37,12 @@ from marsplan.controllability import (
     PhysicalParams,
     WrenchZonotope,
     build_zonotope,
+    cached_subassembly_cm,
     gravity_wrench,
     system_cm,
 )
 from marsplan.model import (
+    HEALTHY,
     UNIT_FAULT,
     Cell,
     Configuration,
@@ -541,6 +546,36 @@ def enumerate_shapes_brute_force(anchors, k: int) -> set[frozenset[Cell]]:
         if is_connected(shape):
             shapes.add(frozenset(shape))
     return shapes
+
+
+def reference_enumerate_connected_shapes(anchor, k: int) -> list[frozenset[Cell]]:
+    """`vmcs.enumerate_connected_shapes` as it was when it filtered every
+    grown shape by connectivity."""
+    anchor = frozenset(anchor)
+    shapes: set[frozenset[Cell]] = {anchor}
+    for _ in range(k):
+        grown: set[frozenset[Cell]] = set()
+        for shape in shapes:
+            for cell in shape:
+                for nb in cell.neighbors4():
+                    if nb not in shape:
+                        grown.add(shape | {nb})
+        shapes = grown
+    result = [s for s in shapes if is_connected(s)]
+    result.sort(key=sorted)
+    return result
+
+
+def reference_ranked_support_shapes(faults, k: int, params: PhysicalParams,
+                                    floor: float) -> list[tuple[frozenset[Cell], float]]:
+    """`vmcs.ranked_support_shapes` as it was when it sorted by rounded
+    margin, then by sorted cells, over the reference enumeration."""
+    ranked = []
+    for shape in reference_enumerate_connected_shapes(faults.keys(), k):
+        sub = Subassembly(tuple((c, faults.get(c, HEALTHY)) for c in sorted(shape)))
+        ranked.append((shape, cached_subassembly_cm(sub, params, floor)))
+    ranked.sort(key=lambda it: (-round(it[1], 9), sorted(it[0])))
+    return ranked
 
 
 def zonotope_support_monte_carlo(zono: WrenchZonotope, rng: np.random.Generator,

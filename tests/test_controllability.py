@@ -28,6 +28,7 @@ from marsplan.controllability import (
     cm_signed_distance,
     facet_normal_candidates,
     gravity_wrench,
+    margin_ceiling,
     quick_cm_upper,
     subassembly_cm,
     system_cm,
@@ -883,6 +884,56 @@ def test_margin_never_exceeds_the_yaw_authority_bound(params, seed, n, nf):
     slack = (np.abs(normals @ zono.generators.T).sum(axis=1)
              - np.abs(normals @ (zono.center - gravity_wrench(sub.n, params))))
     assert bound == pytest.approx(float(slack.min()), abs=1e-12)
+
+
+# Two parameter sets with a yaw-authority bound U just below zero, where the
+# kernel reads a hover wrench within its tolerance outside the set as 0.0:
+# the support column of test_support_search_keeps_a_size_whose_margin_snaps_to_zero
+# (U about -6e-13) and the L of test_a_negative_bound_does_not_skip_a_margin_the_kernel_reads_as_zero
+# (U = -4.268e-9).
+_C_TAU = DEFAULT_PARAMS.yaw_torque_coeff
+SNAP_PARAMS = {
+    "snap-column": PhysicalParams(unit_mass=(0.4 + 1e-10 / 3) / 9.81),
+    "snap-L": PhysicalParams(unit_mass=(10 * DEFAULT_PARAMS.rotor_thrust_max
+                                        + 4.268e-9 * math.sqrt(1 + _C_TAU**2) / _C_TAU) / 3 / 9.81),
+}
+
+
+def _check_margin_ceiling(sub, params):
+    ceiling = margin_ceiling(sub.n, [s for _, s in sub.units if s.is_faulty], params)
+    for floor in (-math.inf, 0.0, ceiling):
+        assert subassembly_cm(sub, params, floor) <= ceiling, floor
+
+
+@pytest.mark.parametrize("params", [*BOUND_PARAMS.values(), *SNAP_PARAMS.values()],
+                         ids=[*BOUND_PARAMS, *SNAP_PARAMS])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), nf=st.integers(0, 12))
+@settings(max_examples=15, deadline=None)
+def test_no_margin_exceeds_the_margin_ceiling(params, seed, n, nf):
+    # Any subassembly, unit and rotor faults anywhere, asked with no floor,
+    # a floor of 0 and the ceiling itself as its floor.
+    rng = np.random.default_rng(seed)
+    cells = random_connected_cells(rng, n)
+    sub = partition(Configuration.from_cells(cells, random_fault_states(rng, cells, min(nf, n))))[0]
+    _check_margin_ceiling(sub, params)
+
+
+_COLUMN = [Cell(0, 0), Cell(0, 1), Cell(0, 2)]
+_L = [Cell(0, 0), Cell(1, 0), Cell(0, 1)]
+
+
+@pytest.mark.parametrize("params,cells,faults,cm", [
+    (SNAP_PARAMS["snap-column"], _COLUMN, {Cell(0, 1): UNIT_FAULT}, 0.0),
+    (SNAP_PARAMS["snap-L"], _L, {Cell(1, 0): rotor_fault(1)}, 0.0),
+    (SNAP_PARAMS["snap-L"], _L, {Cell(0, 0): rotor_fault(1)}, -4.268e-9),
+], ids=["column", "L-zero", "L-outside"])
+def test_the_margin_ceiling_covers_a_margin_read_as_zero(params, cells, faults, cm):
+    # U lies below zero, within the kernel's tolerance: two of these read
+    # as 0.0, above U, and the third lies just outside its set.
+    sub = partition(Configuration.from_cells(cells, faults))[0]
+    assert yaw_authority_bound(3, faults.values(), params) < 0.0
+    assert subassembly_cm(sub, params) == pytest.approx(cm, abs=1e-12)
+    _check_margin_ceiling(sub, params)
 
 
 @pytest.mark.parametrize("params", list(BOUND_PARAMS.values()), ids=list(BOUND_PARAMS))

@@ -305,6 +305,14 @@ def test_already_occupied_targets_are_not_pending():
     assert conflict_free_targets(cfg, [], ar) == []
 
 
+def test_conflict_free_targets_reads_a_one_shot_iterable_once():
+    # Read twice, an iterator is empty the second time, and the entry cell
+    # (the first free ring cell) would land on the target (-2, -2).
+    cfg = Configuration.from_cells([Cell(0, 0)])
+    targets = [Cell(-2, -2), Cell(1, 0)]
+    assert conflict_free_targets(cfg, iter(targets), Arena(-2, -2, 2, 2)) == targets
+
+
 def test_fill_targets_match_the_path_storing_reference():
     # Random arenas with random occupied cells and target subsets; every
     # third case walls in one vacant target, every tenth fills the ring.

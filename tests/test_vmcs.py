@@ -43,6 +43,8 @@ from helpers import (
     random_connected_cells,
     random_fault_states,
     ranked_donors,
+    reference_enumerate_connected_shapes,
+    reference_ranked_support_shapes,
     row_scenario,
 )
 
@@ -98,6 +100,24 @@ def test_enumeration_input_validation():
         enumerate_connected_shapes([Cell(0, 0)], -1)
 
 
+def test_shapes_match_the_enumeration_reference():
+    # Seeded anchors of 1-3 cells, connected or not, with k <= 4: the same
+    # shapes in the same order as growing and then filtering every shape.
+    rng = np.random.default_rng(27)
+    bridged = 0
+    for _ in range(24):
+        n = int(rng.integers(1, 4))
+        if rng.random() < 0.5:
+            anchor = random_connected_cells(rng, n)
+        else:
+            anchor = sorted({Cell(int(x), int(y)) for x, y in rng.integers(0, 3, size=(n, 2))})
+        k = int(rng.integers(0, 5))
+        shapes = enumerate_connected_shapes(anchor, k)
+        assert shapes == reference_enumerate_connected_shapes(anchor, k)
+        bridged += bool(shapes) and not is_connected(anchor)
+    assert bridged
+
+
 # -- ranked support shapes --------------------------------------------------------
 
 
@@ -119,6 +139,28 @@ def test_ranked_shapes_margins_match_direct_evaluation():
     for shape, cm in ranked_support_shapes(faults, 1):
         cfg = Configuration.from_cells(sorted(shape), faults)
         assert cm == pytest.approx(system_cm(cfg), abs=1e-12)
+
+
+def test_ranked_shapes_match_the_enumeration_reference():
+    # Seeded groups of 1-3 unit or rotor faults, at floors -inf, 0 and the
+    # median margin of the size, each from a cold cache: the same shapes in
+    # the same order as the two-key sort, with the same bits of every margin.
+    rng = np.random.default_rng(28)
+    ties = 0
+    for _ in range(10):
+        cells = random_connected_cells(rng, int(rng.integers(1, 4)))
+        faults = random_fault_states(rng, cells, len(cells))
+        k = int(rng.integers(0, 4))
+        clear_cm_cache()
+        exact = ranked_support_shapes(faults, k)
+        for floor in (-math.inf, 0.0, exact[len(exact) // 2][1]):
+            clear_cm_cache()
+            want = reference_ranked_support_shapes(faults, k, DEFAULT_PARAMS, floor)
+            clear_cm_cache()
+            got = ranked_support_shapes(faults, k, DEFAULT_PARAMS, floor)
+            assert [(shape, cm.hex()) for shape, cm in got] == [(shape, cm.hex()) for shape, cm in want]
+            ties += len(got) - len({round(cm, 9) for _, cm in got})
+    assert ties
 
 
 # -- identify_vmcs ------------------------------------------------------------------
