@@ -136,34 +136,17 @@ def _bvls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     squares (Stark & Parker, Comput. Stat. 10, 1995), an active-set method
     that ends on the exact optimum up to rounding.
 
-    The unbounded least-squares point is returned when it lies in the box.
-    Otherwise it is clipped to the box, and the free variables are solved
-    again, those leaving the box fixed at their bound, until the free
-    solution is feasible. Then each main iteration frees the bound variable
-    whose gradient points most into the box and walks toward the free
-    solution, fixing the variable that leaves the box first, until the KKT
-    violation falls below 1e-14 or the cost drops by less than 1e-14 times
-    itself, for at most 400 iterations. The update order is that of scipy's
-    `lsq_linear(method="bvls")`, so the results are the same bits.
+    It starts at the box vertex toward b, x = sign(a^T b) (+1 at 0): every
+    variable is at a bound, so the free solution is feasible. Each main
+    iteration frees the bound variable whose gradient points most into the
+    box and walks toward the free solution, fixing the variable that leaves
+    the box first, until the KKT violation falls below 1e-14 or the cost
+    drops by less than 1e-14 times itself, for at most 400 iterations. The
+    point a x is unique, x need not be: it may differ from scipy's
+    `lsq_linear(method="bvls")`, which starts at the unbounded solution.
     """
-    x = np.linalg.lstsq(a, b, rcond=-1)[0]
-    if ((x >= -1.0) & (x <= 1.0)).all():
-        return x
-    on_bound = np.zeros(a.shape[1])      # -1, 0, +1: at the lower bound, free, at the upper
-    on_bound[x <= -1.0] = -1.0
-    on_bound[x >= 1.0] = 1.0
-    x = np.clip(x, -1.0, 1.0)
-    free = np.flatnonzero(on_bound == 0)
-    while free.size:
-        z = np.linalg.lstsq(a[:, free], b - a.dot(x * (on_bound != 0)), rcond=None)[0]
-        low, high = z < -1.0, z > 1.0
-        x[free[low]] = on_bound[free[low]] = -1.0
-        x[free[high]] = on_bound[free[high]] = 1.0
-        inside = ~(low | high)
-        x[free[inside]] = z[inside]
-        if inside.all():
-            break
-        free = free[inside]
+    x = np.where(a.T.dot(b) >= 0.0, 1.0, -1.0)
+    on_bound = x.copy()                  # -1, 0, +1: at the lower bound, free, at the upper
     tol = 1e-14
     r = a.dot(x) - b
     cost = 0.5 * np.dot(r, r)
@@ -201,7 +184,8 @@ def _distance_to_zonotope(zono: WrenchZonotope, point: np.ndarray) -> float:
     """Euclidean distance from a point to the zonotope (0 if inside).
 
     Solved as least squares over the generator coefficients in the box
-    [-1, 1]^m by bounded-variable least squares (_bvls).
+    [-1, 1]^m by bounded-variable least squares (_bvls), started at the
+    zonotope's vertex farthest toward the point.
     """
     delta = point - zono.center
     if zono.m == 0:
@@ -233,27 +217,26 @@ _NAN_ROW = np.full((1, 2), math.nan)
 
 
 @lru_cache(maxsize=256)
-def _layer_plan(layers: bytes) -> tuple[int, int, tuple | None]:
+def _layer_plan(layers: bytes) -> tuple[int, int, tuple]:
     """Layer sizes and index arrays of the layer pass for the mask of the
     rows in layer P (yaw > 0), as bytes; the other rows form layer Q.
 
     Side P pairs rows j < l of P (np.triu_indices order) with each row of Q,
-    side Q the other way round; a side with no pair or no other row is left
-    out (no side at all gives None). The sides are stacked on a leading
-    axis, each padded to the larger side: pairs by repeating its own (a
-    repeated facet does not change a minimum), rows by index m + 1, the NaN
-    row. The plan holds per side the layer sign, the pair rows j and l,
-    `columns`: the other layer's rows, then the own layer's, each padded to
-    K = max(k_up, k_down), then m for (d_1, d_2); `at`, the column of each
-    pair's j; `ranks`, 2r + 2 - k at the r-th of the k other rows; and
-    `real`, the mask of unpadded columns (True when no column is padded).
+    side Q the other way round; a side with no pair is left out. The pass
+    takes sets of rank 4 only, whose layers both have rows (each lies in a
+    hyperplane) and one of them a pair (m >= 4). The sides are stacked on a
+    leading axis, each padded to the larger side: pairs by repeating its
+    own (a repeated facet does not change a minimum), rows by index m + 1,
+    the NaN row. The plan holds per side the layer sign, the pair rows j
+    and l, `columns`: the other layer's rows, then the own layer's, each
+    padded to K = max(k_up, k_down), then m for (d_1, d_2); `at`, the column
+    of each pair's j; `ranks`, 2r + 2 - k at the r-th of the k other rows;
+    and `real`, the mask of unpadded columns (True when no column is padded).
     """
     mask = np.frombuffer(layers, dtype=bool)
     up, down = np.flatnonzero(mask), np.flatnonzero(~mask)
     sides = [(sign, own, other) for sign, own, other in ((1.0, up, down), (-1.0, down, up))
-             if len(own) >= 2 and len(other)]
-    if not sides:
-        return len(up), len(down), None
+             if len(own) >= 2]
     m, width = len(mask), max(len(up), len(down))
     count = max(math.comb(len(own), 2) for _, own, _ in sides)
     rank = np.arange(width)
@@ -304,8 +287,6 @@ def _layer_slacks(generators: np.ndarray, d: np.ndarray, up: np.ndarray):
              for sign, k_own, k_other in ((1.0, k_up, k_down), (-1.0, k_down, k_up)) if k_own >= 3]
     if seeds:
         yield min(seeds)
-    if plan is None:
-        return
     signs, j, l, columns, (side, pair, j_at), ranks, real = plan
     arms = generators[:, 1:3]
     perp = arms[j] - arms[l]
@@ -358,8 +339,8 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray, floor: float = -math
 
     Only the running minimum is kept, so memory is bounded by one batch, not
     by all triples: an array of the layer pass holds about _BATCH_FLOATS
-    floats. A negative minimum (exterior) or a generator rank below 4 (empty
-    interior) ends at the one projection exit: minus the distance to the set.
+    floats. A negative minimum (exterior) or a rank below 4 (empty interior)
+    ends at one projection from the vertex toward g: minus the distance.
 
     A margin at or above `floor` is returned exactly. Below it the result
     may instead be an upper bound u with margin <= u < floor - 1e-9: every

@@ -201,6 +201,8 @@ class Configuration:
 
     @property
     def cell_set(self) -> frozenset[Cell]:
+        """The occupied cells. A `Cell` equals the tuple (y, x), so
+        `paths._rigid_search` can ask `(y, x) in obstacles` of this set."""
         return frozenset(self._units)
 
     @property

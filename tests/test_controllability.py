@@ -417,6 +417,35 @@ def test_layer_pass_takes_every_rotor_wrench_set_and_only_those(monkeypatch):
     assert passes == []
 
 
+def test_every_rank_4_rotor_set_has_both_layers_and_a_plan(monkeypatch):
+    # One layer lies in the hyperplane of its yaw normal (rank <= 3), so a
+    # set that passes the rank-4 test has rows in both layers, one of them
+    # with a pair, and the layer pass always has a side to run.
+    masks = []
+    layer_slacks = controllability._layer_slacks
+
+    def recording(generators, d, up):
+        masks.append(up)
+        return layer_slacks(generators, d, up)
+    monkeypatch.setattr(controllability, "_layer_slacks", recording)
+    rng = np.random.default_rng(28)
+    skipped = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        cells = random_connected_cells(rng, n)
+        faults = random_fault_states(rng, cells, int(rng.integers(0, n + 1)))
+        sub = partition(Configuration.from_cells(cells, faults))[0]
+        before = len(masks)
+        cm_signed_distance(build_zonotope(sub), gravity_wrench(sub.n))
+        skipped += len(masks) == before
+    assert skipped and len(masks) > 200
+    for up in masks:
+        assert up.any() and not up.all()
+        k_up, k_down, plan = controllability._layer_plan(up.tobytes())
+        signs = plan[0].ravel()
+        assert len(signs) == (k_up >= 2) + (k_down >= 2) >= 1
+
+
 def test_layer_pass_skips_a_pair_at_one_position():
     # A repeated rotor row passes the layout test; the pair of the row and
     # its copy spans no facet, and every facet through the row is still
@@ -711,15 +740,17 @@ def _assert_projection_matches_scipy(zono, g):
     a, delta = zono.generators.T, g - zono.center
     ref = lsq_linear(a, delta, bounds=(-1.0, 1.0), method="bvls", tol=1e-14, max_iter=400).x
     got = controllability._bvls(a, delta)
-    assert np.abs(got - ref).max() <= 1e-12
+    assert np.abs(a @ got - a @ ref).max() <= 1e-12
     # a step to the box face may overshoot it by a rounding error
     assert np.abs(got).max() <= 1.0 + 1e-12
     return got
 
 
 def test_bvls_projection_matches_scipy_on_exterior_rotor_sets():
-    # scipy is the test-only reference of the in-house solver: the same
-    # active-set steps in the same order give the same point.
+    # scipy is the test-only reference of the in-house solver. The nearest
+    # point of the set is unique, so both reach it; the coefficients that
+    # reach it need not be unique, and the two solvers start apart (the
+    # vertex toward g, the unbounded solution).
     rng = np.random.default_rng(26)
     exterior = bounded = 0
     while exterior < 60:
@@ -739,13 +770,32 @@ def test_bvls_projection_matches_scipy_on_exterior_rotor_sets():
 def test_bvls_projection_matches_scipy_in_the_tolerance_bands(excess):
     # A healthy unit heavier than its full thrust by more than the kernel
     # tolerance (1e-6 N) and by less (5e-10 N): the nearest point is every
-    # rotor at full thrust, and the distance is the excess weight.
+    # rotor at full thrust, the one coefficient vector of four independent
+    # rows that reaches it, and the distance is the excess weight.
     params = PhysicalParams(unit_mass=(4 * 0.15 + excess) / 9.81)
     zono = build_zonotope(sub_of([Cell(0, 0)]), params)
     g = gravity_wrench(1, params)
     assert (_assert_projection_matches_scipy(zono, g) == 1.0).all()
     distance = controllability._distance_to_zonotope(zono, g)
     assert abs(distance - (g[0] - 4 * params.rotor_thrust_max)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_EDGES))
+def test_bvls_projection_matches_scipy_below_rank_4(name):
+    # Sets of rank below 4 reach the projection without the layer pass: the
+    # nearest point is unique, its coefficients are not (m2 excepted).
+    _assert_projection_matches_scipy(*_zonotope_case(*KERNEL_EDGES[name]))
+
+
+@pytest.mark.parametrize("size", [5, 7, 10])
+def test_bvls_projection_matches_scipy_on_large_exterior_blocks(size):
+    # Solid blocks with the columns up to the middle unit-faulted: m = 40,
+    # 84 and 160 live rotors that cannot lift the block.
+    sub = _block(size, size, {(x, y): UNIT_FAULT for x in range(size // 2 + 1) for y in range(size)})
+    zono, g = build_zonotope(sub), gravity_wrench(sub.n)
+    assert zono.m == {5: 40, 7: 84, 10: 160}[size]
+    _assert_projection_matches_scipy(zono, g)
+    assert controllability._distance_to_zonotope(zono, g) > 0.0
 
 
 def _axis_slack(sub):

@@ -385,13 +385,16 @@ def test_replay_rejects_corrupted_documents(rect_plan):
         edited["weights"][key] = 10**400
         with pytest.raises(ScenarioError, match=f"weights.{key}"):
             replay_document(edited)
-    # a step has only its known keys, a string note, an integer index,
-    # distinct moved cells and the kind that fits their number
+    # a step has only its known keys, a string note, an integer index, a
+    # known kind and phase, distinct moved cells and the kind that fits
+    # their number
     for i, key, value, fragment in ((0, "bogus", 1, r"unknown key 'bogus' in steps\[0\]"),
                                     (1, "note", 5, r"steps\[1\]\.note"),
                                     (1, "note", [1], r"steps\[1\]\.note"),
                                     (1, "index", True, r"steps\[1\]\.index"),
                                     (1, "index", 1.0, r"steps\[1\]\.index"),
+                                    (0, "kind", "teleport", r"steps\[0\]: 'teleport' is not a valid"),
+                                    (1, "phase", "warp", r"steps\[1\]: 'warp' is not a valid"),
                                     (0, "kind", "move-subassembly", r"steps\[0\]\.kind"),
                                     (2, "kind", "move-unit", r"steps\[2\]\.kind"),
                                     (2, "moved_cells", [[2, -1], [2, -1]],

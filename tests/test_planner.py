@@ -16,6 +16,7 @@ from marsplan.errors import (
     InfeasibleAssignmentError,
     InfeasibleTargetError,
     NoFeasibleDonorError,
+    NoVmcsPlacementError,
     PlanningError,
     SafetyViolationError,
 )
@@ -221,6 +222,7 @@ def test_astar_matches_the_cell_based_reference_on_seeded_fields(seed):
 
 
 def test_lexicographic_min_assignment_basics():
+    assert lexicographic_min_assignment(np.zeros((0, 3))) == []
     assert lexicographic_min_assignment(np.zeros((2, 2))) == [0, 1]
     assert lexicographic_min_assignment(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])) == [0, 1]
     cost = np.array([[1.0, 10.0], [10.0, 1.0]])
@@ -448,6 +450,29 @@ def test_a_complete_support_needs_no_completion_steps():
     pipeline.groups = [_Group({Cell(0, 1): UNIT_FAULT}, (1, 0), frozenset(cfg.cells))]
     pipeline._build_supports()
     assert pipeline.steps == [] and pipeline.work == cfg
+
+
+def test_support_selection_passes_over_shapes_that_leave_the_arena(monkeypatch):
+    # No workload ranks a shape that leaves the arena (it keeps two cells
+    # around the start), so a crafted ranking stands in: the better shape
+    # lands one column past the arena and is passed over.
+    cfg = Configuration.from_cells([Cell(0, 0), Cell(0, 1), Cell(0, 2)],
+                                   {Cell(0, 1): UNIT_FAULT})
+    wide = frozenset({Cell(0, 1), Cell(1, 1)})
+    column = frozenset(cfg.cells)
+    for ranked, shape in (([(wide, 0.01), (column, 0.005)], column), ([(wide, 0.01)], None)):
+        monkeypatch.setattr(planner, "smallest_supports", lambda *args: (1, ranked))
+        pipeline = _Pipeline(cfg, TargetConfiguration(cfg, 0.0), DEFAULT_PARAMS,
+                             2.0, -0.1, True, 0.0)
+        pipeline.arena = Arena(-1, -1, 1, 3)
+        pipeline.groups = [_Group({Cell(0, 1): UNIT_FAULT}, (1, 0))]
+        if shape is None:
+            with pytest.raises(NoVmcsPlacementError) as exc:
+                pipeline._select_supports()
+            assert exc.value.info == {"faults": (Cell(0, 1),)}
+        else:
+            pipeline._select_supports()
+            assert pipeline.groups[0].shape == shape
 
 
 def test_support_completion_raises_when_every_donor_is_load_bearing():
