@@ -14,18 +14,26 @@ pass's documents in the case order the seed draws, so it differs between
 seeds; two files made with the same seeds compare seed by seed, and equal
 digests mean byte-identical plans.
 
-The file also times the margin kernel by generator count m (`kernel_by_m`):
-warm `cm_signed_distance` calls on solid w x w blocks with a centre unit
-fault, w = 1..7 (m = 0..192), with BLAS on one thread. Each block records the
-median of its repeated calls, scaled by the speed probe of
-`perfbench/speed.py` as the end-to-end times are. The other layer timings
-are not recorded: they wait for per-plan statistics in the library.
+The file also times two layers, each as the median of repeated warm calls,
+scaled by the speed probe of `perfbench/speed.py` as the end-to-end times
+are:
+- the margin kernel by generator count m (`kernel_by_m`): `cm_signed_distance`
+  on solid w x w blocks with a centre unit fault, w = 1..7 (m = 0..192),
+  with BLAS on one thread;
+- A* on fixed arenas (`astar_by_arena`), one call being one pass over the
+  arena's routes: unit routes from the first ring cell of the icra_letters
+  start's arena to every vacant cell of the letters' bounding box, and
+  rigid routes of a 2x2 footprint from a corner of a 12x12 arena across a
+  seeded obstacle field to every position on the far row and column.
+The other layer timings are not recorded: they wait for per-plan statistics
+in the library.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -37,10 +45,12 @@ RUN = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("bundled", "fuzz", "blocks", "sweep")
 _DIGEST = "# plan digest "
 _ENV = "# env "
-# kernel timing: block widths, and per block at least KERNEL_MIN_CALLS calls
-# and more while they take under KERNEL_SECONDS, up to KERNEL_MAX_CALLS
+# layer timing: per block or arena at least MIN_CALLS calls and more while
+# they take under LAYER_SECONDS, up to MAX_CALLS
 KERNEL_WIDTHS = range(1, 8)
-KERNEL_MIN_CALLS, KERNEL_MAX_CALLS, KERNEL_SECONDS = 5, 200, 0.3
+MIN_CALLS, MAX_CALLS, LAYER_SECONDS = 5, 200, 0.3
+# the rigid A* arena: side, obstacle density and the seed of the field
+RIGID_SIDE, RIGID_DENSITY, RIGID_SEED = 12, 0.1, 2
 
 
 def run_once(workload: str, seed: int, seconds: float) -> dict:
@@ -68,37 +78,102 @@ def summary(values: list[float], unit: str) -> dict:
             "q1": quartiles[0], "q3": quartiles[2], "unit": unit}
 
 
-def kernel_by_m() -> list[dict]:
-    """Median scaled seconds of warm margin-kernel calls per block, with its m."""
+def _import_library() -> None:
+    """Put the checkout's library and probe on the path, BLAS on one thread."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"         # before numpy loads, as perfbench/run.py does
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    for path in (str(ROOT / "src"), str(ROOT / "perfbench")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+
+
+def _timed(cases: list[tuple[dict, object]]) -> list[dict]:
+    """Each case's record with its call count and the median scaled seconds
+    of its warm calls, timed under one speed probe."""
     import speed
-    from marsplan.controllability import build_zonotope, cm_signed_distance, gravity_wrench
-    from marsplan.model import UNIT_FAULT, Cell, Configuration, partition
 
     probe = speed.SpeedProbe().start()
-    blocks = []
+    timed = []
     try:
-        for w in KERNEL_WIDTHS:
-            cells = [Cell(x, y) for y in range(w) for x in range(w)]
-            (sub,) = partition(Configuration.from_cells(cells, {Cell(w // 2, w // 2): UNIT_FAULT}))
-            zono, g = build_zonotope(sub), gravity_wrench(sub.n)
-            cm_signed_distance(zono, g)            # warm: the kernel's index caches
+        for record, call in cases:
+            call()                                 # warm: caches and first-call costs
             spans = []
             start = perf_counter()
-            while len(spans) < KERNEL_MIN_CALLS or (len(spans) < KERNEL_MAX_CALLS
-                                                    and perf_counter() - start < KERNEL_SECONDS):
+            while len(spans) < MIN_CALLS or (len(spans) < MAX_CALLS
+                                             and perf_counter() - start < LAYER_SECONDS):
                 t0 = perf_counter()
-                cm_signed_distance(zono, g)
+                call()
                 spans.append((t0, perf_counter()))
-            blocks.append((f"{w}x{w}", zono.m, spans))
+            timed.append((record, spans))
     finally:
         probe.stop()
     scaled = probe.scaler()
-    return [{"block": block, "m": m, "calls": len(spans),
+    return [{**record, "calls": len(spans),
              "median_scaled_s": statistics.median(scaled(t0, t1) for t0, t1 in spans)}
-            for block, m, spans in blocks]
+            for record, spans in timed]
+
+
+def kernel_by_m() -> list[dict]:
+    """Median scaled seconds of warm margin-kernel calls per block, with its m."""
+    _import_library()
+    from marsplan.controllability import build_zonotope, cm_signed_distance, gravity_wrench
+    from marsplan.model import UNIT_FAULT, Cell, Configuration, partition
+
+    cases = []
+    for w in KERNEL_WIDTHS:
+        cells = [Cell(x, y) for y in range(w) for x in range(w)]
+        (sub,) = partition(Configuration.from_cells(cells, {Cell(w // 2, w // 2): UNIT_FAULT}))
+        zono, g = build_zonotope(sub), gravity_wrench(sub.n)
+        cases.append(({"block": f"{w}x{w}", "m": zono.m},
+                      lambda zono=zono, g=g: cm_signed_distance(zono, g)))
+    return _timed(cases)
+
+
+def astar_by_arena() -> list[dict]:
+    """Median scaled seconds of a warm pass over each fixed arena's A* routes,
+    with the route count and how many of them have no path."""
+    _import_library()
+    from marsplan.io import load_scenario
+    from marsplan.model import Cell
+    from marsplan.paths import Arena, NoPathError, arena_around, astar_subassembly, astar_unit
+
+    def routes(search, goals: list):
+        """A pass over the goals that returns how many have no path."""
+        def run() -> int:
+            failed = 0
+            for goal in goals:
+                try:
+                    search(goal)
+                except NoPathError:
+                    failed += 1
+            return failed
+        return run
+
+    letters = load_scenario(ROOT / "scenarios" / "icra_letters.json").config
+    arena = arena_around(letters.cells)
+    occupied = letters.cell_set
+    entry = arena.cells_on_ring()[0]
+    box = Arena(min(c.x for c in letters.cells), min(c.y for c in letters.cells),
+                max(c.x for c in letters.cells), max(c.y for c in letters.cells))
+    vacancies = [c for c in box.cells() if c not in occupied]
+    unit = routes(lambda goal: astar_unit(entry, goal, occupied, arena), vacancies)
+
+    rng = random.Random(RIGID_SEED)
+    field = Arena(0, 0, RIGID_SIDE - 1, RIGID_SIDE - 1)
+    square = frozenset(Cell(x, y) for x in (0, 1) for y in (0, 1))
+    obstacles = frozenset(c for c in field.cells()
+                          if c not in square and rng.random() < RIGID_DENSITY)
+    far = RIGID_SIDE - 2          # the largest reference coordinate of the square
+    goals = [c for c in field.cells() if far in (c.x, c.y) and max(c.x, c.y) <= far]
+    rigid = routes(lambda goal: astar_subassembly(square, Cell(0, 0), goal, obstacles, field),
+                   goals)
+    return _timed([
+        ({"arena": "icra_letters ring to vacancies", "search": "unit",
+          "routes": len(vacancies), "no_path": unit()}, unit),
+        ({"arena": f"2x2 across a {RIGID_SIDE}x{RIGID_SIDE} field, density {RIGID_DENSITY}, "
+                   f"seed {RIGID_SEED}", "search": "rigid",
+          "routes": len(goals), "no_path": rigid()}, rigid),
+    ])
 
 
 def git(*args: str) -> str | None:
@@ -140,9 +215,11 @@ def main(argv: list[str] | None = None) -> int:
         "git_head": git("rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
         "env": env,
-        "layer_timings": "kernel_by_m only: the other per-layer timings wait for per-plan "
-                         "statistics (PlanStats) in the library",
+        "layer_timings": "kernel_by_m and astar_by_arena only: the support search by k, "
+                         "lexicographic_min_assignment and the per-phase times wait for "
+                         "per-plan statistics (PlanStats) in the library",
         "kernel_by_m": kernel_by_m(),
+        "astar_by_arena": astar_by_arena(),
         "workloads": workloads,
     }
     args.out.mkdir(parents=True, exist_ok=True)

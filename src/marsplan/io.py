@@ -309,9 +309,10 @@ def document_to_bytes(doc: dict) -> bytes:
     deeper than its own; `,` follows every entry but the last and `: ` each
     key. Empty ones are `{}` and `[]`. A list or tuple of exactly two ints,
     not bools, is the one-line `[x, y]`. Keys must be strings. Strings go
-    through json's own ASCII escaper, a pair's ints print as int repr does,
-    and every other scalar goes through json.dumps, so escaping, float repr
-    and NaN/Infinity are json's.
+    through json's own ASCII escaper; a pair's ints, exact ints, finite
+    exact floats and None print as int and float repr and `null`, the bytes
+    json.dumps gives them; every other scalar goes through json.dumps, so
+    escaping, float repr and NaN/Infinity are json's.
     """
     out: list[str] = []
     _write_json(doc, "\n", out)
@@ -321,10 +322,20 @@ def document_to_bytes(doc: dict) -> bytes:
 
 def _write_json(value: Any, newline: str, out: list[str]) -> None:
     """Append `value` to `out`; `newline` is a newline plus its line's indent."""
-    if isinstance(value, (list, tuple)):
+    # exact types first; bools, non-finite floats and subclasses go the isinstance way
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is float and math.isfinite(value):
+        out.append(float.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif kind is list or kind is tuple or isinstance(value, (list, tuple)):
         if len(value) == 2:
             x, y = value
-            if (isinstance(x, int) and isinstance(y, int)
+            if (type(x) is int and type(y) is int or isinstance(x, int) and isinstance(y, int)
                     and type(x) is not bool and type(y) is not bool):
                 out.append("[%d, %d]" % (x, y))
                 return

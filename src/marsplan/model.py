@@ -126,6 +126,13 @@ class Subassembly:
         for c, _ in self.units:
             require_cell(c)
 
+    @classmethod
+    def _of_cells(cls, units: tuple[tuple[Cell, FaultState], ...]) -> "Subassembly":
+        """`Subassembly(units)` without the per-cell check, for a configuration's own Cells."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "units", units)
+        return sub
+
     @property
     def cells(self) -> tuple[Cell, ...]:
         return tuple(c for c, _ in self.units)
@@ -308,6 +315,6 @@ def partition(config: Configuration) -> list[Subassembly]:
     """
     units = config._units   # connected_components yields occupied Cells only
     return [
-        Subassembly(tuple((c, units[c]) for c in comp))
+        Subassembly._of_cells(tuple((c, units[c]) for c in comp))
         for comp in connected_components(config.cells)
     ]

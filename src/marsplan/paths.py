@@ -5,15 +5,17 @@ One A* search with the Manhattan heuristic moves a rigid footprint on
 inflated by two cells); a single unit is the one-cell footprint. Ties are
 broken deterministically: among equal f-scores the state whose reference cell
 comes first in the (y, x) cell order is expanded first, so identical inputs
-always yield identical paths. The search runs on plain (y, x) tuples, which
-order exactly as Cells do, so the ties are the same as on Cells; Cells are
-built only for the returned waypoints.
+always yield identical paths. The search runs on the indices of a flat
+row-major grid of reference positions, whose order is the (y, x) order, so
+the one-int heap key f * size + index breaks ties as (f, cell) would; Cells
+are built only for the returned waypoints.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import NoPathError
@@ -37,15 +39,20 @@ class Arena:
     def __contains__(self, cell: Cell) -> bool:
         return self.min_x <= cell.x <= self.max_x and self.min_y <= cell.y <= self.max_y
 
-    def cells(self) -> list[Cell]:
+    def cells(self) -> tuple[Cell, ...]:
         """Every cell of the rectangle in (y, x) order."""
-        return [Cell(x, y) for y in range(self.min_y, self.max_y + 1)
-                for x in range(self.min_x, self.max_x + 1)]
+        return self._cells_and_ring[0]
 
-    def cells_on_ring(self) -> list[Cell]:
+    def cells_on_ring(self) -> tuple[Cell, ...]:
         """Perimeter cells of the rectangle in (y, x) order."""
-        return [c for c in self.cells()
-                if c.x in (self.min_x, self.max_x) or c.y in (self.min_y, self.max_y)]
+        return self._cells_and_ring[1]
+
+    @cached_property
+    def _cells_and_ring(self) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
+        cells = tuple(Cell(x, y) for y in range(self.min_y, self.max_y + 1)
+                      for x in range(self.min_x, self.max_x + 1))
+        return cells, tuple(c for c in cells if c.x in (self.min_x, self.max_x)
+                            or c.y in (self.min_y, self.max_y))
 
 
 # Free cells the arena keeps on every side of the cells it is built around.
@@ -119,57 +126,76 @@ def _rigid_search(footprint: Iterable[Cell], ref: Cell, goal_ref: Cell,
 
     A single unit is the one-cell footprint whose reference is itself. A
     position fits when every footprint cell lies in the arena and off the
-    obstacles; the arena test is one range check on the reference cell.
-    States are plain (y, x) tuples, which hash, compare and order as the
-    Cells they stand for; Cells are built only for the returned waypoints.
+    obstacles. The states are indices of a row-major grid of the positions
+    that keep the footprint in the arena, framed by one blocked cell on each
+    side, so a step never leaves the grid. A bytearray marks the blocked
+    indices: the frame, each obstacle shifted back by each footprint offset,
+    and every closed state. Obstacles may be Cells or plain (y, x) tuples.
     """
     ry, rx = ref
-    gy, gx = goal_ref
-    others = tuple((y - ry, x - rx) for y, x in footprint if (y, x) != (ry, rx))
-    dys = [0] + [dy for dy, _ in others]
-    dxs = [0] + [dx for _, dx in others]
-    lo_x, hi_x = arena.min_x - min(dxs), arena.max_x - max(dxs)
-    lo_y, hi_y = arena.min_y - min(dys), arena.max_y - max(dys)
+    offsets = [(y - ry, x - rx) for y, x in footprint]
+    # (y0, x0) is the frame's corner; w and h count the positions plus the frame
+    y0 = arena.min_y - min(dy for dy, _ in offsets) - 1
+    x0 = arena.min_x - min(dx for _, dx in offsets) - 1
+    h = arena.max_y - max(dy for dy, _ in offsets) - y0 + 2
+    w = arena.max_x - max(dx for _, dx in offsets) - x0 + 2
+    # a footprint wider or taller than the arena leaves no position (w or h <= 2)
+    blocked = bytearray(b"\1" * w + (b"\1" + b"\0" * (w - 2) + b"\1") * (h - 2) + b"\1" * w)
+    for dy, dx in offsets:
+        for oy, ox in obstacles:
+            y, x = oy - dy - y0, ox - dx - x0
+            if 0 < y < h - 1 and 0 < x < w - 1:
+                blocked[y * w + x] = 1
 
-    def fits(y: int, x: int) -> bool:
-        if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y) or (y, x) in obstacles:
-            return False
-        for dy, dx in others:
-            if (y + dy, x + dx) in obstacles:
-                return False
-        return True
+    def index(cell: Cell) -> int | None:
+        y, x = cell[0] - y0, cell[1] - x0
+        return y * w + x if 0 < y < h - 1 and 0 < x < w - 1 and not blocked[y * w + x] else None
 
-    if not fits(ry, rx):
+    start = index(ref)
+    if start is None:
         raise NoPathError(f"start placement at {ref} collides or leaves the arena")
-    if not fits(gy, gx):
+    goal = index(goal_ref)
+    if goal is None:
         raise NoPathError(f"goal placement at {goal_ref} collides or leaves the arena")
-    start, goal = (ry, rx), (gy, gx)
-    if start == goal:
-        return GridPath((ref,))
-    open_heap = [(abs(ry - gy) + abs(rx - gx), start)]
-    g_score = {start: 0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    closed: set[tuple[int, int]] = set()
+    size = w * h                         # above every index and every path length
+    goal_y, goal_x = divmod(goal, w)
+    g_score, parent = [size] * size, [0] * size
+    g_score[start] = 0
+    open_heap = [(abs(ry - goal_ref[0]) + abs(rx - goal_ref[1])) * size + start]
     while open_heap:
-        _, cur = heapq.heappop(open_heap)
-        if cur in closed:
+        key = heapq.heappop(open_heap)
+        cur = key % size
+        if blocked[cur]:                 # closed by an earlier entry of less f
             continue
         if cur == goal:
-            cells = [cur]
-            while cur in parent:
+            path = [cur]
+            while cur != start:
                 cur = parent[cur]
-                cells.append(cur)
-            return GridPath(tuple(Cell(x, y) for y, x in reversed(cells)))
-        closed.add(cur)
+                path.append(cur)
+            return GridPath(tuple(Cell(i % w + x0, i // w + y0) for i in reversed(path)))
+        blocked[cur] = 1
         tentative = g_score[cur] + 1
-        y, x = cur
-        # the order of Cell.neighbors4
-        for nb in ((y - 1, x), (y, x - 1), (y, x + 1), (y + 1, x)):
-            if tentative < g_score.get(nb, 1 << 30) and fits(*nb):
-                g_score[nb] = tentative
-                parent[nb] = cur
-                ny, nx = nb
-                heapq.heappush(open_heap, (tentative + abs(ny - gy) + abs(nx - gx), nb))
+        # a step toward the goal keeps f; a step away raises it by 2
+        keep = key - cur
+        rise = keep + 2 * size
+        y, x = divmod(cur, w)
+        # the order of Cell.neighbors4, unrolled
+        nb = cur - w
+        if tentative < g_score[nb] and not blocked[nb]:
+            g_score[nb], parent[nb] = tentative, cur
+            heapq.heappush(open_heap, (keep if y > goal_y else rise) + nb)
+        nb = cur - 1
+        if tentative < g_score[nb] and not blocked[nb]:
+            g_score[nb], parent[nb] = tentative, cur
+            heapq.heappush(open_heap, (keep if x > goal_x else rise) + nb)
+        nb = cur + 1
+        if tentative < g_score[nb] and not blocked[nb]:
+            g_score[nb], parent[nb] = tentative, cur
+            heapq.heappush(open_heap, (keep if x < goal_x else rise) + nb)
+        nb = cur + w
+        if tentative < g_score[nb] and not blocked[nb]:
+            g_score[nb], parent[nb] = tentative, cur
+            heapq.heappush(open_heap, (keep if y < goal_y else rise) + nb)
     raise NoPathError(f"no path moving {ref} -> {goal_ref}")
 
 

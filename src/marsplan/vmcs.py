@@ -189,7 +189,7 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
     if not fault_states:
         return TargetConfiguration(config, float("inf"))
     cells = config.cells
-    components = connected_components(cells)
+    components = connected_components(cells)     # of the configuration's own Cells
     component_of = {c: i for i, comp in enumerate(components) for c in comp}
     distinct_orders = sorted(set(permutations(fault_states)))
     # (rounded cm, cm, placement); the first candidate beats the -inf start
@@ -203,7 +203,7 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
             ceiling = min(margin_ceiling(len(components[i]), states, params) for i, states in held.items())
             if round(ceiling, _TIE_DECIMALS) <= best[0]:
                 continue
-            subs = (Subassembly(tuple((c, placement.get(c, HEALTHY)) for c in comp))
+            subs = (Subassembly._of_cells(tuple((c, placement.get(c, HEALTHY)) for c in comp))
                     for comp in components)
             cm = faulty_cm(subs, params, best[0])
             if round(cm, _TIE_DECIMALS) > best[0]:

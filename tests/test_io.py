@@ -1,6 +1,7 @@
 """Scenario parsing, plan files, replay, CSV trace, SVG rendering, and the CLI."""
 
 import dataclasses
+import enum
 import hashlib
 import importlib
 import importlib.util
@@ -257,6 +258,15 @@ _SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**30, 10*
             | st.floats() | st.sampled_from([-0.0, 1e300, 1.0, 2.5, math.inf]) | _TEXT)
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Half(float):
+    pass
+
+
 def _json_trees(children):
     return (st.lists(children, max_size=4)
             | st.lists(children, max_size=3).map(tuple)
@@ -268,7 +278,9 @@ def _json_trees(children):
 @given(st.dictionaries(_TEXT, st.recursive(_SCALARS, _json_trees, max_leaves=25), max_size=5))
 @example({"a": [True, 1], "b": [1.0, 2], "c": -0.0, "d": 1e300, "e": None, "f": {},
           "g": [], "h": [[], {}, [{}], {"": []}], "i": [-10**30, 10**30 - 1], "j": [[1, 2]],
-          "k": "[\n  1,\n  2\n]", "\"[3, 4]\"\n": ["é", "\u2028"], "l": [1, 2, 3]})
+          "k": "[\n  1,\n  2\n]", "\"[3, 4]\"\n": ["é", "\u2028"], "l": [1, 2, 3],
+          "m": _Level.HIGH, "n": [_Level.LOW, 2], "o": _Half(0.5), "p": [_Half(1.5), _Half("nan")],
+          "q": Cell(3, -4), "r": [Cell(0, 0), (Cell(1, 2),)]})
 @settings(max_examples=300, deadline=None)
 def test_document_bytes_match_the_reference_writer_on_json_trees(doc):
     # The reference is json.dumps(indent=2) plus the pair regex; its input is

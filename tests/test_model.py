@@ -229,6 +229,22 @@ def test_partition_preserves_states():
     assert parts[0].units == ((Cell(0, 0), HEALTHY), (Cell(1, 0), HEALTHY))
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_partition_equals_the_publicly_built_subassemblies(seed, n):
+    # partition skips the per-cell check; its output is what the checked
+    # public constructor builds from the same units, hash included.
+    rng = np.random.default_rng(seed)
+    cells = random_connected_cells(rng, n) + [c + (0, 50) for c in random_connected_cells(rng, n)]
+    cfg = Configuration.from_cells(cells, random_fault_states(rng, cells, min(2, n)))
+    parts = partition(cfg)
+    public = [Subassembly(tuple((c, cfg.state(c)) for c in comp))
+              for comp in connected_components(cfg.cells)]
+    assert parts == public
+    assert [hash(p) for p in parts] == [hash(p) for p in public]
+    assert all(type(p) is Subassembly for p in parts)
+
+
 def test_subassembly_canonical_is_translation_invariant():
     a = Subassembly(((Cell(2, 3), HEALTHY), (Cell(3, 3), UNIT_FAULT)))
     b = Subassembly(((Cell(-1, 0), HEALTHY), (Cell(0, 0), UNIT_FAULT)))

@@ -74,7 +74,7 @@ def test_arena_membership_and_ring():
     ring = ar.cells_on_ring()
     assert len(ring) == 8  # 3x3 box minus its center
     assert Cell(1, 1) not in ring
-    assert ring == sorted(ring)
+    assert list(ring) == sorted(ring)
 
 
 def test_arena_around_inflates_bounds():
@@ -216,6 +216,98 @@ def test_astar_matches_the_cell_based_reference_on_seeded_fields(seed):
         found += want is not None
         failed += want is None
     assert found and failed
+
+
+def _both_searches(footprint, ref, goal, obstacles, arena):
+    """(library, reference) outcome: waypoints, or the NoPathError message."""
+    def outcome(search):
+        try:
+            path = search(footprint, ref, goal, obstacles, arena)
+        except NoPathError as exc:
+            return str(exc)
+        assert all(type(c) is Cell for c in path.waypoints)
+        return path.waypoints
+
+    if len(footprint) == 1:
+        mine = outcome(lambda f, r, g, o, a: astar_unit(r, g, o, a))
+    else:
+        mine = outcome(astar_subassembly)
+    return mine, outcome(reference_rigid_search)
+
+
+_BAR4 = frozenset(Cell(x, 0) for x in range(4))
+_SQUARE = frozenset(Cell(x, y) for x in (0, 1) for y in (0, 1))
+_RING_OUTSIDE = frozenset(Cell(x, y) for x in range(-1, 6) for y in range(-1, 6)
+                          if x in (-1, 5) or y in (-1, 5))
+
+
+@pytest.mark.parametrize("footprint, ref, goal, obstacles, arena", [
+    # footprints wider or taller than the arena: no reference position fits
+    (_BAR4, Cell(0, 0), Cell(0, 1), frozenset(), Arena(0, 0, 2, 3)),
+    (frozenset(Cell(0, y) for y in range(4)), Cell(0, 3), Cell(1, 3), frozenset(), Arena(0, 0, 3, 2)),
+    (_BAR4, Cell(2, 0), Cell(2, 0), frozenset(), Arena(0, 0, 3, 0)),
+    # obstacles outside the arena, next to it and far off
+    (_SQUARE, Cell(0, 0), Cell(3, 3), _RING_OUTSIDE, Arena(0, 0, 4, 4)),
+    (frozenset([Cell(0, 0)]), Cell(0, 0), Cell(4, 4), _RING_OUTSIDE | {Cell(99, -7), Cell(9, 0), Cell(-6, 1)},
+     Arena(0, 0, 4, 4)),
+    # start == goal, in open and in crowded fields
+    (frozenset([Cell(2, 2)]), Cell(2, 2), Cell(2, 2), frozenset(), Arena(0, 0, 4, 4)),
+    (_SQUARE, Cell(1, 1), Cell(1, 1), frozenset([Cell(2, 0), Cell(0, 2)]), Arena(0, 0, 2, 2)),
+    # start == goal on a blocked placement: the start check comes first
+    (_SQUARE, Cell(0, 0), Cell(0, 0), frozenset([Cell(1, 1)]), Arena(0, 0, 3, 3)),
+    # a goal outside the arena, for the reference cell or for another cell
+    (frozenset([Cell(0, 0)]), Cell(0, 0), Cell(5, 0), frozenset(), Arena(0, 0, 4, 4)),
+    (_SQUARE, Cell(0, 0), Cell(4, 4), frozenset(), Arena(0, 0, 4, 4)),
+    (_SQUARE, Cell(1, 1), Cell(0, 0), frozenset(), Arena(0, 0, 4, 4)),
+    # a start that leaves the arena and a goal that collides: the start is told
+    (frozenset(c + (4, 4) for c in _SQUARE), Cell(4, 4), Cell(2, 2), frozenset([Cell(2, 2)]),
+     Arena(0, 0, 4, 4)),
+    # open fields: long plateaus of equal f, settled by the (y, x) order alone
+    (frozenset([Cell(0, 0)]), Cell(0, 0), Cell(11, 11), frozenset(), Arena(0, 0, 11, 11)),
+    (frozenset([Cell(11, 11)]), Cell(11, 11), Cell(0, 0), frozenset(), Arena(0, 0, 11, 11)),
+    (frozenset([Cell(0, 11)]), Cell(0, 11), Cell(11, 0), frozenset(), Arena(0, 0, 11, 11)),
+    (frozenset([Cell(-3, 4)]), Cell(-3, 4), Cell(8, 4), frozenset(), Arena(-5, 2, 9, 6)),
+    (_SQUARE, Cell(1, 0), Cell(9, 9), frozenset(), Arena(0, 0, 10, 10)),
+    (_BAR4, Cell(3, 0), Cell(3, 10), frozenset([Cell(3, 5), Cell(4, 5)]), Arena(0, 0, 8, 10)),
+])
+def test_astar_matches_the_cell_based_reference_on_edge_cases(footprint, ref, goal, obstacles, arena):
+    # The same waypoints, or NoPathError with the same message.
+    mine, want = _both_searches(footprint, ref, goal, obstacles, arena)
+    assert mine == want
+
+
+def test_astar_matches_the_cell_based_reference_on_open_fields():
+    # Empty and near-empty arenas, every start to every goal: almost every
+    # pop ties on f with others, so the tie-break decides each path.
+    arena = Arena(-2, 1, 4, 5)
+    cells = arena.cells()
+    for obstacles in (frozenset(), frozenset([Cell(1, 3)])):
+        for start in cells:
+            for goal in cells[::3]:
+                mine, want = _both_searches(frozenset([start]), start, goal, obstacles, arena)
+                assert mine == want, (start, goal)
+        footprint = frozenset([Cell(-2, 1), Cell(-1, 1), Cell(-1, 2)])
+        for goal in cells:
+            mine, want = _both_searches(footprint, Cell(-1, 1), goal, obstacles, arena)
+            assert mine == want, goal
+
+
+@pytest.mark.parametrize("arena", [
+    Arena(0, 0, 0, 0), Arena(3, -2, 3, 4), Arena(-4, 7, 2, 7), Arena(-3, -5, 1, -1),
+    Arena(2, 3, 6, 8),
+])
+def test_arena_cells_match_a_direct_enumeration(arena):
+    # Off the origin, one wide, one tall: the rectangle's cells and its ring
+    # in (y, x) order, the same tuples on every call.
+    cells = [Cell(x, y) for y in range(arena.min_y, arena.max_y + 1)
+             for x in range(arena.min_x, arena.max_x + 1)]
+    ring = [c for c in cells if c.x in (arena.min_x, arena.max_x) or c.y in (arena.min_y, arena.max_y)]
+    assert type(arena.cells()) is tuple and list(arena.cells()) == cells
+    assert type(arena.cells_on_ring()) is tuple and list(arena.cells_on_ring()) == ring
+    assert all(type(c) is Cell for c in arena.cells())
+    assert arena.cells() == arena.cells() and arena.cells_on_ring() == arena.cells_on_ring()
+    assert arena == Arena(arena.min_x, arena.min_y, arena.max_x, arena.max_y)
+    assert hash(arena) == hash(Arena(arena.min_x, arena.min_y, arena.max_x, arena.max_y))
 
 
 # -- assignment --------------------------------------------------------------------

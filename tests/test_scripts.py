@@ -78,3 +78,9 @@ def test_bench_writes_every_end_to_end_metric_of_a_correct_run(tmp_path):
     for entry in kernel:
         assert entry["calls"] >= 5
         assert entry["m"] == 0 or entry["median_scaled_s"] > 0, entry
+    astar = record["astar_by_arena"]
+    assert [entry["search"] for entry in astar] == ["unit", "rigid"]
+    for entry in astar:
+        assert entry["calls"] >= 5 and entry["median_scaled_s"] > 0, entry
+        assert entry["routes"] > entry["no_path"] > 0, entry
+    assert "astar_by_arena" in record["layer_timings"]
