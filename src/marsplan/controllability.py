@@ -257,14 +257,15 @@ def _layer_slacks(generators: np.ndarray, d: np.ndarray, up: np.ndarray):
     """Yield the least facet slacks of a rotor wrench set, `up` its
     `_rotor_layers` mask, batch by batch, over hyperplanes that cover every
     one spanned by three independent generators: the hyperplane of each
-    layer of three or more rows and each hyperplane through a pair of one
-    layer and a row of the other.
+    layer and each hyperplane through a pair of one layer and a row of the
+    other.
 
     Row i is (lam, U_i, sigma_i * Y): U_i the rotor's torque arm times lam,
     Y = lam * c. Layer P (sigma = +1) lies in the hyperplane of (Y, 0, 0,
-    -lam), layer Q (sigma = -1) in that of (Y, 0, 0, lam); a layer of three
-    or more rows seeds the minimum with its closed-form slack
-    (2 lam Y k_other - |Y d_0 - sigma lam d_3|) / hypot(lam, Y).
+    -lam), layer Q (sigma = -1) in that of (Y, 0, 0, lam). The first yield
+    is yaw_authority_bound, the lesser of their slacks (2 lam Y k_other -
+    |Y d_0 - sigma lam d_3|) / hypot(lam, Y), a facet's or not: a layer of
+    two rows spans none, but every slack bounds the margin from above.
 
     The facet through a pair (p, p') of one layer, sign sigma, and a row q
     of the other has the normal eta = (-(a + b) / (2 lam), w, sigma (b - a)
@@ -283,10 +284,8 @@ def _layer_slacks(generators: np.ndarray, d: np.ndarray, up: np.ndarray):
     d0, d3 = float(d[0]), float(d[3])
     k_up, k_down, plan = _layer_plan(up.tobytes())
     hyp = math.hypot(lam, yaw)
-    seeds = [(2.0 * lam * yaw * k_other - abs(yaw * d0 - sign * lam * d3)) / hyp
-             for sign, k_own, k_other in ((1.0, k_up, k_down), (-1.0, k_down, k_up)) if k_own >= 3]
-    if seeds:
-        yield min(seeds)
+    yield min((2.0 * lam * yaw * k_other - abs(yaw * d0 - sign * lam * d3)) / hyp
+              for sign, k_other in ((1.0, k_down), (-1.0, k_up)))
     signs, j, l, columns, (side, pair, j_at), ranks, real = plan
     arms = generators[:, 1:3]
     perp = arms[j] - arms[l]
@@ -326,16 +325,16 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray, floor: float = -math
     layer lie in the hyperplane of its yaw normal (-sigma * c_tau, 0, 0, 1),
     so every triple inside a layer has that normal, whose slack is
     yaw_authority_bound. The generators are split by the sign of their yaw
-    column into the layers, a layer of three or more rows seeds the running
-    minimum with its yaw normal, and only the cross-layer triples, a pair of
-    one layer with a row of the other, are enumerated, by the layer pass
-    (_layer_slacks). It takes a set of rotor rows lam * (1, u_i, +-c), as
-    every `build_zonotope` output is; a set of rank 4 with any other row
-    raises ValueError (_rotor_layers). The facet through a pair (p, p') and
-    a row q of the other layer has the slack (sum over the pair's layer of
-    |w.u_i - w.u_p| + sum over the other of |w.u_j - w.u_q| - |eta.(c -
-    g)|) / |eta|, w a perpendicular of u_p - u_p', and one sort per pair
-    gives each in O(1), O(m^3 log m) a call.
+    column into the layers, the two yaw normals' slack seeds the running
+    minimum, and only the cross-layer triples, a pair of one layer with a
+    row of the other, are enumerated, by the layer pass (_layer_slacks). It
+    takes a set of rotor rows lam * (1, u_i, +-c), as every `build_zonotope`
+    output is; a set of rank 4 with any other row raises ValueError
+    (_rotor_layers). The facet through a pair (p, p') and a row q of the
+    other layer has the slack (sum over the pair's layer of |w.u_i - w.u_p|
+    + sum over the other of |w.u_j - w.u_q| - |eta.(c - g)|) / |eta|, w a
+    perpendicular of u_p - u_p', and one sort per pair gives each in O(1),
+    O(m^3 log m) a call.
 
     Only the running minimum is kept, so memory is bounded by one batch, not
     by all triples: an array of the layer pass holds about _BATCH_FLOATS
@@ -344,9 +343,10 @@ def cm_signed_distance(zono: WrenchZonotope, g: np.ndarray, floor: float = -math
 
     A margin at or above `floor` is returned exactly. Below it the result
     may instead be an upper bound u with margin <= u < floor - 1e-9: every
-    facet slack bounds the signed distance from above, so the first running
-    minimum under the floor settles the query without the projection. The
-    gap keeps u below every margin >= floor after rounding to 9 decimals.
+    slack bounds the signed distance from above, so the first running
+    minimum under the floor, at most yaw_authority_bound, settles the query
+    without the projection. The gap keeps u below every margin >= floor
+    after rounding to 9 decimals.
     """
     g = np.asarray(g, dtype=float)
     scale = zono.scale() + float(np.linalg.norm(g)) + 1.0
@@ -398,13 +398,14 @@ def yaw_authority_bound(n_units: int, faults: Iterable[FaultState],
 
 def margin_ceiling(n_units: int, faults: Iterable[FaultState],
                    params: PhysicalParams = DEFAULT_PARAMS) -> float:
-    """The most `subassembly_cm` returns as a margin of n_units units with these faults.
+    """The most `subassembly_cm` (so `cached_subassembly_cm`, `faulty_cm` and
+    `system_cm`) returns for n_units units with these faults, at any floor.
 
-    U + 1e-12, U = yaw_authority_bound, which bounds every margin up to
-    rounding (measured under 1e-16); at least 0.0 when U lies within the
-    kernel's tolerance 1e-9 * scale below zero, where the kernel may read a
-    margin of 0.0. S = 4n * f_max * (1 + 2 * (arm + n * pitch) + c_tau) +
-    n * m * g0 + 1 bounds cm_signed_distance's `scale` for n units.
+    U + 1e-12, U = yaw_authority_bound, which bounds every margin and every
+    bound below a floor up to rounding (measured under 1e-16); at least 0.0
+    when U lies within the kernel's tolerance 1e-9 * scale below zero, where
+    the kernel may read a margin of 0.0. S = 4n * f_max * (1 + 2 * (arm + n
+    * pitch) + c_tau) + n * m * g0 + 1 bounds cm_signed_distance's `scale`.
     """
     bound = yaw_authority_bound(n_units, faults, params)
     scale = (4 * n_units * params.rotor_thrust_max

@@ -322,7 +322,8 @@ def document_to_bytes(doc: dict) -> bytes:
 
 def _write_json(value: Any, newline: str, out: list[str]) -> None:
     """Append `value` to `out`; `newline` is a newline plus its line's indent."""
-    # exact types first; bools, non-finite floats and subclasses go the isinstance way
+    # exact types first; list, tuple and dict subclasses go the isinstance way, and
+    # other scalars (bools, non-finite floats, str, int and float subclasses) to json.dumps
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
@@ -360,8 +361,6 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
             _write_json(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
     else:
         out.append(json.dumps(value))
 

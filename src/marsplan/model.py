@@ -165,13 +165,12 @@ class Configuration:
     least one unit.
     """
 
-    __slots__ = ("_units", "_hash")
+    __slots__ = ("_units",)
 
     def __init__(self, units: Mapping[Cell, FaultState]):
         for c in units:
             require_cell(c)
         self._units: dict[Cell, FaultState] = dict(sorted(units.items()))
-        self._hash: int | None = None
 
     @classmethod
     def _of_cells(cls, units: dict[Cell, FaultState]) -> "Configuration":
@@ -179,7 +178,6 @@ class Configuration:
         edit's are: the constructor without its per-cell check."""
         config = cls.__new__(cls)
         config._units = dict(sorted(units.items()))
-        config._hash = None
         return config
 
     @classmethod
@@ -239,9 +237,7 @@ class Configuration:
         return self._units == other._units
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(self._units.items()))
-        return self._hash
+        return hash(tuple(self._units.items()))
 
     def __repr__(self) -> str:
         return f"Configuration({self._units!r})"

@@ -42,8 +42,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .controllability import DEFAULT_PARAMS, PhysicalParams, cached_subassembly_cm, system_cm
 from .errors import (
     InfeasibleAssignmentError,
@@ -191,27 +189,29 @@ def _min_cost_assignment(c: list[list[float]]) -> list[int]:
     return col_of
 
 
-def lexicographic_min_assignment(cost: np.ndarray) -> list[int]:
+def lexicographic_min_assignment(cost: Sequence[Sequence[float]]) -> list[int]:
     """Exact min-cost row->column assignment, lexicographically refined.
 
-    Rows must not exceed columns. Among all assignments of minimum total cost
-    the row-major smallest column choice wins, so equal-cost solutions are
-    deterministic: starting from one optimum, each row in turn takes the
-    smallest free column that an optimal completion of the rows below keeps
-    at the minimum (within 1e-6). Every optimum and completion is solved by
-    the Hungarian method (_min_cost_assignment). Entries must be finite
-    (else ValueError); entries >= _BIG are treated as forbidden but may still
-    be chosen if no cheaper perfect assignment exists; callers filter them.
+    `cost` is a sequence of rows, at most as many as columns. Among all
+    minimum-cost assignments the row-major smallest column choice wins, so
+    equal-cost solutions are deterministic: starting from one optimum, each
+    row in turn takes the smallest free column that an optimal completion of
+    the rows below keeps at the minimum (within 1e-6). Every optimum and
+    completion is solved by the Hungarian method (_min_cost_assignment).
+    Ragged rows or a non-finite entry raise ValueError; an entry >= _BIG is
+    forbidden, yet chosen when no cheaper perfect assignment exists; callers
+    filter.
     """
-    cost = np.asarray(cost, dtype=float)
-    nr, nc = cost.shape
-    if nr == 0:
+    c = [list(map(float, row)) for row in cost]
+    if not c:
         return []
+    nr, nc = len(c), len(c[0])
+    if any(len(row) != nc for row in c):
+        raise ValueError("assignment cost rows must have one length")
     if nr > nc:
         raise InfeasibleAssignmentError(f"{nr} targets but only {nc} candidates")
-    if not np.isfinite(cost).all():
+    if not all(math.isfinite(x) for row in c for x in row):
         raise ValueError("assignment costs must be finite")
-    c = cost.tolist()
     chosen = _min_cost_assignment(c)
     best_total = sum(c[i][j] for i, j in enumerate(chosen))
     for r in range(nr):
@@ -236,8 +236,9 @@ def conflict_free_targets(config: Configuration, target_cells: Iterable[Cell],
     A virtual unit enters from outside the assembly (the smallest vacant cell
     on the arena ring); any still-pending target sitting on the entry path of
     another target is deferred so filling it cannot wall off the rest.
-    Unreachable targets are deferred too. The first surviving target can never
-    be discarded, so the result is nonempty whenever any target is reachable.
+    Unreachable targets are deferred too. A target on an entry path is not
+    searched, so the last target reached lies on none, and the result is
+    nonempty whenever any target is reachable.
     """
     occupied = config.cell_set
     target_set = set(target_cells)
@@ -401,7 +402,7 @@ class _Pipeline:
         for state in states:
             cur = [c for c, s in self.work.items() if s == state]
             tgt = [c for c, s in self.target.config.items() if s == state]
-            cost = np.array([[a.manhattan(b) for b in tgt] for a in cur], dtype=float)
+            cost = [[a.manhattan(b) for b in tgt] for a in cur]
             for i, col in enumerate(lexicographic_min_assignment(cost)):
                 goals[cur[i]] = tgt[col]
         return goals
@@ -438,7 +439,7 @@ class _Pipeline:
     def _build_supports(self) -> None:
         """Fill each support's vacant cells in (y, x) order, each with the
         best-ranked donor flight that passes the gate."""
-        reserved = frozenset(self.work.faulty_cells).union(*(g.shape for g in self.groups))
+        reserved = frozenset().union(*(g.shape for g in self.groups))
         for group in self.groups:
             for vacancy in sorted(group.shape - self.work.cell_set):
                 flights = plan_vmcs_completion(
@@ -575,7 +576,7 @@ class _Pipeline:
         assigned pairs are gated, a failing one is forbidden and the matrix
         solved again, until the pairing is also the smallest optimum of the
         matrix that gates every pair."""
-        cost = np.full((len(targets), len(candidates)), float(_BIG))
+        cost = [[_BIG] * len(candidates) for _ in targets]
         paths: dict[tuple[int, int], GridPath] = {}
         for j, cand in enumerate(candidates):
             obstacles = frozenset(self.work.cell_set - {cand})
@@ -584,19 +585,19 @@ class _Pipeline:
                     paths[i, j] = astar_unit(cand, t, obstacles, self.arena)
                 except NoPathError:
                     continue
-                cost[i, j] = paths[i, j].length
+                cost[i][j] = paths[i, j].length
         steps: dict[tuple[int, int], PlanStep | None] = {}
         while True:
             cols = lexicographic_min_assignment(cost)
             todo = [(i, j) for i, j in enumerate(cols)
-                    if cost[i, j] < _BIG and (i, j) not in steps]
+                    if cost[i][j] < _BIG and (i, j) not in steps]
             for i, j in todo:
                 steps[i, j] = self._step((candidates[j],), paths[i, j], Phase.FILL_REMAINDER)
                 if steps[i, j] is None:
-                    cost[i, j] = _BIG
+                    cost[i][j] = _BIG
             if all(steps[pair] is not None for pair in todo):
                 break
-        gated = [steps[i, j] for i, j in enumerate(cols) if cost[i, j] < _BIG]
+        gated = [steps[i, j] for i, j in enumerate(cols) if cost[i][j] < _BIG]
         if not gated:
             raise InfeasibleAssignmentError("no unit can reach any fill target")
         return gated

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
@@ -919,10 +919,12 @@ BOUND_PARAMS |= {"ctau0.02": PhysicalParams(yaw_torque_coeff=0.02),
 
 @pytest.mark.parametrize("params", list(BOUND_PARAMS.values()), ids=list(BOUND_PARAMS))
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), nf=st.integers(0, 12))
+@example(seed=377, n=3, nf=2)       # a 3-unit line, both ends unit-faulted: two rows a layer
 @settings(max_examples=15, deadline=None)
 def test_margin_never_exceeds_the_yaw_authority_bound(params, seed, n, nf):
     # Any subassembly, faults anywhere, up to every unit: the bound is the
-    # slack along the two yaw-thrust normals, whatever the cells.
+    # slack along the two yaw-thrust normals, whatever the cells, and the
+    # layer pass yields it first, whatever the size of each layer.
     rng = np.random.default_rng(seed)
     cells = random_connected_cells(rng, n)
     sub = partition(Configuration.from_cells(cells, random_fault_states(rng, cells, min(nf, n))))[0]
@@ -934,6 +936,10 @@ def test_margin_never_exceeds_the_yaw_authority_bound(params, seed, n, nf):
     slack = (np.abs(normals @ zono.generators.T).sum(axis=1)
              - np.abs(normals @ (zono.center - gravity_wrench(sub.n, params))))
     assert bound == pytest.approx(float(slack.min()), abs=1e-12)
+    up = zono.generators[:, 3] > 0.0
+    if zono.m >= 3 and 0 < up.sum() < zono.m:     # both layers, one with a pair: a layer plan
+        d = zono.center - gravity_wrench(sub.n, params)
+        assert next(controllability._layer_slacks(zono.generators, d, up)) == pytest.approx(bound, abs=1e-12)
 
 
 # Two parameter sets with a yaw-authority bound U just below zero, where the
@@ -958,6 +964,7 @@ def _check_margin_ceiling(sub, params):
 @pytest.mark.parametrize("params", [*BOUND_PARAMS.values(), *SNAP_PARAMS.values()],
                          ids=[*BOUND_PARAMS, *SNAP_PARAMS])
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), nf=st.integers(0, 12))
+@example(seed=377, n=3, nf=2)
 @settings(max_examples=15, deadline=None)
 def test_no_margin_exceeds_the_margin_ceiling(params, seed, n, nf):
     # Any subassembly, unit and rotor faults anywhere, asked with no floor,
@@ -969,7 +976,21 @@ def test_no_margin_exceeds_the_margin_ceiling(params, seed, n, nf):
 
 
 _COLUMN = [Cell(0, 0), Cell(0, 1), Cell(0, 2)]
+_ROW = [Cell(0, 0), Cell(1, 0), Cell(2, 0)]
 _L = [Cell(0, 0), Cell(1, 0), Cell(0, 1)]
+
+
+@pytest.mark.parametrize("params", [*BOUND_PARAMS.values(), *SNAP_PARAMS.values()],
+                         ids=[*BOUND_PARAMS, *SNAP_PARAMS])
+@pytest.mark.parametrize("cells", [_ROW, _COLUMN], ids=["row", "column"])
+def test_a_floored_margin_of_two_row_layers_stays_under_the_ceiling(params, cells):
+    # Both ends unit-faulted leave the middle unit's four rotors, two rows a
+    # layer: no layer spans a facet, and a floored query that stopped at a
+    # cross-layer slack above both layer slacks returned more than U.
+    sub = partition(Configuration.from_cells(cells, {cells[0]: UNIT_FAULT, cells[2]: UNIT_FAULT}))[0]
+    yaw = build_zonotope(sub, params).generators[:, 3]
+    assert (yaw > 0.0).sum() == (yaw < 0.0).sum() == 2
+    _check_margin_ceiling(sub, params)
 
 
 @pytest.mark.parametrize("params,cells,faults,cm", [

@@ -1,6 +1,7 @@
 """Every name a `marsplan` module imports is read in that module, none is
 another module's private (underscore) name, and the package runs on numpy
-alone: scipy is a test-only reference."""
+alone, which only the margin kernel imports: scipy is a test-only
+reference."""
 
 import ast
 import os
@@ -56,6 +57,24 @@ def test_the_check_finds_a_private_import():
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_no_private_name_of_another(module):
     assert private_imports(module.read_text()) == []
+
+
+def imports_numpy(source: str) -> bool:
+    return any(isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and not node.level
+               and (node.module or "").split(".")[0] == "numpy"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_the_check_finds_a_numpy_import():
+    assert imports_numpy("import numpy as np\n") and imports_numpy("from numpy.linalg import svd\n")
+    assert not imports_numpy("import numbers\nfrom .numpy_like import f\n")
+
+
+def test_only_the_margin_kernel_imports_numpy():
+    # the planner, the model, the paths and the writer run on plain Python
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if imports_numpy(p.read_text())] == [
+        "controllability.py"]
 
 
 def test_importing_marsplan_loads_no_scipy():

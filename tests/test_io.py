@@ -32,7 +32,7 @@ from marsplan.io import (
     step_to_json,
     write_cm_trace,
 )
-from marsplan.model import UNIT_FAULT, Cell, Configuration, rotor_fault
+from marsplan.model import UNIT_FAULT, Cell, Configuration, FaultKind, rotor_fault
 from marsplan.paths import arena_around, astar_unit
 from marsplan.planner import Phase, PlanStep, StepKind, plan
 from marsplan.render import render_plan_svgs
@@ -267,6 +267,10 @@ class _Half(float):
     pass
 
 
+class _Text(str):
+    pass
+
+
 def _json_trees(children):
     return (st.lists(children, max_size=4)
             | st.lists(children, max_size=3).map(tuple)
@@ -280,7 +284,8 @@ def _json_trees(children):
           "g": [], "h": [[], {}, [{}], {"": []}], "i": [-10**30, 10**30 - 1], "j": [[1, 2]],
           "k": "[\n  1,\n  2\n]", "\"[3, 4]\"\n": ["é", "\u2028"], "l": [1, 2, 3],
           "m": _Level.HIGH, "n": [_Level.LOW, 2], "o": _Half(0.5), "p": [_Half(1.5), _Half("nan")],
-          "q": Cell(3, -4), "r": [Cell(0, 0), (Cell(1, 2),)]})
+          "q": Cell(3, -4), "r": [Cell(0, 0), (Cell(1, 2),)],
+          "s": FaultKind.UNIT, "t": [_Text("é \"q\" \u2028"), _Text("")]})
 @settings(max_examples=300, deadline=None)
 def test_document_bytes_match_the_reference_writer_on_json_trees(doc):
     # The reference is json.dumps(indent=2) plus the pair regex; its input is

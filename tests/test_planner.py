@@ -366,6 +366,8 @@ def test_assignment_costs_must_be_finite():
         lexicographic_min_assignment(np.array([[0.0, math.nan]]))
     with pytest.raises(ValueError):
         lexicographic_min_assignment(np.array([[math.inf, 1.0], [1.0, 2.0]]))
+    with pytest.raises(ValueError):
+        lexicographic_min_assignment([[1.0, 2.0], [1.0]])      # ragged rows
 
 
 # -- conflict-free target filtering ---------------------------------------------------
@@ -437,6 +439,18 @@ def test_fill_targets_match_the_path_storing_reference():
         assert got == expected, case
         if case % 3 == 0:
             assert walled not in got
+        # nonempty whenever a pending target is reachable from the entry cell
+        # (no free entry cell raised above, unless no target is pending)
+        entry = next((c for c in arena.cells_on_ring() if c not in occupied and c not in targets), None)
+        reachable = False
+        for t in set(targets) - occupied:
+            try:
+                astar_unit(entry, t, config.cell_set, arena)
+            except NoPathError:
+                continue
+            reachable = True
+            break
+        assert bool(got) == reachable, case
     assert raised >= 20
 
 
