@@ -14,7 +14,7 @@ pass's documents in the case order the seed draws, so it differs between
 seeds; two files made with the same seeds compare seed by seed, and equal
 digests mean byte-identical plans.
 
-The file also times two layers, each as the median of repeated warm calls,
+The file also times three layers, each as the median of repeated warm calls,
 scaled by the speed probe of `perfbench/speed.py` as the end-to-end times
 are:
 - the margin kernel by generator count m (`kernel_by_m`): `cm_signed_distance`
@@ -24,7 +24,10 @@ are:
   arena's routes: unit routes from the first ring cell of the icra_letters
   start's arena to every vacant cell of the letters' bounding box, and
   rigid routes of a 2x2 footprint from a corner of a 12x12 arena across a
-  seeded obstacle field to every position on the far row and column.
+  seeded obstacle field to every position on the far row and column;
+- the fill-round assignment by matrix size (`assign_by_size`):
+  `lexicographic_min_assignment` on fixed seeded integer matrices of 3x6,
+  10x12, 20x20 and 30x30 with costs 1-30.
 The other layer timings are not recorded: they wait for per-plan statistics
 in the library.
 """
@@ -51,6 +54,8 @@ KERNEL_WIDTHS = range(1, 8)
 MIN_CALLS, MAX_CALLS, LAYER_SECONDS = 5, 200, 0.3
 # the rigid A* arena: side, obstacle density and the seed of the field
 RIGID_SIDE, RIGID_DENSITY, RIGID_SEED = 12, 0.1, 2
+# the assignment matrices: (rows, columns), the cost range and the seed of the costs
+ASSIGN_SIZES, ASSIGN_COSTS, ASSIGN_SEED = ((3, 6), (10, 12), (20, 20), (30, 30)), (1, 30), 3
 
 
 def run_once(workload: str, seed: int, seconds: float) -> dict:
@@ -176,6 +181,20 @@ def astar_by_arena() -> list[dict]:
     ])
 
 
+def assign_by_size() -> list[dict]:
+    """Median scaled seconds of warm assignment calls per fixed matrix, with its size."""
+    _import_library()
+    from marsplan.planner import lexicographic_min_assignment
+
+    rng = random.Random(ASSIGN_SEED)
+    cases = []
+    for rows, cols in ASSIGN_SIZES:
+        cost = [[rng.randint(*ASSIGN_COSTS) for _ in range(cols)] for _ in range(rows)]
+        cases.append(({"size": f"{rows}x{cols}", "rows": rows, "cols": cols},
+                      lambda cost=cost: lexicographic_min_assignment(cost)))
+    return _timed(cases)
+
+
 def git(*args: str) -> str | None:
     try:
         done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
@@ -215,11 +234,12 @@ def main(argv: list[str] | None = None) -> int:
         "git_head": git("rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
         "env": env,
-        "layer_timings": "kernel_by_m and astar_by_arena only: the support search by k, "
-                         "lexicographic_min_assignment and the per-phase times wait for "
-                         "per-plan statistics (PlanStats) in the library",
+        "layer_timings": "kernel_by_m, astar_by_arena and assign_by_size only: the support "
+                         "search by k, the placement search by fault count and the per-phase "
+                         "times are not recorded yet",
         "kernel_by_m": kernel_by_m(),
         "astar_by_arena": astar_by_arena(),
+        "assign_by_size": assign_by_size(),
         "workloads": workloads,
     }
     args.out.mkdir(parents=True, exist_ok=True)

@@ -144,18 +144,18 @@ def _min_cost_assignment(c: list[list[float]]) -> list[int]:
     Computing 38, 1987): row by row, a Dijkstra search over reduced costs
     c[i][j] - u[i] - v[j] finds the cheapest path from the new row to a free
     column, the dual potentials u and v are updated so that reduced costs
-    stay >= 0, and the assignment is flipped along the path. Columns are scanned
-    in scipy's `linear_sum_assignment` order, last first, and a tie prefers
-    a free column.
+    stay >= 0, and the assignment is flipped along the path. A tie prefers a
+    free column. The duals start at int 0, so integer costs are solved in
+    exact integer arithmetic.
     """
     nr, nc = len(c), len(c[0])
-    u, v = [0.0] * nr, [0.0] * nc
+    u, v = [0] * nr, [0] * nc
     col_of, row_of = [-1] * nr, [-1] * nc
     for row in range(nr):
         dist, via = [math.inf] * nc, [-1] * nc
         remaining = list(range(nc - 1, -1, -1))
         seen_rows, seen_cols = [], []
-        i, reach, sink = row, 0.0, -1
+        i, reach, sink = row, 0, -1
         while sink < 0:
             seen_rows.append(i)
             best, at = math.inf, -1
@@ -190,14 +190,19 @@ def _min_cost_assignment(c: list[list[float]]) -> list[int]:
 
 
 def lexicographic_min_assignment(cost: Sequence[Sequence[float]]) -> list[int]:
-    """Exact min-cost row->column assignment, lexicographically refined.
+    """Exact min-cost row->column assignment, the row-major smallest optimum.
 
-    `cost` is a sequence of rows, at most as many as columns. Among all
+    `cost` is a sequence of rows, at most as many as columns. Each entry is
+    read as a float and compared exactly, as the rational number n/d that the
+    float is (`float.as_integer_ratio`, d a power of two): no tolerance
+    merges near-equal totals, so [[0.1 + 0.2, 0.3]] gives [1]. Among all
     minimum-cost assignments the row-major smallest column choice wins, so
-    equal-cost solutions are deterministic: starting from one optimum, each
-    row in turn takes the smallest free column that an optimal completion of
-    the rows below keeps at the minimum (within 1e-6). Every optimum and
-    completion is solved by the Hungarian method (_min_cost_assignment).
+    equal-cost solutions are deterministic. One Hungarian solve
+    (_min_cost_assignment) finds it on integers: with D the largest d, entry
+    (i, j) becomes n * (D // d) * nc**nr + j * nc**(nr - 1 - i). The column
+    digits of an assignment sum to less than nc**nr, one cost unit, so every
+    assignment has its own total, which orders by cost first and then by
+    the columns row by row.
     Ragged rows or a non-finite entry raise ValueError; an entry >= _BIG is
     forbidden, yet chosen when no cheaper perfect assignment exists; callers
     filter.
@@ -212,21 +217,14 @@ def lexicographic_min_assignment(cost: Sequence[Sequence[float]]) -> list[int]:
         raise InfeasibleAssignmentError(f"{nr} targets but only {nc} candidates")
     if not all(math.isfinite(x) for row in c for x in row):
         raise ValueError("assignment costs must be finite")
-    chosen = _min_cost_assignment(c)
-    best_total = sum(c[i][j] for i, j in enumerate(chosen))
-    for r in range(nr):
-        for col in range(chosen[r]):
-            if col in chosen[:r]:
-                continue
-            trial = chosen[:r] + [col]
-            if r + 1 < nr:
-                free = [j for j in range(nc) if j not in trial]
-                rest = _min_cost_assignment([[row[j] for j in free] for row in c[r + 1:]])
-                trial += [free[j] for j in rest]
-            if sum(c[i][j] for i, j in enumerate(trial)) - best_total <= 1e-6:
-                chosen = trial
-                break
-    return chosen
+    ratios = [[x.as_integer_ratio() for x in row] for row in c]
+    scale = max(d for row in ratios for _, d in row)
+    unit = nc ** nr
+    exact = []
+    for i, row in enumerate(ratios):
+        weight = nc ** (nr - 1 - i)
+        exact.append([n * (scale // d) * unit + j * weight for j, (n, d) in enumerate(row)])
+    return _min_cost_assignment(exact)
 
 
 def conflict_free_targets(config: Configuration, target_cells: Iterable[Cell],
@@ -366,14 +364,13 @@ class _Pipeline:
         return PlanStep(kind=kind, phase=phase, moved_cells=moved, path=path,
                         post_config=post, post_cm=post_cm, note=note)
 
-    def _unit_step(self, start: Cell, goal: Cell, phase: Phase,
-                   note: str | None = None) -> PlanStep | None:
+    def _unit_step(self, start: Cell, goal: Cell, phase: Phase) -> PlanStep | None:
         """Gated step of one unit around the others, or None when unreachable or rejected."""
         try:
             path = astar_unit(start, goal, self.work.cell_set - {start}, self.arena)
         except NoPathError:
             return None
-        return self._step((start,), path, phase, note)
+        return self._step((start,), path, phase)
 
     def _commit(self, step: PlanStep) -> None:
         self.steps.append(step)
@@ -434,7 +431,7 @@ class _Pipeline:
                     faults=tuple(sorted(own)),
                 )
             group.shape = chosen
-            claimed |= group.shape | group.landing
+            claimed |= chosen | landing
 
     def _build_supports(self) -> None:
         """Fill each support's vacant cells in (y, x) order, each with the
@@ -541,7 +538,7 @@ class _Pipeline:
             current_cells = group.shape
             ref = min(current_cells)
             goal_ref = ref + group.delta
-            obstacles = frozenset(self.work.cells) - current_cells
+            obstacles = self.work.cell_set - current_cells
             path = astar_subassembly(current_cells, ref, goal_ref, obstacles, self.arena)
             step = self._step(tuple(current_cells), path, Phase.VMCS_TRANSFER)
             if step is None:
@@ -579,7 +576,7 @@ class _Pipeline:
         cost = [[_BIG] * len(candidates) for _ in targets]
         paths: dict[tuple[int, int], GridPath] = {}
         for j, cand in enumerate(candidates):
-            obstacles = frozenset(self.work.cell_set - {cand})
+            obstacles = self.work.cell_set - {cand}
             for i, t in enumerate(targets):
                 try:
                     paths[i, j] = astar_unit(cand, t, obstacles, self.arena)

@@ -18,6 +18,10 @@ regex, and the same two searches run on `Cell` objects. The support-shape
 references are the library's earlier enumeration, which filtered every grown
 shape by connectivity, and its earlier ranking, which sorted by rounded
 margin and then by sorted cells; they take margins from the library's cache.
+The lexicographic assignment's reference is the library's earlier
+refinement, which re-solved sub-assignments with the library's Hungarian
+solve row by row; it is exact on integer costs, where brute force is out of
+reach.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from marsplan.model import (
 )
 from marsplan.errors import NoPathError
 from marsplan.paths import Arena, GridPath, arena_around, astar_unit
-from marsplan.planner import _BIG, lexicographic_min_assignment, step_verdict
+from marsplan.planner import _BIG, _min_cost_assignment, lexicographic_min_assignment, step_verdict
 
 _ZOOM_SIGMAS = (0.1, 0.02, 4e-3, 8e-4, 1.6e-4)
 _POLISH_SIGMAS = (4e-4, 8e-5, 1.6e-5)
@@ -520,6 +524,30 @@ def brute_force_assignment(cost: np.ndarray) -> tuple[float, list[int]]:
             best_total = total
             best_cols = list(cols)
     return float(best_total), best_cols
+
+
+def reference_lexicographic_min_assignment(cost: list[list[int]]) -> list[int]:
+    """The row-major smallest minimum-cost assignment (rows <= cols), by
+    refinement: starting from one optimum, each row in turn takes the
+    smallest free column that an optimal completion of the rows below keeps
+    at the minimum (within 1e-6, exact for integer costs)."""
+    c = [list(map(float, row)) for row in cost]
+    nr, nc = len(c), len(c[0])
+    chosen = _min_cost_assignment(c)
+    best_total = sum(c[i][j] for i, j in enumerate(chosen))
+    for r in range(nr):
+        for col in range(chosen[r]):
+            if col in chosen[:r]:
+                continue
+            trial = chosen[:r] + [col]
+            if r + 1 < nr:
+                free = [j for j in range(nc) if j not in trial]
+                rest = _min_cost_assignment([[row[j] for j in free] for row in c[r + 1:]])
+                trial += [free[j] for j in rest]
+            if sum(c[i][j] for i, j in enumerate(trial)) - best_total <= 1e-6:
+                chosen = trial
+                break
+    return chosen
 
 
 def enumerate_shapes_brute_force(anchors, k: int) -> set[frozenset[Cell]]:

@@ -57,6 +57,7 @@ from helpers import (
     random_connected_cells,
     random_fault_states,
     reference_conflict_free_targets,
+    reference_lexicographic_min_assignment,
     reference_rigid_search,
     row_scenario,
 )
@@ -330,13 +331,49 @@ def test_lexicographic_min_assignment_basics():
 def test_assignment_matches_brute_force(seed, rows, extra_cols):
     rng = np.random.default_rng(seed)
     cols = rows + extra_cols
-    # Small integer costs provoke plenty of ties.
-    cost = rng.integers(0, 4, size=(rows, cols)).astype(float)
+    # Small integer costs of either sign provoke plenty of ties; _BIG entries
+    # are the forbidden pairs of a fill round.
+    cost = rng.integers(-3, 4, size=(rows, cols)).astype(float)
+    cost[rng.random((rows, cols)) < 0.2] = planner._BIG
     got = lexicographic_min_assignment(cost)
     best_total, best_cols = brute_force_assignment(cost)
     assert len(set(got)) == rows
     assert sum(cost[i, c] for i, c in enumerate(got)) == pytest.approx(best_total)
     assert got == best_cols  # lexicographically smallest optimum
+
+
+def test_assignment_equals_the_refinement_on_large_integer_matrices():
+    # Up to 12 x 14 brute force is out of reach; the earlier refinement,
+    # which re-solves sub-assignments row by row, is exact on integers.
+    rng = np.random.default_rng(31)
+    for rows in range(1, 13):
+        for extra_cols in (0, 1, 2):
+            for _ in range(4):
+                shape = (rows, rows + extra_cols)
+                cost = rng.integers(-2, 4, size=shape)
+                cost[rng.random(shape) < 0.2] = planner._BIG
+                cost = cost.tolist()
+                expected = reference_lexicographic_min_assignment(cost)
+                assert lexicographic_min_assignment(cost) == expected, cost
+
+
+def test_lexicographic_assignment_is_one_solve(monkeypatch):
+    # the row-major tie-break rides in the low digits of the costs, so a
+    # tie-rich matrix needs no further solve
+    cost = np.random.default_rng(6).integers(0, 2, size=(6, 8)).tolist()
+    expected = reference_lexicographic_min_assignment(cost)
+    solves = []
+    solve = planner._min_cost_assignment
+    monkeypatch.setattr(planner, "_min_cost_assignment",
+                        lambda c: solves.append(1) or solve(c))
+    assert lexicographic_min_assignment(cost) == expected
+    assert len(solves) == 1
+
+
+def test_float_costs_are_compared_exactly():
+    # a total 1e-7 or one rounding step above another is no tie
+    assert lexicographic_min_assignment([[1e-7, 0.0]]) == [1]
+    assert lexicographic_min_assignment([[0.1 + 0.2, 0.3]]) == [1]
 
 
 @pytest.mark.parametrize("kind", ["integer", "float", "forbidden"])

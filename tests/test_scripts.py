@@ -83,4 +83,10 @@ def test_bench_writes_every_end_to_end_metric_of_a_correct_run(tmp_path):
     for entry in astar:
         assert entry["calls"] >= 5 and entry["median_scaled_s"] > 0, entry
         assert entry["routes"] > entry["no_path"] > 0, entry
+    assign = record["assign_by_size"]
+    assert [entry["size"] for entry in assign] == ["3x6", "10x12", "20x20", "30x30"]
+    for entry in assign:
+        assert entry["calls"] >= 5 and entry["median_scaled_s"] > 0, entry
+        assert entry["size"] == f"{entry['rows']}x{entry['cols']}", entry
     assert "astar_by_arena" in record["layer_timings"]
+    assert "assign_by_size" in record["layer_timings"]
