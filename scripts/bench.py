@@ -14,20 +14,24 @@ pass's documents in the case order the seed draws, so it differs between
 seeds; two files made with the same seeds compare seed by seed, and equal
 digests mean byte-identical plans.
 
-The file also times three layers, each as the median of repeated warm calls,
+The file also times four layers, each as the median of repeated calls,
 scaled by the speed probe of `perfbench/speed.py` as the end-to-end times
 are:
-- the margin kernel by generator count m (`kernel_by_m`): `cm_signed_distance`
-  on solid w x w blocks with a centre unit fault, w = 1..7 (m = 0..192),
-  with BLAS on one thread;
-- A* on fixed arenas (`astar_by_arena`), one call being one pass over the
+- the margin kernel by generator count m (`kernel_by_m`): warm
+  `cm_signed_distance` calls on solid w x w blocks with a centre unit
+  fault, w = 1..7 (m = 0..192), with BLAS on one thread;
+- warm A* on fixed arenas (`astar_by_arena`), one call being one pass over the
   arena's routes: unit routes from the first ring cell of the icra_letters
   start's arena to every vacant cell of the letters' bounding box, and
   rigid routes of a 2x2 footprint from a corner of a 12x12 arena across a
   seeded obstacle field to every position on the far row and column;
-- the fill-round assignment by matrix size (`assign_by_size`):
-  `lexicographic_min_assignment` on fixed seeded integer matrices of 3x6,
-  10x12, 20x20 and 30x30 with costs 1-30.
+- the fill-round assignment by matrix size (`assign_by_size`): warm
+  `lexicographic_min_assignment` calls on fixed seeded integer matrices of
+  3x6, 10x12, 20x20 and 30x30 with costs 1-30;
+- the fault-placement search by fault count (`placement_by_faults`): cold
+  `optimal_configuration` calls, each after `clear_cm_cache()`, on solid
+  w x w blocks, w = 4, 5, 6, with 1, 2 and 3 unit faults at cells drawn by
+  `random.Random(5).sample`.
 The other layer timings are not recorded: they wait for per-plan statistics
 in the library.
 """
@@ -56,6 +60,8 @@ MIN_CALLS, MAX_CALLS, LAYER_SECONDS = 5, 200, 0.3
 RIGID_SIDE, RIGID_DENSITY, RIGID_SEED = 12, 0.1, 2
 # the assignment matrices: (rows, columns), the cost range and the seed of the costs
 ASSIGN_SIZES, ASSIGN_COSTS, ASSIGN_SEED = ((3, 6), (10, 12), (20, 20), (30, 30)), (1, 30), 3
+# the placement blocks: widths, unit-fault counts and the seed of the fault cells
+PLACEMENT_WIDTHS, PLACEMENT_FAULTS, PLACEMENT_SEED = (4, 5, 6), (1, 2, 3), 5
 
 
 def run_once(workload: str, seed: int, seconds: float) -> dict:
@@ -94,7 +100,7 @@ def _import_library() -> None:
 
 def _timed(cases: list[tuple[dict, object]]) -> list[dict]:
     """Each case's record with its call count and the median scaled seconds
-    of its warm calls, timed under one speed probe."""
+    of its calls after a first untimed one, timed under one speed probe."""
     import speed
 
     probe = speed.SpeedProbe().start()
@@ -195,6 +201,30 @@ def assign_by_size() -> list[dict]:
     return _timed(cases)
 
 
+def placement_by_faults() -> list[dict]:
+    """Median scaled seconds of cold placement searches per block and fault count."""
+    _import_library()
+    from marsplan.controllability import clear_cm_cache
+    from marsplan.model import UNIT_FAULT, Cell, Configuration
+    from marsplan.vmcs import optimal_configuration
+
+    def cold(config):
+        def run():
+            clear_cm_cache()
+            return optimal_configuration(config)
+        return run
+
+    cases = []
+    for w in PLACEMENT_WIDTHS:
+        cells = [Cell(x, y) for y in range(w) for x in range(w)]
+        for count in PLACEMENT_FAULTS:
+            faults = sorted(random.Random(PLACEMENT_SEED).sample(cells, count))
+            config = Configuration.from_cells(cells, dict.fromkeys(faults, UNIT_FAULT))
+            cases.append(({"block": f"{w}x{w}", "faults": count,
+                           "fault_cells": [[c.x, c.y] for c in faults]}, cold(config)))
+    return _timed(cases)
+
+
 def git(*args: str) -> str | None:
     try:
         done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
@@ -234,12 +264,13 @@ def main(argv: list[str] | None = None) -> int:
         "git_head": git("rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
         "env": env,
-        "layer_timings": "kernel_by_m, astar_by_arena and assign_by_size only: the support "
-                         "search by k, the placement search by fault count and the per-phase "
-                         "times are not recorded yet",
+        "layer_timings": "kernel_by_m, astar_by_arena, assign_by_size and placement_by_faults "
+                         "only: the support search by k and the per-phase times are not "
+                         "recorded yet",
         "kernel_by_m": kernel_by_m(),
         "astar_by_arena": astar_by_arena(),
         "assign_by_size": assign_by_size(),
+        "placement_by_faults": placement_by_faults(),
         "workloads": workloads,
     }
     args.out.mkdir(parents=True, exist_ok=True)

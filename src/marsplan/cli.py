@@ -6,11 +6,12 @@
                   [--no-relocation-rule]
     marsplan cm   --input scenario.json
 
-Exit codes: 0 success, 1 input error, 2 no fault placement reaches the margin
-floor, 3 the planner could not complete a phase. Planner weights resolve as
-command line over scenario file over the defaults of `plan()`. Setting
-MARSPLAN_PARAMS to a JSON file of physical-parameter fields replaces the
-built-in defaults (scenario overrides still apply on top).
+Exit codes: 0 success, 1 input error or an output that cannot be written, 2
+no fault placement reaches the margin floor, 3 the planner could not complete
+a phase. Planner weights resolve as command line over scenario file over the
+defaults of `plan()`. Setting MARSPLAN_PARAMS to a JSON file of
+physical-parameter fields replaces the built-in defaults (scenario overrides
+still apply on top).
 """
 
 from __future__ import annotations
@@ -132,6 +133,9 @@ def main(argv: list[str] | None = None) -> int:
     except PlanningError as exc:
         print(f"marsplan: planning failed ({exc.reason}): {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:     # reads fail as ScenarioError, so this is a write
+        print(f"marsplan: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -13,15 +13,15 @@ Scenario schema::
       "flags":   {"relocation_rule": bool}
     }
 
-Every JSON input goes through shared readers: `load_json` reads a file,
-`_object` rejects unknown and missing keys by name at every level, `_optional`
-reads an optional string or boolean, `parse_params` a params object (the CLI's
-params file too), and `_header` the `name`, `params`, `weights` and `flags` a
-scenario shares with a plan document. Plan files serialize every
-controllability margin with six decimal digits and carry each step's full
-post-move configuration so a plan can be re-simulated and checked bit-exactly;
-replay certifies every step with the planner's gate, under the file's params
-and floor, and checks the file's summary.
+Every JSON input goes through shared readers: `load_json` reads a file and
+rejects a key repeated in one object, `_object` rejects unknown and missing
+keys by name at every level, `_optional` reads an optional string or boolean,
+`parse_params` a params object (the CLI's params file too), and `_header` the
+`name`, `params`, `weights` and `flags` a scenario shares with a plan document.
+Plan files serialize every controllability margin with six decimal digits and
+carry each step's full post-move configuration so a plan can be re-simulated
+and checked bit-exactly; replay certifies every step with the planner's gate,
+under the file's params and floor, and checks the file's summary.
 """
 
 from __future__ import annotations
@@ -79,12 +79,23 @@ class Scenario:
                 if (value := getattr(self, key)) is not None}
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a repeated key raises."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ScenarioError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_json(path: str | Path, what: str) -> Any:
     """The JSON value in the UTF-8 file at `path`; a file that cannot be read
-    or parsed raises ScenarioError naming `what` and the path."""
+    or parsed, or that repeats a key in one object, raises ScenarioError
+    naming `what` and the path."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:     # decode errors and JSONDecodeError are ValueErrors
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:     # decode errors and ScenarioError are ValueErrors
         raise ScenarioError(f"cannot read {what} {path}: {exc}") from None
 
 

@@ -10,15 +10,13 @@ Pipeline, in order:
    faults' current cells and fly donor units into its vacant cells, each
    the best-ranked donor flight that passes the gate. Donors are scored
    best first, so no donor ranked behind that flight is scored.
-4. Clear every stationary unit off the planned transfer corridors. With the
-   relocation rule on, a blocker parks on the vacant target cell off the
-   corridors with the shortest gated flight (so it never moves again); with
-   it off, on the gated free cell of its own row nearest by |dx|, and is
-   fetched later if that cell is off the target. Failing that, it parks on
-   the free cell off the corridors and off the target with the shortest
-   gated flight. Spots are routed and gated best first under their
-   Manhattan distance, a lower bound of the rank, so no spot ranked behind
-   the winner reaches the gate.
+4. Clear every stationary unit off the planned transfer corridors. Each
+   blocker parks by one tiered best-first search of the free cells off the
+   corridors: first the spots the relocation rule prefers (with it on, the
+   vacant target cells by gated flight length, so it never moves again;
+   with it off, its own row's cells by |dx|, fetched later if off the
+   target), then the other cells off the target by gated flight length. No
+   spot ranked behind the winner reaches the gate.
 5. Rigidly transfer each support group so its faults land on their goals.
 6. Fill the remaining vacant target cells with conflict-free assignment
    rounds until the configuration equals the target exactly. Each flight
@@ -36,7 +34,6 @@ faulty subassembly below the floor.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -56,6 +53,7 @@ from .model import Cell, Configuration, FaultState, Subassembly, connected_compo
 from .paths import Arena, GridPath, arena_around, astar_subassembly, astar_unit, swept_cells
 from .vmcs import (
     TargetConfiguration,
+    best_first,
     smallest_supports,
     optimal_configuration,
     plan_vmcs_completion,
@@ -125,15 +123,6 @@ class _Group:
     faults: dict[Cell, FaultState]       # current cells
     delta: tuple[int, int]               # goal minus current cell, one per group
     shape: frozenset[Cell] = field(default_factory=frozenset)
-
-    @property
-    def sort_cell(self) -> Cell:
-        """The smallest goal cell."""
-        return min(self.faults) + self.delta
-
-    @property
-    def landing(self) -> frozenset[Cell]:
-        return frozenset(c + self.delta for c in self.shape)
 
 
 def _min_cost_assignment(c: list[list[float]]) -> list[int]:
@@ -390,7 +379,7 @@ class _Pipeline:
         for delta, cells in by_delta.items():
             for comp in connected_components(cells):
                 self.groups.append(_Group({c: states[c] for c in comp}, delta))
-        self.groups.sort(key=lambda g: g.sort_cell)
+        self.groups.sort(key=lambda g: min(g.faults) + g.delta)     # by smallest goal cell
 
     def _fault_goals(self) -> dict[Cell, Cell]:
         goals: dict[Cell, Cell] = {}
@@ -419,12 +408,10 @@ class _Pipeline:
                 if cm < self.epsilon:
                     break
                 landing = frozenset(c + group.delta for c in shape)
-                if any(c not in self.arena for c in shape | landing):
-                    continue
-                if (shape | landing) & (foreign_faults | claimed):
-                    continue
-                chosen = shape
-                break
+                if (all(c in self.arena for c in shape | landing)
+                        and not (shape | landing) & (foreign_faults | claimed)):
+                    chosen = shape
+                    break
             if chosen is None:
                 raise NoVmcsPlacementError(
                     "no support shape fits around the faults without conflicts",
@@ -446,10 +433,8 @@ class _Pipeline:
                 gated = (self._step((path.start,), path, Phase.VMCS_BUILD) for path in flights)
                 step = next((s for s in gated if s is not None), None)
                 if step is None:
-                    raise NoFeasibleDonorError(
-                        f"no donor can reach vacancy {vacancy} without breaking support",
-                        vacancy=vacancy,
-                    )
+                    raise NoFeasibleDonorError(f"no donor can reach vacancy {vacancy} without "
+                                               "breaking support", vacancy=vacancy)
                 self._commit(step)
 
     # -- phase 4: corridor clearance ---------------------------------------
@@ -467,12 +452,11 @@ class _Pipeline:
         swept: set[Cell] = set()
         for i, group in enumerate(self.groups):
             ref = min(group.shape)
-            goal_ref = ref + group.delta
             obstacles = set(settled)
             for j, other in enumerate(self.groups):
                 if j != i:
-                    obstacles |= other.shape | other.landing
-            path = astar_subassembly(group.shape, ref, goal_ref,
+                    obstacles |= other.shape | {c + other.delta for c in other.shape}
+            path = astar_subassembly(group.shape, ref, ref + group.delta,
                                      frozenset(obstacles - group.shape), self.arena)
             swept |= swept_cells(group.shape, ref, path)
         self.corridor = frozenset(swept)
@@ -482,68 +466,61 @@ class _Pipeline:
         blockers = [c for c, s in self.work.items() if c in self.corridor
                     and not s.is_faulty and c not in members]
         for blocker in blockers:
-            self._relocate_blocker(blocker)
-
-    def _relocate_blocker(self, blocker: Cell) -> None:
-        occupied = self.work.cell_set
-        free = [w for w in self.arena.cells() if w not in occupied and w not in self.corridor]
-        target_cells = self.target.config.cell_set
-        if self.relocation_rule:
-            step = self._park(blocker, [w for w in free if w in target_cells], by_length=True)
-        else:
-            step = self._park(blocker, [w for w in free if w.y == blocker.y], by_length=False)
-        if step is None:
-            # fall back to any free cell off the corridors and off the target
-            step = self._park(blocker, [w for w in free if w not in target_cells],
-                              by_length=True, note="off-target-parking")
+            step = self._parking_step(blocker)
             if step is None:
                 raise NoPathError(f"blocker {blocker} has nowhere to park")
-        self._commit(step)
+            self._commit(step)
 
-    def _park(self, blocker: Cell, spots: list[Cell], by_length: bool,
-              note: str | None = None) -> PlanStep | None:
-        """Gated step to the spot of least rank, or None when no spot passes the gate.
+    def _parking_step(self, blocker: Cell) -> PlanStep | None:
+        """The gated flight of `blocker` to its best parking spot, or None.
 
-        The rank is (flight length, (y, x)) with `by_length`, otherwise
-        (Manhattan distance, (y, x)). Spots wait in a heap under (Manhattan
-        distance, (y, x)), which bounds the rank from below. A spot whose
-        bound leads is routed; with `by_length` it goes back under its flight
-        length, otherwise its flight is gated at once. A flight gated when
-        its rank leads is the best that can pass, so the first that passes
-        wins and no spot ranked behind it reaches the gate.
+        Spots are the free cells off the corridors. Tier 0, the spots the rule
+        prefers, holds the vacant target cells by flight length (rule on) or
+        the blocker's row by Manhattan distance (rule off); tier 1 every other
+        cell off the target by flight length, noted "off-target-parking".
+        best_first orders them by (tier, rank, (y, x)), each from its Manhattan
+        distance. A spot in both tiers enters once, in tier 0: on one state it
+        has one route and one verdict.
         """
-        obstacles = self.work.cell_set - {blocker}
-        # (rank, spot) is unique: a spot has one entry at a time
-        heap = [(blocker.manhattan(w), w, None) for w in spots]
-        heapq.heapify(heap)
-        while heap:
-            _, w, path = heapq.heappop(heap)
-            if path is None:
-                try:
-                    path = astar_unit(blocker, w, obstacles, self.arena)
-                except NoPathError:
-                    continue
-                if by_length:
-                    heapq.heappush(heap, (path.length, w, path))
-                    continue
-            step = self._step((blocker,), path, Phase.PATH_CLEARANCE, note)
-            if step is not None:
-                return step
-        return None
+        occupied = self.work.cell_set
+        obstacles = occupied - {blocker}
+        target_cells = self.target.config.cell_set
+        by_row = not self.relocation_rule
+        free = [w for w in self.arena.cells() if w not in occupied and w not in self.corridor]
+        preferred = {w for w in free if w.y == blocker.y} if by_row else target_cells
+
+        def key(spot: Cell, path: GridPath) -> tuple[int, int]:
+            tier = int(spot not in preferred)
+            return tier, (blocker.manhattan(spot) if by_row and tier == 0 else path.length)
+
+        def route(spot: Cell, _) -> tuple | None:
+            try:
+                path = astar_unit(blocker, spot, obstacles, self.arena)
+            except NoPathError:
+                return None
+            return key(spot, path), path
+
+        def gate(spot: Cell, path: GridPath) -> tuple | None:
+            tier, rank = key(spot, path)
+            step = self._step((blocker,), path, Phase.PATH_CLEARANCE,
+                              "off-target-parking" if tier else None)
+            return None if step is None else ((tier, rank), step)
+
+        entries = [((int(w not in preferred), blocker.manhattan(w)), w) for w in free
+                   if w in preferred or w not in target_cells]
+        return next((step for _, step in best_first(entries, route, gate)), None)
 
     # -- phase 5: rigid transfers ------------------------------------------
 
     def _transfer_groups(self) -> None:
         for group in self.groups:
-            current_cells = group.shape
-            ref = min(current_cells)
-            goal_ref = ref + group.delta
-            obstacles = self.work.cell_set - current_cells
-            path = astar_subassembly(current_cells, ref, goal_ref, obstacles, self.arena)
-            step = self._step(tuple(current_cells), path, Phase.VMCS_TRANSFER)
+            ref = min(group.shape)
+            path = astar_subassembly(group.shape, ref, ref + group.delta,
+                                     self.work.cell_set - group.shape, self.arena)
+            step = self._step(tuple(group.shape), path, Phase.VMCS_TRANSFER)
             if step is None:
                 raise SafetyViolationError(
-                    f"move of {sorted(current_cells)} would leave the system below "
+                    f"move of {sorted(group.shape)} would leave the system below "
                     f"the margin floor", phase=Phase.VMCS_TRANSFER.value,
                 )
             self._commit(step)

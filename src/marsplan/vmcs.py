@@ -20,7 +20,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .controllability import (
     DEFAULT_PARAMS,
@@ -105,11 +105,9 @@ def ranked_support_shapes(faults: Mapping[Cell, FaultState], k: int,
     may be upper bounds (see cm_signed_distance); they still sort after
     every margin at or above it, whose order is unchanged.
     """
-    ranked = []
-    for shape in enumerate_connected_shapes(faults.keys(), k):
-        ranked.append((shape, cached_subassembly_cm(_support(shape, faults), params, floor)))
-    ranked.sort(key=lambda it: -round(it[1], _TIE_DECIMALS))
-    return ranked
+    ranked = [(shape, cached_subassembly_cm(_support(shape, faults), params, floor))
+              for shape in enumerate_connected_shapes(faults.keys(), k)]
+    return sorted(ranked, key=lambda it: -round(it[1], _TIE_DECIMALS))
 
 
 def smallest_supports(faults: Mapping[Cell, FaultState], params: PhysicalParams,
@@ -211,6 +209,29 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
     return TargetConfiguration(Configuration.from_cells(cells, best[2]), best[1])
 
 
+def best_first(entries: Iterable[tuple[Any, Any]], *stages: Callable[[Any, Any], tuple | None],
+               ) -> Iterator[tuple[Any, Any]]:
+    """Items in order of (final key, item), each staged only while it leads.
+
+    `entries` are (key, item) pairs, one per item. Each item passes `stages`
+    in order from the value None: a stage maps (item, value) to the item's
+    next (key, value), or to None to drop it, and an item past its last
+    stage is yielded as (item, value). Each key must bound the item's later
+    keys from below. The item whose (key, item) leads the heap runs its next
+    stage, so a caller that stops at the first yield never stages an item
+    whose key exceeds the winner's final key (A*'s admissible-bound order).
+    """
+    # (key, item) is unique: an item has one entry at a time
+    heap = [(key, item, 0, None) for key, item in entries]
+    heapq.heapify(heap)
+    while heap:
+        _, item, done, value = heapq.heappop(heap)
+        if done == len(stages):
+            yield item, value
+        elif (staged := stages[done](item, value)) is not None:
+            heapq.heappush(heap, (staged[0], item, done + 1, staged[1]))
+
+
 def plan_vmcs_completion(config: Configuration, target_cm: float, vacancy: Cell,
                          params: PhysicalParams, c1: float, c2: float, *,
                          reserved: frozenset[Cell] = frozenset(),
@@ -224,46 +245,31 @@ def plan_vmcs_completion(config: Configuration, target_cm: float, vacancy: Cell,
     c2 * path_length, then by (y, x). The landing is not gated here: the
     caller gates each flight as a step and commits the first that passes.
 
-    Ranks are settled best first. A donor enters a heap unrouted, under
-    round(-c2 * Manhattan distance to the vacancy) when c1 >= 0 and c2 <= 0
-    and under -inf otherwise: a lower bound of its rank either way (A*'s
-    length is at least the Manhattan distance, c1 * delta^2 >= 0 and rounding
-    is monotone), and it is routed only when that bound leads. A routed donor
-    enters under round(-c2 * path_length) (-inf when c1 < 0), again a lower
-    bound, and only when that bound leads is its detach margin asked and the
-    donor pushed again under its exact rank. An exact rank that leads is yielded,
-    so a caller that stops at the first gated flight never scores the donors
-    ranked below it, nor, under the distance bound, routes them.
+    best_first settles the ranks. A donor waits unrouted under round(-c2 *
+    Manhattan distance) when c1 >= 0 and c2 <= 0, else -inf; routed, under
+    round(-c2 * path_length), or -inf when c1 < 0; scored, under its rank.
+    Each key bounds the next (A*'s length is at least the Manhattan distance,
+    c1 * delta^2 >= 0 and rounding is monotone), so a caller that stops at
+    the first gated flight scores no donor ranked below it, nor, under the
+    distance bound, routes it.
     """
-    def routed(donor: Cell) -> tuple | None:
-        after = config.detach(donor)
+    def route(donor: Cell, _) -> tuple | None:
         try:
-            path = astar_unit(donor, vacancy, frozenset(after.cells), arena)
+            path = astar_unit(donor, vacancy, config.cell_set - {donor}, arena)
         except NoPathError:
             return None
-        bound = round(-c2 * path.length, _TIE_DECIMALS) if c1 >= 0 else -math.inf
-        return (bound, donor, path, after)
+        return (round(-c2 * path.length, _TIE_DECIMALS) if c1 >= 0 else -math.inf), path
+
+    def score(donor: Cell, path: GridPath) -> tuple | None:
+        # exact whenever it clears the floor, so it also scores the donor
+        after_cm = system_cm(config.detach(donor), params, epsilon)
+        if after_cm < epsilon:
+            return None
+        delta = after_cm - target_cm
+        return round(c1 * delta * delta - c2 * path.length, _TIE_DECIMALS), path
 
     by_distance = c1 >= 0 and c2 <= 0
-    heap = [(round(-c2 * donor.manhattan(vacancy), _TIE_DECIMALS) if by_distance else -math.inf,
-             donor, None, None)
-            for donor, state in config.items()
-            if not state.is_faulty and donor not in reserved]
-    # (rank, donor) is unique: a donor has one entry at a time
-    heapq.heapify(heap)
-    while heap:
-        _, donor, path, after = heapq.heappop(heap)
-        if path is None:
-            if (entry := routed(donor)) is not None:
-                heapq.heappush(heap, entry)
-            continue
-        if after is None:
-            yield path
-            continue
-        # exact whenever it clears the floor, so it also scores the donor
-        after_cm = system_cm(after, params, epsilon)
-        if after_cm < epsilon:
-            continue
-        delta = after_cm - target_cm
-        rank = round(c1 * delta * delta - c2 * path.length, _TIE_DECIMALS)
-        heapq.heappush(heap, (rank, donor, path, None))
+    donors = [(round(-c2 * d.manhattan(vacancy), _TIE_DECIMALS) if by_distance else -math.inf, d)
+              for d, state in config.items() if not state.is_faulty and d not in reserved]
+    for _, path in best_first(donors, route, score):
+        yield path

@@ -162,6 +162,20 @@ def test_load_scenario_file_errors(tmp_path):
         load_scenario(broken)
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"cells": [[0, 0], [1, 0]], "faults": [{"cell": [0, 0], "kind": "unit",'
+     ' "kind": "rotor", "rotor_index": 1}]}', "kind"),
+    ('{"cells": [[0, 0]], "cells": [[0, 0], [1, 0]]}', "cells"),
+], ids=["fault-kind", "cells"])
+def test_a_repeated_json_key_is_an_input_error(tmp_path, text, key):
+    # Keeping the last value would read the fault as a rotor fault, and the
+    # cells as the second list.
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match=f"repeated key '{key}'"):
+        load_scenario(path)
+
+
 # -- configuration serialization ---------------------------------------------------
 
 
@@ -795,8 +809,9 @@ def test_cli_params_environment_override(tmp_path, capsys, monkeypatch):
     assert "input error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [None, b"{not json", '{"name": "caf\u00e9"}'.encode("latin-1")],
-                         ids=["missing", "malformed", "not-utf-8"])
+@pytest.mark.parametrize("content", [None, b"{not json", '{"name": "caf\u00e9"}'.encode("latin-1"),
+                                     b'{"gravity": 5.0, "gravity": 5.0}'],
+                         ids=["missing", "malformed", "not-utf-8", "repeated-key"])
 def test_cli_names_a_json_file_it_cannot_read(tmp_path, capsys, monkeypatch, content):
     # scenario files and the MARSPLAN_PARAMS file are read by one reader
     bad = tmp_path / "bad.json"
@@ -812,6 +827,22 @@ def test_cli_names_a_json_file_it_cannot_read(tmp_path, capsys, monkeypatch, con
         assert f"input error: cannot read MARSPLAN_PARAMS file {bad}: " in capsys.readouterr().err
         monkeypatch.delenv("MARSPLAN_PARAMS")
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("option", ["--output", "--cm-trace", "--svg-dir"])
+def test_cli_reports_an_output_it_cannot_write(tmp_path, capsys, option):
+    # a file where a directory must be, and a directory that does not exist
+    # (the SVG directory is made with its parents)
+    inp = scenario_file(tmp_path, RECT32)
+    (tmp_path / "file").write_text("")
+    outputs = {"--output": str(tmp_path / "p.json")}
+    bads = [tmp_path / "file" / "out"] + [tmp_path / "missing" / "out"] * (option != "--svg-dir")
+    for bad in bads:
+        outputs[option] = str(bad)
+        args = ["plan", "--input", inp] + [word for pair in outputs.items() for word in pair]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("marsplan: cannot write output: ") and err.count("\n") == 1
 
 
 def test_cli_params_label_notes_scenario_overrides(tmp_path, capsys):

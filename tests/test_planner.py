@@ -494,18 +494,38 @@ def test_fill_targets_match_the_path_storing_reference():
 # -- blocker parking ---------------------------------------------------------------
 
 
+def reference_parking(pipeline, blocker, gate):
+    """The parking flight and note of the tiered cascade, each tier scanned
+    exhaustively: the preferred spots first, then every free spot off the
+    target by flight length (see `_Pipeline._parking_step`)."""
+    occupied, target = pipeline.work.cell_set, pipeline.target.config.cell_set
+    free = [w for w in pipeline.arena.cells() if w not in occupied and w not in pipeline.corridor]
+    if pipeline.relocation_rule:
+        preferred = exhaustive_parking(blocker, [w for w in free if w in target], gate, True)
+    else:
+        preferred = exhaustive_parking(blocker, [w for w in free if w.y == blocker.y], gate, False)
+    if preferred is not None:
+        return preferred, None
+    fallback = exhaustive_parking(blocker, [w for w in free if w not in target], gate, True)
+    return fallback, fallback and "off-target-parking"
+
+
 def check_parking_against_an_exhaustive_scan(monkeypatch, rejecting):
-    """Compare `_park` with `exhaustive_parking` under one gate on 60 seeded
-    cases; returns how many cases had a rejected spot as the unrejected winner.
+    """Compare `_parking_step` with `reference_parking` under one gate, on 60
+    seeded cases under each rule; returns how many cases had a rejected
+    spot as the unrejected winner of either rule.
 
     Fault-free assemblies with scattered single units: every spot the
     blocker can reach passes the margin checks, so detours around the
-    scattered units and (y, x) ties decide which spot wins. With
-    `rejecting` the gate also turns away a seeded third of the spots.
+    scattered units and (y, x) ties decide which spot wins. A seeded fifth
+    of the free cells is corridor, and none, a sixth or a third is target,
+    which varies both tiers. With `rejecting` the gate also turns away a seeded third of
+    the free cells.
     """
     rng = np.random.default_rng(41)
     reject_rng = np.random.default_rng(43)
     detours = passed_over = 0
+    notes = set()
     for _ in range(60):
         cells = set(random_connected_cells(rng, int(rng.integers(3, 9))))
         free = [c for c in arena_around(cells).cells() if c not in cells]
@@ -515,7 +535,16 @@ def check_parking_against_an_exhaustive_scan(monkeypatch, rejecting):
                              2.0, -0.1, True, 0.0)
         blocker = sorted(cells)[int(rng.integers(len(cells)))]
         free = [c for c in pipeline.arena.cells() if c not in cells]
-        spots = [free[int(i)] for i in sorted(rng.choice(len(free), len(free) // 5, replace=False))]
+
+        def seeded(rng, share):
+            return {free[int(i)] for i in rng.choice(len(free), int(len(free) * share),
+                                                    replace=False)}
+
+        pipeline.corridor = frozenset(seeded(rng, 1 / 5))
+        # only the target's free cells matter to parking; with none, the
+        # rule's tier is empty
+        target = seeded(rng, int(rng.integers(3)) / 6)
+        pipeline.target = TargetConfiguration(Configuration.from_cells(sorted(target)), math.inf)
         rejected = set()
         gate_step = pipeline._step
         monkeypatch.setattr(pipeline, "_step", lambda moved, path, phase, note=None:
@@ -526,21 +555,26 @@ def check_parking_against_an_exhaustive_scan(monkeypatch, rejecting):
             return step and step.path
 
         if rejecting:
-            winners = [exhaustive_parking(blocker, spots, gate, by_length)
-                       for by_length in (True, False)]
-            rejected.update(spots[int(i)] for i in reject_rng.choice(len(spots), len(spots) // 3,
-                                                                     replace=False))
+            winners = []
+            for rule in (True, False):
+                pipeline.relocation_rule = rule
+                winners.append(reference_parking(pipeline, blocker, gate)[0])
+            rejected.update(seeded(reject_rng, 1 / 3))
             passed_over += any(w and w.goal in rejected for w in winners)
         chosen = []
-        for by_length in (True, False):
-            got = pipeline._park(blocker, spots, by_length)
-            got = got and got.path
-            want = exhaustive_parking(blocker, spots, gate, by_length)
-            assert (got and got.waypoints) == (want and want.waypoints)
-            assert not (got and got.goal in rejected)
-            chosen.append(got and got.goal)
+        for rule in (True, False):
+            pipeline.relocation_rule = rule
+            got = pipeline._parking_step(blocker)
+            want, note = reference_parking(pipeline, blocker, gate)
+            assert (got and got.path.waypoints) == (want and want.waypoints)
+            assert not (got and got.path.goal in rejected)
+            if got is not None:
+                assert got.note == note and got.phase == Phase.PATH_CLEARANCE
+                notes.add(note)
+            chosen.append(got and got.path.goal)
+        assert pipeline.work == config and pipeline.steps == []
         detours += chosen[0] != chosen[1]
-    assert detours
+    assert detours and notes == {None, "off-target-parking"}
     return passed_over
 
 
@@ -551,6 +585,32 @@ def test_parking_search_matches_an_exhaustive_scan(monkeypatch):
 def test_parking_search_matches_an_exhaustive_scan_under_a_rejecting_gate(monkeypatch):
     # The search must pass over rejected spots, often the one that would win.
     assert check_parking_against_an_exhaustive_scan(monkeypatch, rejecting=True) >= 10
+
+
+def test_rule_off_parking_routes_each_spot_once(monkeypatch):
+    # The gate rejects the blocker's whole row, so the blocker parks in the
+    # fallback tier. The row's cells are off the target, so they belong to
+    # both tiers; they enter the search once and are routed once.
+    config = Configuration.from_cells([Cell(x, 0) for x in range(4)] + [Cell(1, 1)])
+    pipeline = _Pipeline(config, optimal_configuration(config), DEFAULT_PARAMS,
+                         2.0, -0.1, False, 0.0)
+    blocker = Cell(1, 1)
+    pipeline.corridor = frozenset({blocker})
+    routed = []
+
+    def counted(start, goal, obstacles, arena):
+        routed.append(goal)
+        return astar_unit(start, goal, obstacles, arena)
+
+    monkeypatch.setattr(planner, "astar_unit", counted)
+    gate_step = pipeline._step
+    monkeypatch.setattr(pipeline, "_step", lambda moved, path, phase, note=None:
+                        None if path.goal.y == blocker.y else gate_step(moved, path, phase, note))
+    pipeline._clear_corridor()
+    (step,) = pipeline.steps
+    assert step.note == "off-target-parking" and step.path.goal.y != blocker.y
+    assert any(goal.y == blocker.y for goal in routed)
+    assert len(routed) == len(set(routed))
 
 
 # -- support completion ------------------------------------------------------------

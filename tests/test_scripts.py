@@ -88,5 +88,12 @@ def test_bench_writes_every_end_to_end_metric_of_a_correct_run(tmp_path):
     for entry in assign:
         assert entry["calls"] >= 5 and entry["median_scaled_s"] > 0, entry
         assert entry["size"] == f"{entry['rows']}x{entry['cols']}", entry
+    placement = record["placement_by_faults"]
+    assert [(entry["block"], entry["faults"]) for entry in placement] == [
+        (f"{w}x{w}", count) for w in (4, 5, 6) for count in (1, 2, 3)]
+    for entry in placement:
+        assert entry["calls"] >= 5 and entry["median_scaled_s"] > 0, entry
+        assert len(entry["fault_cells"]) == entry["faults"], entry
     assert "astar_by_arena" in record["layer_timings"]
     assert "assign_by_size" in record["layer_timings"]
+    assert "placement_by_faults" in record["layer_timings"]

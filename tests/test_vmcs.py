@@ -29,6 +29,7 @@ from marsplan.model import (
 )
 from marsplan.paths import arena_around
 from marsplan.vmcs import (
+    best_first,
     enumerate_connected_shapes,
     identify_vmcs,
     optimal_configuration,
@@ -508,6 +509,46 @@ def test_optimal_configuration_of_fault_free_assembly_is_identity():
     cfg = Configuration.from_cells([Cell(0, 0), Cell(1, 0)])
     tc = optimal_configuration(cfg)
     assert tc.config == cfg and tc.cm == math.inf
+
+
+# -- best_first -------------------------------------------------------------------------
+
+
+def test_best_first_yields_a_full_sort_and_stages_only_leaders():
+    # Seeded items, each with a random non-decreasing chain of keys (many
+    # ties) and now and then a stage that drops it. Every stage checks that
+    # it gets the value the last one returned.
+    rng = np.random.default_rng(32)
+    unstaged = 0
+    for _ in range(300):
+        n_stages = int(rng.integers(4))
+        chains, drop_at = {}, {}
+        for item in range(int(rng.integers(12))):
+            chains[item] = [int(k) for k in np.cumsum(rng.integers(0, 3, n_stages + 1))]
+            if n_stages and rng.random() < 0.3:
+                drop_at[item] = int(rng.integers(n_stages))
+        staged = []
+
+        def stage(i):
+            def run(item, value):
+                assert value == (chains[item][i] if i else None)
+                staged.append(item)
+                return None if drop_at.get(item) == i else (chains[item][i + 1], chains[item][i + 1])
+            return run
+
+        stages = [stage(i) for i in range(n_stages)]
+        entries = [(keys[0], item) for item, keys in chains.items()]
+        kept = sorted((keys[-1], item) for item, keys in chains.items() if item not in drop_at)
+        want = [(item, key if n_stages else None) for key, item in kept]
+        assert list(best_first(entries, *stages)) == want
+        staged.clear()
+        first = next(best_first(entries, *stages), None)
+        assert first == (want[0] if want else None)
+        if first is not None and n_stages:
+            # no item whose first key sorts after the winner's final key is staged
+            assert all((chains[item][0], item) <= kept[0] for item in staged)
+            unstaged += len(chains) - len(set(staged))
+    assert unstaged
 
 
 # -- donor ranking (plan_vmcs_completion) ---------------------------------------------
