@@ -6,9 +6,10 @@
                   [--no-relocation-rule]
     marsplan cm   --input scenario.json
 
-Exit codes: 0 success, 1 input error or an output that cannot be written, 2
-no fault placement reaches the margin floor, 3 the planner could not complete
-a phase. Planner weights resolve as command line over scenario file over the
+Exit codes: 0 success, 1 input error or an output that cannot be written
+(the plan file is written last, so exit code 1 leaves none), 2 no fault
+placement reaches the margin floor, 3 the planner could not complete a
+phase. Planner weights resolve as command line over scenario file over the
 defaults of `plan()`. Setting MARSPLAN_PARAMS to a JSON file of
 physical-parameter fields replaces the built-in defaults (scenario overrides
 still apply on top).
@@ -81,11 +82,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     settings = scenario.settings()
     settings.update((key, value) for key, value in chosen.items() if value is not None)
     result = compute_plan(scenario.config, scenario.params, **settings)
-    save_plan(result, scenario.config, args.output, name=scenario.name)
+    # the plan is written last, so a failed write leaves no plan document
     if args.cm_trace:
         write_cm_trace(result, args.cm_trace)
     if args.svg_dir:
         render_plan_svgs(result, scenario.config, args.svg_dir)
+    save_plan(result, scenario.config, args.output, name=scenario.name)
     summary_cm = "n/a" if math.isinf(result.min_cm) else f"{result.min_cm:.6f}"
     print(f"steps={result.step_count} detach_attach={result.detach_attach_count} "
           f"path_length={result.total_path_length} min_cm={summary_cm}")

@@ -9,14 +9,16 @@ Pipeline, in order:
 3. For each group, pick the best feasible support shape anchored at the
    faults' current cells and fly donor units into its vacant cells, each
    the best-ranked donor flight that passes the gate. Donors are scored
-   best first, so no donor ranked behind that flight is scored.
+   best first and each flight is gated as it is taken, so no donor ranked
+   behind that flight is scored.
 4. Clear every stationary unit off the planned transfer corridors. Each
    blocker parks by one tiered best-first search of the free cells off the
    corridors: first the spots the relocation rule prefers (with it on, the
-   vacant target cells by gated flight length, so it never moves again;
-   with it off, its own row's cells by |dx|, fetched later if off the
-   target), then the other cells off the target by gated flight length. No
-   spot ranked behind the winner reaches the gate.
+   vacant target cells by flight length, so it never moves again; with it
+   off, its own row's cells by |dx|, fetched later if off the target), then
+   the other cells off the target by flight length. Each spot is gated as
+   it is taken, so no spot ranked behind the first that passes reaches the
+   gate.
 5. Rigidly transfer each support group so its faults land on their goals.
 6. Fill the remaining vacant target cells with conflict-free assignment
    rounds until the configuration equals the target exactly. Each flight
@@ -27,6 +29,9 @@ Every step passes one gate, `step_verdict`, which owns every check of a move
 and names the first that fails: "unoccupied", "disconnected", "arena",
 "collision", "piece" or "post". `_Pipeline._step` gates every step of every
 phase with it, and `validate_plan` replays a finished plan through it. The
+build, clearance and transfer phases commit at one point,
+`_Pipeline._commit_first`: the first of a phase's ranked steps that the gate
+passes, or the phase's typed failure when none does. The
 structure left behind while the piece is in flight is not gated; only the
 donor ranking (`plan_vmcs_completion`) skips donors whose removal drops a
 faulty subassembly below the floor.
@@ -37,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .controllability import DEFAULT_PARAMS, PhysicalParams, cached_subassembly_cm, system_cm
 from .errors import (
@@ -129,53 +134,42 @@ def _min_cost_assignment(c: list[list[float]]) -> list[int]:
     """The column of each row in one minimum-cost assignment of a finite
     cost matrix, as a list of rows, with rows <= columns.
 
-    The Hungarian method by shortest augmenting paths (Jonker & Volgenant,
-    Computing 38, 1987): row by row, a Dijkstra search over reduced costs
-    c[i][j] - u[i] - v[j] finds the cheapest path from the new row to a free
-    column, the dual potentials u and v are updated so that reduced costs
-    stay >= 0, and the assignment is flipped along the path. A tie prefers a
-    free column. The duals start at int 0, so integer costs are solved in
-    exact integer arithmetic.
+    The Hungarian method in its potentials form (Kuhn 1955; Munkres 1957):
+    each new row enters through a virtual start column, and a Dijkstra search
+    over reduced costs c[i][j] - u[i] - v[j] grows the set of used columns
+    one at a time until it reaches a free column. Each step shifts the duals
+    of the used rows and columns by the smallest distance found, so reduced
+    costs stay >= 0 and the path's edges stay tight; the assignment is then
+    flipped along the path. The duals start at int 0, so integer costs are
+    solved in exact integer arithmetic.
     """
     nr, nc = len(c), len(c[0])
-    u, v = [0] * nr, [0] * nc
-    col_of, row_of = [-1] * nr, [-1] * nc
+    u, v = [0] * nr, [0] * (nc + 1)
+    row_of = [-1] * (nc + 1)                # column nc is the virtual start column
     for row in range(nr):
-        dist, via = [math.inf] * nc, [-1] * nc
-        remaining = list(range(nc - 1, -1, -1))
-        seen_rows, seen_cols = [], []
-        i, reach, sink = row, 0, -1
-        while sink < 0:
-            seen_rows.append(i)
-            best, at = math.inf, -1
-            for k, j in enumerate(remaining):
-                r = reach + c[i][j] - u[i] - v[j]
-                if r < dist[j]:
-                    via[j], dist[j] = i, r
-                if dist[j] < best or (dist[j] == best and row_of[j] < 0):
-                    best, at = dist[j], k
-            reach = best
-            j = remaining[at]
-            remaining[at] = remaining[-1]
-            remaining.pop()
-            seen_cols.append(j)
-            if row_of[j] < 0:
-                sink = j
-            else:
-                i = row_of[j]
-        u[row] += reach
-        for i in seen_rows[1:]:
-            u[i] += reach - dist[col_of[i]]
-        for j in seen_cols:
-            v[j] -= reach - dist[j]
-        j = sink
-        while True:
-            i = via[j]
-            row_of[j] = i
-            col_of[i], j = j, col_of[i]
-            if i == row:
-                break
-    return col_of
+        row_of[nc], j0 = row, nc
+        dist, via, used = [math.inf] * (nc + 1), [nc] * (nc + 1), [False] * (nc + 1)
+        while row_of[j0] >= 0:
+            used[j0] = True
+            i, delta, j1 = row_of[j0], math.inf, -1
+            for j in range(nc):
+                if not used[j]:
+                    r = c[i][j] - u[i] - v[j]
+                    if r < dist[j]:
+                        dist[j], via[j] = r, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(nc + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0 != nc:
+            row_of[j0] = row_of[via[j0]]
+            j0 = via[j0]
+    return sorted((j for j in range(nc) if row_of[j] >= 0), key=row_of.__getitem__)
 
 
 def lexicographic_min_assignment(cost: Sequence[Sequence[float]]) -> list[int]:
@@ -186,12 +180,13 @@ def lexicographic_min_assignment(cost: Sequence[Sequence[float]]) -> list[int]:
     float is (`float.as_integer_ratio`, d a power of two): no tolerance
     merges near-equal totals, so [[0.1 + 0.2, 0.3]] gives [1]. Among all
     minimum-cost assignments the row-major smallest column choice wins, so
-    equal-cost solutions are deterministic. One Hungarian solve
+    equal-cost solutions are deterministic. One Kuhn-Munkres solve
     (_min_cost_assignment) finds it on integers: with D the largest d, entry
     (i, j) becomes n * (D // d) * nc**nr + j * nc**(nr - 1 - i). The column
     digits of an assignment sum to less than nc**nr, one cost unit, so every
     assignment has its own total, which orders by cost first and then by
-    the columns row by row.
+    the columns row by row. The optimum is thus unique, and the solver
+    needs no tie rule.
     Ragged rows or a non-finite entry raise ValueError; an entry >= _BIG is
     forbidden, yet chosen when no cheaper perfect assignment exists; callers
     filter.
@@ -365,6 +360,15 @@ class _Pipeline:
         self.steps.append(step)
         self.work = step.post_config
 
+    def _commit_first(self, steps: Iterable[PlanStep | None],
+                      failure: Callable[[], PlanningError]) -> None:
+        """Commit the first of the gated `steps` that passed, or raise `failure()`."""
+        for step in steps:
+            if step is not None:
+                self._commit(step)
+                return
+        raise failure()
+
     # -- phase 2: goals and groups ----------------------------------------
 
     def _form_groups(self) -> None:
@@ -430,12 +434,10 @@ class _Pipeline:
                     self.work, self.target.cm, vacancy, self.params, self.c1, self.c2,
                     reserved=reserved, arena=self.arena, epsilon=self.epsilon,
                 )
-                gated = (self._step((path.start,), path, Phase.VMCS_BUILD) for path in flights)
-                step = next((s for s in gated if s is not None), None)
-                if step is None:
-                    raise NoFeasibleDonorError(f"no donor can reach vacancy {vacancy} without "
-                                               "breaking support", vacancy=vacancy)
-                self._commit(step)
+                self._commit_first(
+                    (self._step((path.start,), path, Phase.VMCS_BUILD) for path in flights),
+                    lambda: NoFeasibleDonorError(f"no donor can reach vacancy {vacancy} "
+                                                 "without breaking support", vacancy=vacancy))
 
     # -- phase 4: corridor clearance ---------------------------------------
 
@@ -466,21 +468,22 @@ class _Pipeline:
         blockers = [c for c, s in self.work.items() if c in self.corridor
                     and not s.is_faulty and c not in members]
         for blocker in blockers:
-            step = self._parking_step(blocker)
-            if step is None:
-                raise NoPathError(f"blocker {blocker} has nowhere to park")
-            self._commit(step)
+            self._commit_first(self._parking_steps(blocker),
+                               lambda: NoPathError(f"blocker {blocker} has nowhere to park"))
 
-    def _parking_step(self, blocker: Cell) -> PlanStep | None:
-        """The gated flight of `blocker` to its best parking spot, or None.
+    def _parking_steps(self, blocker: Cell) -> Iterator[PlanStep | None]:
+        """The gated flights of `blocker` to its parking spots, best spot
+        first, each gated as it is taken (None when rejected).
 
         Spots are the free cells off the corridors. Tier 0, the spots the rule
         prefers, holds the vacant target cells by flight length (rule on) or
         the blocker's row by Manhattan distance (rule off); tier 1 every other
         cell off the target by flight length, noted "off-target-parking".
         best_first orders them by (tier, rank, (y, x)), each from its Manhattan
-        distance. A spot in both tiers enters once, in tier 0: on one state it
-        has one route and one verdict.
+        distance, so a caller that stops at the first passing flight routes no
+        spot whose (tier, Manhattan distance) sorts after the winner's (tier,
+        rank). A spot in both tiers enters once, in tier 0: on one state it has
+        one route and one verdict.
         """
         occupied = self.work.cell_set
         obstacles = occupied - {blocker}
@@ -489,26 +492,19 @@ class _Pipeline:
         free = [w for w in self.arena.cells() if w not in occupied and w not in self.corridor]
         preferred = {w for w in free if w.y == blocker.y} if by_row else target_cells
 
-        def key(spot: Cell, path: GridPath) -> tuple[int, int]:
-            tier = int(spot not in preferred)
-            return tier, (blocker.manhattan(spot) if by_row and tier == 0 else path.length)
-
         def route(spot: Cell, _) -> tuple | None:
             try:
                 path = astar_unit(blocker, spot, obstacles, self.arena)
             except NoPathError:
                 return None
-            return key(spot, path), path
-
-        def gate(spot: Cell, path: GridPath) -> tuple | None:
-            tier, rank = key(spot, path)
-            step = self._step((blocker,), path, Phase.PATH_CLEARANCE,
-                              "off-target-parking" if tier else None)
-            return None if step is None else ((tier, rank), step)
+            tier = int(spot not in preferred)
+            return (tier, blocker.manhattan(spot) if by_row and tier == 0 else path.length), path
 
         entries = [((int(w not in preferred), blocker.manhattan(w)), w) for w in free
                    if w in preferred or w not in target_cells]
-        return next((step for _, step in best_first(entries, route, gate)), None)
+        for spot, path in best_first(entries, route):
+            yield self._step((blocker,), path, Phase.PATH_CLEARANCE,
+                             None if spot in preferred else "off-target-parking")
 
     # -- phase 5: rigid transfers ------------------------------------------
 
@@ -517,13 +513,11 @@ class _Pipeline:
             ref = min(group.shape)
             path = astar_subassembly(group.shape, ref, ref + group.delta,
                                      self.work.cell_set - group.shape, self.arena)
-            step = self._step(tuple(group.shape), path, Phase.VMCS_TRANSFER)
-            if step is None:
-                raise SafetyViolationError(
-                    f"move of {sorted(group.shape)} would leave the system below "
-                    f"the margin floor", phase=Phase.VMCS_TRANSFER.value,
-                )
-            self._commit(step)
+            self._commit_first(
+                [self._step(tuple(group.shape), path, Phase.VMCS_TRANSFER)],
+                lambda: SafetyViolationError(
+                    f"move of {sorted(group.shape)} would leave the system below the margin "
+                    "floor", phase=Phase.VMCS_TRANSFER.value))
 
     # -- phase 6: fill rounds ----------------------------------------------
 

@@ -843,6 +843,7 @@ def test_cli_reports_an_output_it_cannot_write(tmp_path, capsys, option):
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("marsplan: cannot write output: ") and err.count("\n") == 1
+        assert not (tmp_path / "p.json").exists()
 
 
 def test_cli_params_label_notes_scenario_overrides(tmp_path, capsys):

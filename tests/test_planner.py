@@ -497,7 +497,7 @@ def test_fill_targets_match_the_path_storing_reference():
 def reference_parking(pipeline, blocker, gate):
     """The parking flight and note of the tiered cascade, each tier scanned
     exhaustively: the preferred spots first, then every free spot off the
-    target by flight length (see `_Pipeline._parking_step`)."""
+    target by flight length (see `_Pipeline._parking_steps`)."""
     occupied, target = pipeline.work.cell_set, pipeline.target.config.cell_set
     free = [w for w in pipeline.arena.cells() if w not in occupied and w not in pipeline.corridor]
     if pipeline.relocation_rule:
@@ -511,7 +511,7 @@ def reference_parking(pipeline, blocker, gate):
 
 
 def check_parking_against_an_exhaustive_scan(monkeypatch, rejecting):
-    """Compare `_parking_step` with `reference_parking` under one gate, on 60
+    """Compare `_parking_steps` with `reference_parking` under one gate, on 60
     seeded cases under each rule; returns how many cases had a rejected
     spot as the unrejected winner of either rule.
 
@@ -564,7 +564,7 @@ def check_parking_against_an_exhaustive_scan(monkeypatch, rejecting):
         chosen = []
         for rule in (True, False):
             pipeline.relocation_rule = rule
-            got = pipeline._parking_step(blocker)
+            got = next(filter(None, pipeline._parking_steps(blocker)), None)
             want, note = reference_parking(pipeline, blocker, gate)
             assert (got and got.path.waypoints) == (want and want.waypoints)
             assert not (got and got.path.goal in rejected)
@@ -611,6 +611,28 @@ def test_rule_off_parking_routes_each_spot_once(monkeypatch):
     assert step.note == "off-target-parking" and step.path.goal.y != blocker.y
     assert any(goal.y == blocker.y for goal in routed)
     assert len(routed) == len(set(routed))
+
+
+@pytest.mark.parametrize("walled", [True, False])
+def test_corridor_clearance_raises_when_a_blocker_has_nowhere_to_park(monkeypatch, walled):
+    # Walled, every free cell lies on the corridor, so no spot is routed;
+    # otherwise the gate turns away every spot the search routes.
+    config = Configuration.from_cells([Cell(x, 0) for x in range(3)] + [Cell(1, 1)])
+    pipeline = _Pipeline(config, optimal_configuration(config), DEFAULT_PARAMS,
+                         2.0, -0.1, True, 0.0)
+    blocker = Cell(1, 1)
+    free = {c for c in pipeline.arena.cells() if c not in config.cell_set}
+    pipeline.corridor = frozenset({blocker} | (free if walled else set()))
+    tried = []
+    monkeypatch.setattr(pipeline, "_step", lambda moved, path, phase, note=None:
+                        tried.append(path.goal))
+    with pytest.raises(NoPathError) as exc:
+        pipeline._clear_corridor()
+    assert exc.value.reason == "no-path"
+    assert str(exc.value) == f"blocker {blocker} has nowhere to park"
+    assert exc.value.info == {}
+    assert pipeline.steps == [] and pipeline.work == config
+    assert sorted(tried) == ([] if walled else sorted(free))
 
 
 # -- support completion ------------------------------------------------------------
