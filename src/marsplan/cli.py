@@ -7,12 +7,13 @@
     marsplan cm   --input scenario.json
 
 Exit codes: 0 success, 1 input error or an output that cannot be written
-(the plan file is written last, so exit code 1 leaves none), 2 no fault
-placement reaches the margin floor, 3 the planner could not complete a
-phase. Planner weights resolve as command line over scenario file over the
-defaults of `plan()`. Setting MARSPLAN_PARAMS to a JSON file of
-physical-parameter fields replaces the built-in defaults (scenario overrides
-still apply on top).
+(every output is opened before any is written, and the plan file is written
+last; exit code 1 leaves no new plan file, and no output at all when one
+cannot be opened), 2 no fault placement reaches the margin floor, 3 the
+planner could not complete a phase. Planner weights resolve as command line
+over scenario file over the defaults of `plan()`. Setting MARSPLAN_PARAMS to
+a JSON file of physical-parameter fields replaces the built-in defaults
+(scenario overrides still apply on top).
 """
 
 from __future__ import annotations
@@ -82,12 +83,24 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     settings = scenario.settings()
     settings.update((key, value) for key, value in chosen.items() if value is not None)
     result = compute_plan(scenario.config, scenario.params, **settings)
-    # the plan is written last, so a failed write leaves no plan document
-    if args.cm_trace:
-        write_cm_trace(result, args.cm_trace)
-    if args.svg_dir:
-        render_plan_svgs(result, scenario.config, args.svg_dir)
-    save_plan(result, scenario.config, args.output, name=scenario.name)
+    # every output file is opened before a frame, the trace or the plan is
+    # written, the plan last; a failed write removes the files opened anew
+    made = []
+    try:
+        for name in [args.output] + ([args.cm_trace] if args.cm_trace else []):
+            new = not os.path.exists(name)
+            open(name, "ab").close()      # appending leaves an existing file as it is
+            if new:
+                made.append(name)
+        if args.svg_dir:
+            render_plan_svgs(result, scenario.config, args.svg_dir)
+        if args.cm_trace:
+            write_cm_trace(result, args.cm_trace)
+        save_plan(result, scenario.config, args.output, name=scenario.name)
+    except OSError:
+        for name in made:
+            os.remove(name)
+        raise
     summary_cm = "n/a" if math.isinf(result.min_cm) else f"{result.min_cm:.6f}"
     print(f"steps={result.step_count} detach_attach={result.detach_attach_count} "
           f"path_length={result.total_path_length} min_cm={summary_cm}")

@@ -206,8 +206,8 @@ class Configuration:
 
     @property
     def cell_set(self) -> frozenset[Cell]:
-        """The occupied cells. A `Cell` equals the tuple (y, x), so
-        `paths._rigid_search` can ask `(y, x) in obstacles` of this set."""
+        """The occupied cells. A `Cell` equals and hashes as its (y, x) tuple;
+        `connected_components` pops plain (y, x) tuples from a dict of Cells."""
         return frozenset(self._units)
 
     @property

@@ -23,7 +23,7 @@ from .model import Cell
 
 __all__ = [
     "Arena", "GridPath", "NoPathError", "arena_around", "astar_unit",
-    "astar_subassembly", "swept_cells",
+    "astar_subassembly", "swept_cells", "unit_flight",
 ]
 
 
@@ -97,13 +97,20 @@ class GridPath:
 
 def astar_unit(start: Cell, goal: Cell, obstacles: frozenset[Cell] | set[Cell],
                arena: Arena) -> GridPath:
-    """Shortest 4-connected path for a single unit.
-
-    The moving unit's own start cell must not be in `obstacles` (callers pass
-    the occupied set minus the mover). A zero-length path is returned when
-    start == goal.
-    """
+    """Shortest 4-connected path for a single unit whose start cell is off
+    `obstacles`; zero-length when start == goal."""
     return _rigid_search((start,), start, goal, obstacles, arena)
+
+
+def unit_flight(start: Cell, goal: Cell, occupied: frozenset[Cell] | set[Cell],
+                arena: Arena) -> GridPath | None:
+    """The planner's one route of a candidate unit flight: `astar_unit` from
+    `start` around the other `occupied` cells, or None when it finds no path.
+    `start` need not be occupied (the fill's virtual entry unit)."""
+    try:
+        return astar_unit(start, goal, occupied - {start}, arena)
+    except NoPathError:
+        return None
 
 
 def astar_subassembly(footprint: frozenset[Cell] | set[Cell], ref: Cell, goal_ref: Cell,

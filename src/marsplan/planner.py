@@ -31,10 +31,12 @@ and names the first that fails: "unoccupied", "disconnected", "arena",
 phase with it, and `validate_plan` replays a finished plan through it. The
 build, clearance and transfer phases commit at one point,
 `_Pipeline._commit_first`: the first of a phase's ranked steps that the gate
-passes, or the phase's typed failure when none does. The
-structure left behind while the piece is in flight is not gated; only the
-donor ranking (`plan_vmcs_completion`) skips donors whose removal drops a
-faulty subassembly below the floor.
+passes, or the phase's typed failure when none does. Every candidate unit
+flight (a donor, a parking spot, a fill pair, a fill target's entry path) is
+routed by one call, `paths.unit_flight`, and one without a route is no
+candidate. The structure left behind while the piece is in flight is not
+gated; only the donor ranking (`plan_vmcs_completion`) skips donors whose
+removal drops a faulty subassembly below the floor.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .errors import (
     SafetyViolationError,
 )
 from .model import Cell, Configuration, FaultState, Subassembly, connected_components
-from .paths import Arena, GridPath, arena_around, astar_subassembly, astar_unit, swept_cells
+from .paths import Arena, GridPath, arena_around, astar_subassembly, swept_cells, unit_flight
 from .vmcs import (
     TargetConfiguration,
     best_first,
@@ -234,11 +236,7 @@ def conflict_free_targets(config: Configuration, target_cells: Iterable[Cell],
     reached: list[Cell] = []
     crossed: set[Cell] = set()       # cells on entry paths, short of their goals
     for t in pending:
-        if t in crossed:
-            continue
-        try:
-            path = astar_unit(entry, t, occupied, arena)
-        except NoPathError:
+        if t in crossed or (path := unit_flight(entry, t, occupied, arena)) is None:
             continue
         reached.append(t)
         crossed.update(path.waypoints[:-1])
@@ -350,11 +348,8 @@ class _Pipeline:
 
     def _unit_step(self, start: Cell, goal: Cell, phase: Phase) -> PlanStep | None:
         """Gated step of one unit around the others, or None when unreachable or rejected."""
-        try:
-            path = astar_unit(start, goal, self.work.cell_set - {start}, self.arena)
-        except NoPathError:
-            return None
-        return self._step((start,), path, phase)
+        path = unit_flight(start, goal, self.work.cell_set, self.arena)
+        return None if path is None else self._step((start,), path, phase)
 
     def _commit(self, step: PlanStep) -> None:
         self.steps.append(step)
@@ -486,16 +481,13 @@ class _Pipeline:
         one route and one verdict.
         """
         occupied = self.work.cell_set
-        obstacles = occupied - {blocker}
         target_cells = self.target.config.cell_set
         by_row = not self.relocation_rule
         free = [w for w in self.arena.cells() if w not in occupied and w not in self.corridor]
         preferred = {w for w in free if w.y == blocker.y} if by_row else target_cells
 
         def route(spot: Cell, _) -> tuple | None:
-            try:
-                path = astar_unit(blocker, spot, obstacles, self.arena)
-            except NoPathError:
+            if (path := unit_flight(blocker, spot, occupied, self.arena)) is None:
                 return None
             tier = int(spot not in preferred)
             return (tier, blocker.manhattan(spot) if by_row and tier == 0 else path.length), path
@@ -546,14 +538,11 @@ class _Pipeline:
         matrix that gates every pair."""
         cost = [[_BIG] * len(candidates) for _ in targets]
         paths: dict[tuple[int, int], GridPath] = {}
+        occupied = self.work.cell_set
         for j, cand in enumerate(candidates):
-            obstacles = self.work.cell_set - {cand}
             for i, t in enumerate(targets):
-                try:
-                    paths[i, j] = astar_unit(cand, t, obstacles, self.arena)
-                except NoPathError:
-                    continue
-                cost[i][j] = paths[i, j].length
+                if (path := unit_flight(cand, t, occupied, self.arena)) is not None:
+                    paths[i, j], cost[i][j] = path, path.length
         steps: dict[tuple[int, int], PlanStep | None] = {}
         while True:
             cols = lexicographic_min_assignment(cost)

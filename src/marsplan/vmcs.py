@@ -30,7 +30,7 @@ from .controllability import (
     margin_ceiling,
     system_cm,
 )
-from .errors import NoPathError, VmcsSearchError
+from .errors import VmcsSearchError
 from .model import (
     HEALTHY,
     Cell,
@@ -40,7 +40,7 @@ from .model import (
     connected_components,
     is_connected,
 )
-from .paths import Arena, GridPath, astar_unit
+from .paths import Arena, GridPath, unit_flight
 
 _TIE_DECIMALS = 9
 
@@ -240,8 +240,8 @@ def plan_vmcs_completion(config: Configuration, target_cm: float, vacancy: Cell,
     """Flights of donor units into `vacancy`, best donor first, one at a time.
 
     A donor is a healthy unit off `reserved` whose removal keeps every faulty
-    subassembly at or above the floor and that has a flight path to the
-    vacancy. Donors rank by c1 * (cm_after_detach - target_cm)^2 -
+    subassembly at or above the floor and that has a flight to the vacancy by
+    `paths.unit_flight`. Donors rank by c1 * (cm_after_detach - target_cm)^2 -
     c2 * path_length, then by (y, x). The landing is not gated here: the
     caller gates each flight as a step and commits the first that passes.
 
@@ -253,10 +253,10 @@ def plan_vmcs_completion(config: Configuration, target_cm: float, vacancy: Cell,
     the first gated flight scores no donor ranked below it, nor, under the
     distance bound, routes it.
     """
+    occupied = config.cell_set
+
     def route(donor: Cell, _) -> tuple | None:
-        try:
-            path = astar_unit(donor, vacancy, config.cell_set - {donor}, arena)
-        except NoPathError:
+        if (path := unit_flight(donor, vacancy, occupied, arena)) is None:
             return None
         return (round(-c2 * path.length, _TIE_DECIMALS) if c1 >= 0 else -math.inf), path
 

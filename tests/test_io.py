@@ -836,6 +836,9 @@ def test_cli_reports_an_output_it_cannot_write(tmp_path, capsys, option):
     inp = scenario_file(tmp_path, RECT32)
     (tmp_path / "file").write_text("")
     outputs = {"--output": str(tmp_path / "p.json")}
+    if option == "--output":
+        # every output is checked before any is written
+        outputs.update({"--cm-trace": str(tmp_path / "t.csv"), "--svg-dir": str(tmp_path / "svg")})
     bads = [tmp_path / "file" / "out"] + [tmp_path / "missing" / "out"] * (option != "--svg-dir")
     for bad in bads:
         outputs[option] = str(bad)
@@ -844,6 +847,19 @@ def test_cli_reports_an_output_it_cannot_write(tmp_path, capsys, option):
         err = capsys.readouterr().err
         assert err.startswith("marsplan: cannot write output: ") and err.count("\n") == 1
         assert not (tmp_path / "p.json").exists()
+        assert not (tmp_path / "t.csv").exists()
+        assert not list((tmp_path / "svg").glob("*.svg"))
+
+
+def test_cli_keeps_the_outputs_that_existed_when_one_cannot_be_written(tmp_path, capsys):
+    inp = scenario_file(tmp_path, RECT32)
+    kept = {tmp_path / "p.json": "old plan", tmp_path / "t.csv": "old trace"}
+    for path, text in kept.items():
+        path.write_text(text)
+    assert main(["plan", "--input", inp, "--output", str(tmp_path / "p.json"), "--cm-trace",
+                 str(tmp_path / "t.csv"), "--svg-dir", str(tmp_path / "p.json" / "svg")]) == 1
+    assert capsys.readouterr().err.startswith("marsplan: cannot write output: ")
+    assert {path: path.read_text() for path in kept} == kept
 
 
 def test_cli_params_label_notes_scenario_overrides(tmp_path, capsys):

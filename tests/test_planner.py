@@ -20,6 +20,7 @@ from marsplan.errors import (
     PlanningError,
     SafetyViolationError,
 )
+import marsplan.paths as paths
 import marsplan.planner as planner
 from marsplan.io import document_to_bytes, load_scenario, plan_to_document
 from marsplan.model import UNIT_FAULT, Cell, Configuration, Subassembly, rotor_fault
@@ -31,6 +32,7 @@ from marsplan.paths import (
     astar_subassembly,
     astar_unit,
     swept_cells,
+    unit_flight,
 )
 from marsplan.planner import (
     Phase,
@@ -217,6 +219,50 @@ def test_astar_matches_the_cell_based_reference_on_seeded_fields(seed):
         found += want is not None
         failed += want is None
     assert found and failed
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unit_flight_is_astar_unit_around_the_other_units(seed):
+    # Starts occupied (a flying unit) or free (the fill's entry unit); goals
+    # occupied, outside the arena, walled off by units, or free. The flight
+    # is astar_unit's around the occupied cells minus the start, and None
+    # exactly when that search raises.
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(150):
+        x0, y0 = (int(v) for v in rng.integers(-5, 5, size=2))
+        w, h = (int(v) for v in rng.integers(3, 10, size=2))
+        arena = Arena(x0, y0, x0 + w - 1, y0 + h - 1)
+        cells = arena.cells()
+        density = rng.uniform(0.0, 0.4)
+        occupied = {c for c in cells if rng.random() < density}
+        start = cells[int(rng.integers(len(cells)))]
+        start_occupied = bool(rng.random() < 0.5)
+        kind = ("occupied", "outside", "walled", "free")[int(rng.integers(4))]
+        if kind == "outside":
+            goal = Cell(x0 + w + int(rng.integers(2)), y0 + int(rng.integers(-1, h + 1)))
+        else:
+            goal = next(cells[i] for i in rng.permutation(len(cells))
+                        if cells[i].manhattan(start) > 1)
+            if kind == "occupied":
+                occupied.add(goal)
+            else:
+                occupied.discard(goal)
+            if kind == "walled":
+                occupied.update(goal + d for d in ((0, -1), (-1, 0), (1, 0), (0, 1)))
+        if start_occupied:
+            occupied.add(start)
+        else:
+            occupied.discard(start)
+        occupied = frozenset(occupied)
+        want = _waypoints_or_none(lambda: astar_unit(start, goal, occupied - {start}, arena))
+        got = unit_flight(start, goal, occupied, arena)
+        assert (got and got.waypoints) == want
+        assert want is None or kind == "free"
+        seen.add((start_occupied, kind, want is None))
+    assert {(s, k) for s, k, _ in seen} == {(s, k) for s in (True, False)
+                                            for k in ("occupied", "outside", "walled", "free")}
+    assert {s for s, _, none in seen if not none} == {True, False}
 
 
 def _both_searches(footprint, ref, goal, obstacles, arena):
@@ -602,7 +648,7 @@ def test_rule_off_parking_routes_each_spot_once(monkeypatch):
         routed.append(goal)
         return astar_unit(start, goal, obstacles, arena)
 
-    monkeypatch.setattr(planner, "astar_unit", counted)
+    monkeypatch.setattr(paths, "astar_unit", counted)
     gate_step = pipeline._step
     monkeypatch.setattr(pipeline, "_step", lambda moved, path, phase, note=None:
                         None if path.goal.y == blocker.y else gate_step(moved, path, phase, note))
@@ -922,6 +968,29 @@ def test_every_fill_flight_is_a_shortest_route_on_its_pre_move_state():
             fills += 1
         work = step.post_config
     assert (fills, result.step_count, result.total_path_length) == (8, 17, 50)
+
+
+@pytest.mark.parametrize("walled", [True, False])
+def test_fill_rounds_raise_when_no_target_or_no_flight_is_left(monkeypatch, walled):
+    # Walled, the vacant centre of a 3x3 ring is the only target and no entry
+    # path reaches it; otherwise the gate turns away the one flight to (2, 0).
+    if walled:
+        block = [Cell(x, y) for y in range(3) for x in range(3)]
+        work = [c for c in block if c != Cell(1, 1)] + [Cell(3, 1)]
+        message = "no fill target is reachable"
+    else:
+        block, work = [Cell(0, 0), Cell(1, 0), Cell(2, 0)], [Cell(0, 0), Cell(1, 0), Cell(3, 0)]
+        message = "no unit can reach any fill target"
+    config = Configuration.from_cells(work)
+    pipeline = _Pipeline(config, TargetConfiguration(Configuration.from_cells(block), math.inf),
+                         DEFAULT_PARAMS, 2.0, -0.1, True, 0.0)
+    monkeypatch.setattr(pipeline, "_step", lambda moved, path, phase, note=None: None)
+    with pytest.raises(InfeasibleAssignmentError) as exc:
+        pipeline._fill_remainder()
+    assert exc.value.reason == "infeasible-assignment"
+    assert str(exc.value) == message
+    assert exc.value.info == {}
+    assert pipeline.steps == [] and pipeline.work == config
 
 
 def test_plan_is_deterministic():

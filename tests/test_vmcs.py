@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import marsplan.controllability as controllability
+import marsplan.paths as paths
 import marsplan.vmcs as vmcs
 from marsplan.controllability import (
     DEFAULT_PARAMS,
@@ -640,8 +641,8 @@ def test_the_first_donor_flight_routes_fewer_donors_than_are_eligible(monkeypatc
     # bound leads: on the 8-row only the fault's two neighbours are.
     cfg, vm, arena = row_scenario(8, 2)
     routed = []
-    original = vmcs.astar_unit
-    monkeypatch.setattr(vmcs, "astar_unit", lambda *args: routed.append(args[0]) or original(*args))
+    original = paths.astar_unit
+    monkeypatch.setattr(paths, "astar_unit", lambda *args: routed.append(args[0]) or original(*args))
     first = next(plan_vmcs_completion(cfg, LIVE_DEAD_LIVE_CM, Cell(2, -1), DEFAULT_PARAMS,
                                       2.0, -0.1, arena=arena, epsilon=0.0))
     assert first.start == Cell(1, 0)
