@@ -12,13 +12,13 @@ Pipeline, in order:
    best first and each flight is gated as it is taken, so no donor ranked
    behind that flight is scored.
 4. Clear every stationary unit off the planned transfer corridors. Each
-   blocker parks by one tiered best-first search of the free cells off the
-   corridors: first the spots the relocation rule prefers (with it on, the
-   vacant target cells by flight length, so it never moves again; with it
-   off, its own row's cells by |dx|, fetched later if off the target), then
-   the other cells off the target by flight length. Each spot is gated as
-   it is taken, so no spot ranked behind the first that passes reaches the
-   gate.
+   blocker parks in the free cells off the corridors, searched tier by tier,
+   each tier one best-first search: first the spots the relocation rule
+   prefers (with it on, the vacant target cells by flight length, so it
+   never moves again; with it off, its own row's cells by |dx|, fetched
+   later if off the target), then the other cells off the target by flight
+   length. Each spot is gated as it is taken, so no spot ranked behind the
+   first that passes reaches the gate, and no later tier is read.
 5. Rigidly transfer each support group so its faults land on their goals.
 6. Fill the remaining vacant target cells with conflict-free assignment
    rounds until the configuration equals the target exactly. Each flight
@@ -403,9 +403,7 @@ class _Pipeline:
             _, ranked = smallest_supports(group.faults, self.params,
                                           self.work.n - self.work.n_faulty, self.epsilon)
             chosen = None
-            for shape, cm in ranked:
-                if cm < self.epsilon:
-                    break
+            for shape, _ in ranked:
                 landing = frozenset(c + group.delta for c in shape)
                 if (all(c in self.arena for c in shape | landing)
                         and not (shape | landing) & (foreign_faults | claimed)):
@@ -470,33 +468,31 @@ class _Pipeline:
         """The gated flights of `blocker` to its parking spots, best spot
         first, each gated as it is taken (None when rejected).
 
-        Spots are the free cells off the corridors. Tier 0, the spots the rule
-        prefers, holds the vacant target cells by flight length (rule on) or
-        the blocker's row by Manhattan distance (rule off); tier 1 every other
-        cell off the target by flight length, noted "off-target-parking".
-        best_first orders them by (tier, rank, (y, x)), each from its Manhattan
-        distance, so a caller that stops at the first passing flight routes no
-        spot whose (tier, Manhattan distance) sorts after the winner's (tier,
-        rank). A spot in both tiers enters once, in tier 0: on one state it has
-        one route and one verdict.
+        Spots are the free cells off the corridors, searched tier by tier.
+        Tier 0, the spots the rule prefers, holds the vacant target cells by
+        flight length (rule on) or the blocker's row by Manhattan distance
+        (rule off); tier 1 every other cell off the target by flight length,
+        noted "off-target-parking", and is read only once tier 0 is spent.
+        Each tier is one best_first by (rank, (y, x)), each spot from its
+        Manhattan distance, so a caller that stops at the first passing
+        flight routes no spot of a later tier, nor one of its own whose
+        Manhattan distance sorts after the winner's rank, and no spot twice.
         """
         occupied = self.work.cell_set
         target_cells = self.target.config.cell_set
-        by_row = not self.relocation_rule
         free = [w for w in self.arena.cells() if w not in occupied and w not in self.corridor]
-        preferred = {w for w in free if w.y == blocker.y} if by_row else target_cells
+        preferred = target_cells.__contains__ if self.relocation_rule else lambda w: w.y == blocker.y
+        tiers = (((w for w in free if preferred(w)), not self.relocation_rule, None),
+                 ((w for w in free if not preferred(w) and w not in target_cells), False,
+                  "off-target-parking"))
+        for spots, by_distance, note in tiers:
+            def route(spot: Cell, _) -> tuple | None:
+                if (path := unit_flight(blocker, spot, occupied, self.arena)) is None:
+                    return None
+                return (blocker.manhattan(spot) if by_distance else path.length), path
 
-        def route(spot: Cell, _) -> tuple | None:
-            if (path := unit_flight(blocker, spot, occupied, self.arena)) is None:
-                return None
-            tier = int(spot not in preferred)
-            return (tier, blocker.manhattan(spot) if by_row and tier == 0 else path.length), path
-
-        entries = [((int(w not in preferred), blocker.manhattan(w)), w) for w in free
-                   if w in preferred or w not in target_cells]
-        for spot, path in best_first(entries, route):
-            yield self._step((blocker,), path, Phase.PATH_CLEARANCE,
-                             None if spot in preferred else "off-target-parking")
+            for _, path in best_first(((blocker.manhattan(w), w) for w in spots), route):
+                yield self._step((blocker,), path, Phase.PATH_CLEARANCE, note)
 
     # -- phase 5: rigid transfers ------------------------------------------
 

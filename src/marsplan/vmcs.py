@@ -98,25 +98,21 @@ def ranked_support_shapes(faults: Mapping[Cell, FaultState], k: int,
                           params: PhysicalParams = DEFAULT_PARAMS,
                           floor: float = -math.inf,
                           ) -> list[tuple[frozenset[Cell], float]]:
-    """Shapes with k normal units around the given faults, best margin first.
+    """Shapes with k normal units around the given faults whose margin
+    reaches `floor`, best margin first, each margin exact.
 
     Anchored at the fault cells' own coordinates; ties on margin keep the
-    enumeration's cell order (the sort is stable). Margins below `floor`
-    may be upper bounds (see cm_signed_distance); they still sort after
-    every margin at or above it, whose order is unchanged.
+    enumeration's cell order (the sort is stable).
     """
-    ranked = [(shape, cached_subassembly_cm(_support(shape, faults), params, floor))
-              for shape in enumerate_connected_shapes(faults.keys(), k)]
+    ranked = [(shape, cm) for shape in enumerate_connected_shapes(faults.keys(), k)
+              if (cm := cached_subassembly_cm(_support(shape, faults), params, floor)) >= floor]
     return sorted(ranked, key=lambda it: -round(it[1], _TIE_DECIMALS))
 
 
 def smallest_supports(faults: Mapping[Cell, FaultState], params: PhysicalParams,
                       max_normal_units: int, epsilon: float,
                       ) -> tuple[int, list[tuple[frozenset[Cell], float]]]:
-    """The smallest k whose best shape reaches epsilon, and its ranked shapes.
-
-    Margins are asked with floor epsilon, so shapes below it may carry upper
-    bounds; the shapes at or above epsilon lead the list with exact margins.
+    """The smallest k with a shape that reaches epsilon, and its ranked shapes.
 
     A size is skipped, with no enumeration and no kernel call, when the
     margin_ceiling of its |faults| + k units lies below epsilon: no shape of
@@ -128,8 +124,7 @@ def smallest_supports(faults: Mapping[Cell, FaultState], params: PhysicalParams,
     for k in range(max_normal_units + 1):
         if margin_ceiling(len(faults) + k, faults.values(), params) < epsilon:
             continue
-        ranked = ranked_support_shapes(faults, k, params, epsilon)
-        if ranked and ranked[0][1] >= epsilon:
+        if ranked := ranked_support_shapes(faults, k, params, epsilon):
             return k, ranked
     raise VmcsSearchError(
         f"no controllable support with up to {max_normal_units} normal units",

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
 import marsplan.controllability as controllability
+import marsplan.paths as paths
+import marsplan.planner as planner
 from marsplan.controllability import (
     DEFAULT_PARAMS,
     PhysicalParams,
@@ -664,6 +666,30 @@ def test_bundled_plans_evaluate_each_congruent_subassembly_once(monkeypatch):
         clear_cm_cache()
         plan(scenario.config, scenario.params, relocation_rule=rule)
     assert len(floors) == 116
+
+
+def test_bundled_plans_route_and_gate_a_pinned_number_of_flights(monkeypatch):
+    # The 8 cold requests of the kernel-call pin: unit A* calls (every
+    # candidate unit flight), rigid A* calls (corridors and transfers) and
+    # gate verdicts. A change that keeps every route and every gate keeps
+    # these counts.
+    calls = {"astar_unit": 0, "astar_subassembly": 0, "step_verdict": 0}
+    for module, name in ((paths, "astar_unit"), (planner, "astar_subassembly"),
+                         (planner, "step_verdict")):
+        original = getattr(module, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    requests = [(path, True) for path in sorted(SCENARIOS.glob("*.json"))]
+    requests.append((SCENARIOS / "heart11.json", False))
+    for path, rule in requests:
+        scenario = load_scenario(path)
+        clear_cm_cache()
+        plan(scenario.config, scenario.params, relocation_rule=rule)
+    assert calls == {"astar_unit": 141, "astar_subassembly": 24, "step_verdict": 65}
 
 
 def test_a_warm_replan_evaluates_no_margin_and_no_symmetric_key(monkeypatch):

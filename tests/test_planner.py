@@ -659,6 +659,56 @@ def test_rule_off_parking_routes_each_spot_once(monkeypatch):
     assert len(routed) == len(set(routed))
 
 
+def test_parking_reads_no_fallback_spot_while_a_preferred_spot_can_win(monkeypatch):
+    # Seeded fields under both rules, once with the gate open and once with
+    # it turning away every preferred spot. The spots each best_first call
+    # is given are recorded: the preferred tier's first, and the fallback
+    # tier's (every free cell off the corridor, off the target and outside
+    # the preferred tier, each once) only when no preferred spot passed.
+    given, best_first = [], planner.best_first
+
+    def recording(entries, *stages):
+        entries = list(entries)
+        given.append([spot for _, spot in entries])
+        return best_first(entries, *stages)
+
+    monkeypatch.setattr(planner, "best_first", recording)
+    rng = np.random.default_rng(47)
+    outcomes = set()
+    for _ in range(30):
+        cells = set(random_connected_cells(rng, int(rng.integers(3, 9))))
+        free = [c for c in arena_around(cells).cells() if c not in cells]
+        cells.update(free[int(i)] for i in rng.choice(len(free), len(free) // 4, replace=False))
+        config = Configuration.from_cells(sorted(cells))
+        pipeline = _Pipeline(config, optimal_configuration(config), DEFAULT_PARAMS,
+                             2.0, -0.1, True, 0.0)
+        blocker = sorted(cells)[int(rng.integers(len(cells)))]
+        free = [c for c in pipeline.arena.cells() if c not in cells]
+        pipeline.corridor = frozenset(c for c in free if rng.random() < 0.2)
+        target = {c for c in free if rng.random() < 0.3}
+        pipeline.target = TargetConfiguration(Configuration.from_cells(sorted(target)), math.inf)
+        spots = [c for c in free if c not in pipeline.corridor]
+        gate_step = pipeline._step
+        for rule in (True, False):
+            pipeline.relocation_rule = rule
+            preferred = [c for c in spots if (c in target if rule else c.y == blocker.y)]
+            fallback = [c for c in spots if c not in target and c not in preferred]
+            for closed in (False, True):
+                monkeypatch.setattr(pipeline, "_step", lambda moved, path, phase, note=None:
+                                    None if closed and path.goal in preferred
+                                    else gate_step(moved, path, phase, note))
+                given.clear()
+                step = next(filter(None, pipeline._parking_steps(blocker)), None)
+                assert sorted(given[0]) == preferred
+                if step is not None and step.note is None:
+                    assert not closed and len(given) == 1
+                    outcomes.add(("preferred", bool(fallback)))
+                else:
+                    assert len(given) == 2 and sorted(given[1]) == fallback
+                    outcomes.add(("fallback" if step else "none", bool(fallback)))
+    assert {("preferred", True), ("fallback", True)} <= outcomes
+
+
 @pytest.mark.parametrize("walled", [True, False])
 def test_corridor_clearance_raises_when_a_blocker_has_nowhere_to_park(monkeypatch, walled):
     # Walled, every free cell lies on the corridor, so no spot is routed;
