@@ -288,7 +288,10 @@ def step_to_json(index: int, step: PlanStep) -> dict:
 
 def plan_to_document(plan: Plan, start: Configuration,
                      name: str | None = None) -> dict:
-    """Canonical JSON document for a plan (stable key order, 6-decimal CMs)."""
+    """Canonical JSON document for a plan (stable key order, 6-decimal CMs).
+    A `name` other than None or a string raises TypeError."""
+    if name is not None and not isinstance(name, str):
+        raise TypeError(f"a plan document's name must be a string, got {name!r}")
     doc: dict[str, Any] = {"format": _PLAN_FORMAT}
     if name is not None:
         doc["name"] = name

@@ -28,10 +28,10 @@ Pipeline, in order:
 Every step passes one gate, `step_verdict`, which owns every check of a move
 and names the first that fails: "unoccupied", "disconnected", "arena",
 "collision", "piece" or "post". `_Pipeline._step` gates every step of every
-phase with it, and `validate_plan` replays a finished plan through it. The
-build, clearance and transfer phases commit at one point,
-`_Pipeline._commit_first`: the first of a phase's ranked steps that the gate
-passes, or the phase's typed failure when none does. Every candidate unit
+phase with it, and `validate_plan` replays a finished plan through it. Every
+phase commits at one point, `_Pipeline._commit_first`, which commits the
+first of the phase's gated steps that passed and returns whether one did;
+the phase raises its own typed failure when none did. Every candidate unit
 flight (a donor, a parking spot, a fill pair, a fill target's entry path) is
 routed by one call, `paths.unit_flight`, and one without a route is no
 candidate. The structure left behind while the piece is in flight is not
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .controllability import DEFAULT_PARAMS, PhysicalParams, cached_subassembly_cm, system_cm
 from .errors import (
@@ -280,13 +280,19 @@ def plan(config: Configuration, params: PhysicalParams = DEFAULT_PARAMS, *,
          epsilon: float = DEFAULT_EPSILON) -> Plan:
     """Compute a safe reconfiguration to the optimal fault placement.
 
-    Raises ValueError unless c1, c2 and epsilon are finite,
-    InfeasibleTargetError when no placement reaches the margin floor, and
-    PlanningError subtypes (typed by `reason`) when any phase cannot complete.
-    A fault-free configuration yields an empty plan.
+    Raises TypeError unless c1, c2 and epsilon are ints or floats (not bools)
+    and relocation_rule is a bool, the types a plan document carries;
+    ValueError unless c1, c2 and epsilon are finite;
+    InfeasibleTargetError when no placement reaches the margin floor; and
+    PlanningError subtypes (typed by `reason`) when any phase cannot
+    complete. A fault-free configuration yields an empty plan.
     """
     if config.n == 0:
         raise ValueError("cannot plan for an empty configuration")
+    if any(isinstance(w, bool) or not isinstance(w, (int, float)) for w in (c1, c2, epsilon)):
+        raise TypeError(f"c1, c2 and epsilon must be ints or floats, got {(c1, c2, epsilon)!r}")
+    if not isinstance(relocation_rule, bool):
+        raise TypeError(f"relocation_rule must be a bool, got {relocation_rule!r}")
     if not all(map(math.isfinite, (c1, c2, epsilon))):
         raise ValueError(f"c1, c2 and epsilon must be finite, got {c1}, {c2}, {epsilon}")
     target = optimal_configuration(config, params)
@@ -351,18 +357,14 @@ class _Pipeline:
         path = unit_flight(start, goal, self.work.cell_set, self.arena)
         return None if path is None else self._step((start,), path, phase)
 
-    def _commit(self, step: PlanStep) -> None:
-        self.steps.append(step)
-        self.work = step.post_config
-
-    def _commit_first(self, steps: Iterable[PlanStep | None],
-                      failure: Callable[[], PlanningError]) -> None:
-        """Commit the first of the gated `steps` that passed, or raise `failure()`."""
+    def _commit_first(self, steps: Iterable[PlanStep | None]) -> bool:
+        """Commit the first of the gated `steps` that passed; whether one did."""
         for step in steps:
             if step is not None:
-                self._commit(step)
-                return
-        raise failure()
+                self.steps.append(step)
+                self.work = step.post_config
+                return True
+        return False
 
     # -- phase 2: goals and groups ----------------------------------------
 
@@ -425,12 +427,11 @@ class _Pipeline:
             for vacancy in sorted(group.shape - self.work.cell_set):
                 flights = plan_vmcs_completion(
                     self.work, self.target.cm, vacancy, self.params, self.c1, self.c2,
-                    reserved=reserved, arena=self.arena, epsilon=self.epsilon,
-                )
-                self._commit_first(
-                    (self._step((path.start,), path, Phase.VMCS_BUILD) for path in flights),
-                    lambda: NoFeasibleDonorError(f"no donor can reach vacancy {vacancy} "
-                                                 "without breaking support", vacancy=vacancy))
+                    reserved=reserved, arena=self.arena, epsilon=self.epsilon)
+                if not self._commit_first(self._step((path.start,), path, Phase.VMCS_BUILD)
+                                          for path in flights):
+                    raise NoFeasibleDonorError(f"no donor can reach vacancy {vacancy} "
+                                               "without breaking support", vacancy=vacancy)
 
     # -- phase 4: corridor clearance ---------------------------------------
 
@@ -461,8 +462,8 @@ class _Pipeline:
         blockers = [c for c, s in self.work.items() if c in self.corridor
                     and not s.is_faulty and c not in members]
         for blocker in blockers:
-            self._commit_first(self._parking_steps(blocker),
-                               lambda: NoPathError(f"blocker {blocker} has nowhere to park"))
+            if not self._commit_first(self._parking_steps(blocker)):
+                raise NoPathError(f"blocker {blocker} has nowhere to park")
 
     def _parking_steps(self, blocker: Cell) -> Iterator[PlanStep | None]:
         """The gated flights of `blocker` to its parking spots, best spot
@@ -501,11 +502,10 @@ class _Pipeline:
             ref = min(group.shape)
             path = astar_subassembly(group.shape, ref, ref + group.delta,
                                      self.work.cell_set - group.shape, self.arena)
-            self._commit_first(
-                [self._step(tuple(group.shape), path, Phase.VMCS_TRANSFER)],
-                lambda: SafetyViolationError(
-                    f"move of {sorted(group.shape)} would leave the system below the margin "
-                    "floor", phase=Phase.VMCS_TRANSFER.value))
+            if not self._commit_first([self._step(tuple(group.shape), path, Phase.VMCS_TRANSFER)]):
+                raise SafetyViolationError(
+                    f"move of {sorted(group.shape)} would leave the system below the margin floor",
+                    phase=Phase.VMCS_TRANSFER.value)
 
     # -- phase 6: fill rounds ----------------------------------------------
 
@@ -517,21 +517,20 @@ class _Pipeline:
                 raise InfeasibleAssignmentError("no fill target is reachable")
             # as many units stand off the target as target cells are vacant
             candidates = [c for c in self.work.cells if c not in target_cells]
-            first, *later = self._assign_fill_moves(round_targets, candidates)
-            self._commit(first)     # gated on this state; later flights are planned again
-            for assigned in later:
-                step = self._unit_step(assigned.path.start, assigned.path.goal,
-                                       Phase.FILL_REMAINDER)
-                if step is not None:
-                    self._commit(step)
+            assigned = self._assign_fill_moves(round_targets, candidates)
+            if not self._commit_first(assigned):     # the first, gated on this state
+                raise InfeasibleAssignmentError("no unit can reach any fill target")
+            for later in assigned[1:]:      # planned again on the state it meets
+                self._commit_first([self._unit_step(later.path.start, later.path.goal,
+                                                    Phase.FILL_REMAINDER)])
 
     def _assign_fill_moves(self, targets: list[Cell], candidates: list[Cell]) -> list[PlanStep]:
         """The gated flights of the row-major smallest pairing of least total
-        gated flight length, in target order; a target without a gated flight
-        waits. Costs start from ungated A* lengths, a lower bound: only
-        assigned pairs are gated, a failing one is forbidden and the matrix
-        solved again, until the pairing is also the smallest optimum of the
-        matrix that gates every pair."""
+        gated flight length, in target order, possibly none; a target without
+        a gated flight waits. Costs start from ungated A* lengths, a lower
+        bound: only assigned pairs are gated, a failing one is forbidden and
+        the matrix solved again, until the pairing is also the smallest
+        optimum of the matrix that gates every pair."""
         cost = [[_BIG] * len(candidates) for _ in targets]
         paths: dict[tuple[int, int], GridPath] = {}
         occupied = self.work.cell_set
@@ -550,10 +549,7 @@ class _Pipeline:
                     cost[i][j] = _BIG
             if all(steps[pair] is not None for pair in todo):
                 break
-        gated = [steps[i, j] for i, j in enumerate(cols) if cost[i][j] < _BIG]
-        if not gated:
-            raise InfeasibleAssignmentError("no unit can reach any fill target")
-        return gated
+        return [steps[i, j] for i, j in enumerate(cols) if cost[i][j] < _BIG]
 
 
 def validate_plan(start: Configuration, plan: Plan) -> Configuration:

@@ -606,16 +606,6 @@ def reference_ranked_support_shapes(faults, k: int, params: PhysicalParams,
     return ranked
 
 
-def zonotope_support_monte_carlo(zono: WrenchZonotope, rng: np.random.Generator,
-                                 n_points: int, direction: np.ndarray) -> float:
-    """Empirical support value from random points inside the zonotope."""
-    if zono.m == 0:
-        return float(direction @ zono.center)
-    lam = rng.uniform(-1.0, 1.0, size=(n_points, zono.m))
-    points = zono.center + lam @ zono.generators
-    return float((points @ direction).max())
-
-
 # json.dumps(indent=2) breaks a structural pair over lines; it escapes a
 # newline inside a string, so a name or note never matches
 _PAIR = re.compile(r"\[\n\s+(-?\d+),\n\s+(-?\d+)\n\s+\]")

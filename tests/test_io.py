@@ -10,6 +10,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -603,6 +604,32 @@ def test_plan_document_configurations_are_checked_like_scenarios(config, fragmen
     with pytest.raises(ScenarioError) as exc:
         replay_document({"start_config": config, "steps": []})
     assert fragment in str(exc.value)
+
+
+FAULT00 = Configuration.from_cells([Cell(x, y) for y in range(2) for x in range(3)],
+                                   {Cell(0, 0): UNIT_FAULT})
+
+
+@pytest.mark.parametrize("options,name", [
+    ({"relocation_rule": 0}, None),
+    ({"relocation_rule": 1}, None),
+    ({"relocation_rule": np.bool_(True)}, None),
+    ({"c1": True}, None),
+    ({"c2": np.int64(-1)}, None),
+    ({"epsilon": np.float32(0.0)}, None),
+    ({}, 7),
+])
+def test_settings_a_plan_document_cannot_carry_raise_type_error(options, name):
+    # each of these once planned, then failed in replay or in JSON encoding
+    with pytest.raises(TypeError):
+        plan_to_document(plan(FAULT00, **options), FAULT00, name=name)
+
+
+def test_int_and_float64_settings_round_trip():
+    p = plan(FAULT00, c1=2, c2=np.float64(-0.1), epsilon=0)
+    doc = json.loads(document_to_bytes(plan_to_document(p, FAULT00, name="ints")))
+    assert doc["weights"] == {"c1": 2, "c2": -0.1, "epsilon": 0}
+    assert replay_document(doc) == p.target.config
 
 
 def test_cm_trace_csv(tmp_path, rect_plan):
