@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """Check a benchmark run's plan digest against the newest committed BENCH file.
 
-Pipe the output of one `perfbench/run.py` run into it, or name a file that
-holds it:
+Name the record that one `perfbench/run.py` run writes:
 
-    python3 perfbench/run.py --workload blocks --seed 1 --trace 0 > run.out
-    python3 scripts/check_plan_digest.py run.out
+    python3 perfbench/run.py --workload blocks --seed 1 --trace 0
+    python3 scripts/check_plan_digest.py .perfbench-out/blocks-seed1-trace0.json
 
-The run prints its workload and seed (`# workload W seed S ...`) and its plan
-digest (`# plan digest D`). The reference is the digest of that workload and
-seed in BENCH_pr<N>.json with the largest N (in `--bench-dir`, by default the
-checkout's root). Equal digests mean byte-identical plan documents. The exit
+The record holds the run's workload, seed and plan digest. The reference is
+the digest of that workload and seed in the checkout's BENCH_pr<N>.json with
+the largest N. Equal digests mean byte-identical plan documents. The exit
 status is 0 when they are equal, and 1, naming the workload, the seed and
 both digests, when they differ or the reference has no such entry.
 """
@@ -24,8 +22,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 _BENCH = re.compile(r"BENCH_pr(\d+)\.json")
-_WORKLOAD = re.compile(r"# workload (\S+) seed (\d+) ")
-_DIGEST = re.compile(r"^# plan digest ([0-9a-f]{64})$", re.MULTILINE)
 
 
 def newest_bench(directory: Path) -> Path:
@@ -37,31 +33,26 @@ def newest_bench(directory: Path) -> Path:
     return max(numbered)[1]
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("output", nargs="?", type=Path,
-                        help="file with the run's printed output (default: standard input)")
-    parser.add_argument("--bench-dir", type=Path, default=ROOT,
-                        help="directory of the BENCH_pr<N>.json files")
-    args = parser.parse_args()
-
-    text = sys.stdin.read() if args.output is None else args.output.read_text()
-    run = _WORKLOAD.search(text)
-    digest = _DIGEST.search(text)
-    if run is None or digest is None:
-        print("the run printed no workload, seed or plan digest", file=sys.stderr)
-        return 1
-    workload, seed = run.groups()
-    bench = newest_bench(args.bench_dir)
+def check(record: dict, bench: Path) -> int:
+    """0 when the run `record`'s plan digest equals `bench`'s digest of its
+    workload and seed; otherwise 1, after printing both to standard error."""
+    workload, seed, digest = record["workload"], str(record["seed"]), record["plan_digest"]
     digests = json.loads(bench.read_text())["workloads"].get(workload, {}).get("plan_digests", {})
     expected = digests.get(seed)
-    if digest.group(1) != expected:
-        print(f"plan digest of workload {workload} seed {seed} is {digest.group(1)}, "
+    if digest != expected:
+        print(f"plan digest of workload {workload} seed {seed} is {digest}, "
               f"{bench.name} has {expected}", file=sys.stderr)
         return 1
     print(f"plan digest of workload {workload} seed {seed} equals {bench.name}'s")
     return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("record", type=Path, help="the JSON record of a perfbench/run.py run")
+    args = parser.parse_args()
+    return check(json.loads(args.record.read_text()), newest_bench(ROOT))
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii     # json.dumps's writer of a str
 from pathlib import Path
@@ -43,6 +42,7 @@ from .model import (
     Configuration,
     FaultKind,
     FaultState,
+    require_number,
     rotor_fault,
 )
 from .paths import GridPath
@@ -128,12 +128,12 @@ def _list(raw: Any, where: str) -> list:
 
 
 def _number(raw: Any, where: str) -> float:
-    """A JSON number as a float; a non-number, a bool, a non-finite value or
-    an int too large for a float raises ScenarioError naming `where`."""
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-        raise ScenarioError(f"{where} must be a number")
-    if not abs(raw) <= sys.float_info.max:     # compares an int exactly, fails NaN
-        raise ScenarioError(f"{where} must be a finite number")
+    """A JSON number as a float; what `require_number` rejects raises
+    ScenarioError naming `where`."""
+    try:
+        require_number(raw, where)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(str(exc)) from None
     return float(raw)
 
 

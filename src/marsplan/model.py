@@ -11,6 +11,7 @@ over cells follow it.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
@@ -100,6 +101,16 @@ def rotor_fault(index: int) -> FaultState:
 def require_cell(cell: object) -> None:
     if not isinstance(cell, Cell):
         raise TypeError(f"expected a Cell, got {cell!r}: a plain tuple would be read as (y, x)")
+
+
+def require_number(value: object, what: str) -> None:
+    """Raise unless `value` is a number a plan document carries: TypeError
+    unless it is an int or a float and not a bool, ValueError unless it is
+    finite (an int too large for a float is not)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{what} must be a number, got {type(value).__name__}")
+    if not abs(value) <= sys.float_info.max:     # compares an int exactly, fails NaN
+        raise ValueError(f"{what} must be finite")
 
 
 class CellOccupiedError(ValueError):

@@ -56,7 +56,7 @@ from .errors import (
     PlanningError,
     SafetyViolationError,
 )
-from .model import Cell, Configuration, FaultState, Subassembly, connected_components
+from .model import Cell, Configuration, FaultState, Subassembly, connected_components, require_number
 from .paths import Arena, GridPath, arena_around, astar_subassembly, swept_cells, unit_flight
 from .vmcs import (
     TargetConfiguration,
@@ -289,12 +289,10 @@ def plan(config: Configuration, params: PhysicalParams = DEFAULT_PARAMS, *,
     """
     if config.n == 0:
         raise ValueError("cannot plan for an empty configuration")
-    if any(isinstance(w, bool) or not isinstance(w, (int, float)) for w in (c1, c2, epsilon)):
-        raise TypeError(f"c1, c2 and epsilon must be ints or floats, got {(c1, c2, epsilon)!r}")
+    for what, weight in (("c1", c1), ("c2", c2), ("epsilon", epsilon)):
+        require_number(weight, what)
     if not isinstance(relocation_rule, bool):
         raise TypeError(f"relocation_rule must be a bool, got {relocation_rule!r}")
-    if not all(map(math.isfinite, (c1, c2, epsilon))):
-        raise ValueError(f"c1, c2 and epsilon must be finite, got {c1}, {c2}, {epsilon}")
     target = optimal_configuration(config, params)
     if config.n_faulty and target.cm < epsilon:
         raise InfeasibleTargetError(

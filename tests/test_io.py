@@ -610,18 +610,20 @@ FAULT00 = Configuration.from_cells([Cell(x, y) for y in range(2) for x in range(
                                    {Cell(0, 0): UNIT_FAULT})
 
 
-@pytest.mark.parametrize("options,name", [
-    ({"relocation_rule": 0}, None),
-    ({"relocation_rule": 1}, None),
-    ({"relocation_rule": np.bool_(True)}, None),
-    ({"c1": True}, None),
-    ({"c2": np.int64(-1)}, None),
-    ({"epsilon": np.float32(0.0)}, None),
-    ({}, 7),
+@pytest.mark.parametrize("options,name,error", [
+    ({"relocation_rule": 0}, None, TypeError),
+    ({"relocation_rule": 1}, None, TypeError),
+    ({"relocation_rule": np.bool_(True)}, None, TypeError),
+    ({"c1": True}, None, TypeError),
+    ({"c2": np.int64(-1)}, None, TypeError),
+    ({"epsilon": np.float32(0.0)}, None, TypeError),
+    ({}, 7, TypeError),
+    ({"c1": 10**400}, None, ValueError),      # an int, but too large for a float
 ])
-def test_settings_a_plan_document_cannot_carry_raise_type_error(options, name):
-    # each of these once planned, then failed in replay or in JSON encoding
-    with pytest.raises(TypeError):
+def test_settings_a_plan_document_cannot_carry_are_refused(options, name, error):
+    # each of these once planned, then failed in replay or in JSON encoding,
+    # or raised OverflowError
+    with pytest.raises(error):
         plan_to_document(plan(FAULT00, **options), FAULT00, name=name)
 
 

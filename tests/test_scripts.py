@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end on a small bundled scenario."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -99,32 +100,41 @@ def test_bench_writes_every_end_to_end_metric_of_a_correct_run(tmp_path):
     assert "placement_by_faults" in record["layer_timings"]
 
 
-def test_check_plan_digest_compares_with_the_newest_bench_file(tmp_path):
+def _check_plan_digest():
+    spec = importlib.util.spec_from_file_location("check_plan_digest",
+                                                  ROOT / "scripts" / "check_plan_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_check_plan_digest_compares_with_the_newest_bench_file(tmp_path, capsys):
+    script = _check_plan_digest()
     digest = "ab" * 32
     for n, seed_1 in ((9, "cd" * 32), (10, digest)):     # pr10 is newer than pr9
         record = {"workloads": {"sweep": {"plan_digests": {"1": seed_1, "2": "ef" * 32}}}}
         (tmp_path / f"BENCH_pr{n}.json").write_text(json.dumps(record))
-    run = tmp_path / "run.out"
+    bench = script.newest_bench(tmp_path)
+    assert bench.name == "BENCH_pr10.json"
 
     def check(workload, seed, printed):
-        run.write_text(f"# workload {workload} seed {seed} cases 56 passes 3 (0 traced)\n"
-                       f"# case digest {'00' * 32}\n# plan digest {printed}\n")
-        return _run("check_plan_digest.py", run, "--bench-dir", tmp_path, check=False)
+        return script.check({"workload": workload, "seed": seed, "plan_digest": printed}, bench)
 
-    assert check("sweep", 1, digest).returncode == 0
-    wrong = check("sweep", 1, "cd" * 32)
-    assert wrong.returncode != 0
-    assert "sweep" in wrong.stderr and digest in wrong.stderr and "cd" * 32 in wrong.stderr
-    assert check("sweep", 2, digest).returncode != 0
-    assert check("blocks", 1, digest).returncode != 0
+    assert check("sweep", 1, digest) == 0
+    capsys.readouterr()
+    assert check("sweep", 1, "cd" * 32) == 1
+    wrong = capsys.readouterr().err
+    assert "sweep" in wrong and digest in wrong and "cd" * 32 in wrong
+    assert check("sweep", 2, digest) == 1
+    assert check("blocks", 1, digest) == 1
 
 
-def test_check_plan_digest_reads_a_run_of_the_benchmark(tmp_path):
-    # the line formats the check parses are those perfbench/run.py prints
+def test_check_plan_digest_reads_a_run_of_the_benchmark():
+    # the record perfbench/run.py writes carries what the check reads, and
+    # its seed-1 blocks plans equal the newest committed BENCH file's
     done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
                            "blocks", "--seed", "1", "--seconds", "0.3", "--trace", "0"],
                           capture_output=True, text=True, timeout=300, cwd=ROOT)
     assert done.returncode == 0, done.stderr
-    run = tmp_path / "run.out"
-    run.write_text(done.stdout)
-    assert _run("check_plan_digest.py", run).returncode == 0
+    assert _run("check_plan_digest.py",
+                ROOT / ".perfbench-out" / "blocks-seed1-trace0.json").returncode == 0
