@@ -31,7 +31,10 @@ are:
 - the fault-placement search by fault count (`placement_by_faults`): cold
   `optimal_configuration` calls, each after `clear_cm_cache()`, on solid
   w x w blocks, w = 4, 5, 6, with 1, 2 and 3 unit faults at cells drawn by
-  `random.Random(5).sample`.
+  `random.Random(5).sample`, and on a random 40-unit polyomino, grown cell
+  by cell from the origin by `numpy.random.default_rng(1040)` as
+  `tests/helpers.random_connected_cells` grows one, with 4 faults at cells
+  drawn by `random.Random(1).sample`: unit, rotor 1, unit, rotor 3.
 The other layer timings are not recorded: they wait for per-plan statistics
 in the library.
 """
@@ -62,6 +65,8 @@ RIGID_SIDE, RIGID_DENSITY, RIGID_SEED = 12, 0.1, 2
 ASSIGN_SIZES, ASSIGN_COSTS, ASSIGN_SEED = ((3, 6), (10, 12), (20, 20), (30, 30)), (1, 30), 3
 # the placement blocks: widths, unit-fault counts and the seed of the fault cells
 PLACEMENT_WIDTHS, PLACEMENT_FAULTS, PLACEMENT_SEED = (4, 5, 6), (1, 2, 3), 5
+# the random placement footprint: its size, the seed of its growth and of its fault cells
+RANDOM_UNITS, RANDOM_SEED, RANDOM_FAULT_SEED = 40, 1040, 1
 
 
 def run_once(workload: str, seed: int, seconds: float) -> dict:
@@ -204,8 +209,9 @@ def assign_by_size() -> list[dict]:
 def placement_by_faults() -> list[dict]:
     """Median scaled seconds of cold placement searches per block and fault count."""
     _import_library()
+    import numpy as np
     from marsplan.controllability import clear_cm_cache
-    from marsplan.model import UNIT_FAULT, Cell, Configuration
+    from marsplan.model import UNIT_FAULT, Cell, Configuration, rotor_fault
     from marsplan.vmcs import optimal_configuration
 
     def cold(config):
@@ -222,6 +228,18 @@ def placement_by_faults() -> list[dict]:
             config = Configuration.from_cells(cells, dict.fromkeys(faults, UNIT_FAULT))
             cases.append(({"block": f"{w}x{w}", "faults": count,
                            "fault_cells": [[c.x, c.y] for c in faults]}, cold(config)))
+    rng = np.random.default_rng(RANDOM_SEED)
+    grown = {Cell(0, 0)}
+    while len(grown) < RANDOM_UNITS:
+        base = sorted(grown)[rng.integers(len(grown))]
+        grown.add(base.neighbors4()[rng.integers(4)])
+    cells = sorted(grown)
+    faults = random.Random(RANDOM_FAULT_SEED).sample(cells, 4)
+    states = (UNIT_FAULT, rotor_fault(1), UNIT_FAULT, rotor_fault(3))
+    config = Configuration.from_cells(cells, dict(zip(faults, states)))
+    cases.append(({"block": f"random n={RANDOM_UNITS}", "faults": len(faults),
+                   "fault_cells": [[c.x, c.y] for c in faults],
+                   "fault_states": ["unit", "rotor 1", "unit", "rotor 3"]}, cold(config)))
     return _timed(cases)
 
 
@@ -265,6 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         "git_dirty": None if status is None else bool(status),
         "env": env,
         "layer_timings": "kernel_by_m, astar_by_arena, assign_by_size and placement_by_faults "
+                         "(solid blocks and one random 40-unit footprint with 4 faults) "
                          "only: the support search by k and the per-phase times are not "
                          "recorded yet",
         "kernel_by_m": kernel_by_m(),

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -477,10 +477,25 @@ def _symmetric_key(canonical: tuple[tuple[int, int, FaultState], ...],
 # (value, exact): only a value more than 1e-9 below the floor it was asked
 # with can be a bound.
 _CM_CACHE: dict[tuple, tuple[float, bool]] = {}
+# The answers of the searches built on these margins (vmcs's fault placement
+# and support search) under their exact arguments, which a replan of the same
+# start under other weights or another relocation rule asks again.
+_SEARCHES: dict[tuple, Any] = {}
 
 
 def clear_cm_cache() -> None:
+    """Forget every cached margin and every memoized search answer, so the
+    next plan runs cold; warm replans reuse both."""
     _CM_CACHE.clear()
+    _SEARCHES.clear()
+
+
+def memoized(key: tuple, compute: Callable[[], Any]) -> Any:
+    """compute(), stored under `key` until clear_cm_cache(); a compute that
+    raises stores nothing. The value is shared, so it should be immutable."""
+    if key not in _SEARCHES:
+        _SEARCHES[key] = compute()
+    return _SEARCHES[key]
 
 
 def _answers(entry: tuple[float, bool] | None, floor: float) -> bool:

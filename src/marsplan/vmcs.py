@@ -12,6 +12,11 @@ the system margin (ties broken toward the lexicographically smallest faulty
 cell set). Both searches skip by one rule, controllability.margin_ceiling:
 a support size whose ceiling lies below the floor goes unranked, and a
 placement whose ceiling cannot beat the best margin so far unbuilt.
+
+Neither search reads the donor and path weights or the relocation rule, so
+both answers are memoized under their exact arguments with the margin cache
+(controllability.memoized): a warm replan of the same start reuses both,
+and clear_cm_cache() makes the next plan search again.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .controllability import (
@@ -28,6 +33,7 @@ from .controllability import (
     cached_subassembly_cm,
     faulty_cm,
     margin_ceiling,
+    memoized,
     system_cm,
 )
 from .errors import VmcsSearchError
@@ -116,8 +122,17 @@ def smallest_supports(faults: Mapping[Cell, FaultState], params: PhysicalParams,
 
     A size is skipped, with no enumeration and no kernel call, when the
     margin_ceiling of its |faults| + k units lies below epsilon: no shape of
-    that size could have reached it.
+    that size could have reached it. The answer is memoized under the exact
+    arguments until clear_cm_cache(); each call returns a list of its own.
     """
+    k, ranked = memoized((params, frozenset(faults.items()), max_normal_units, epsilon),
+                         lambda: _smallest_supports(faults, params, max_normal_units, epsilon))
+    return k, list(ranked)
+
+
+def _smallest_supports(faults: Mapping[Cell, FaultState], params: PhysicalParams,
+                       max_normal_units: int, epsilon: float,
+                       ) -> tuple[int, tuple[tuple[frozenset[Cell], float], ...]]:
     for cell, state in faults.items():
         if not state.is_faulty:
             raise ValueError(f"{cell} is not faulty")
@@ -125,7 +140,7 @@ def smallest_supports(faults: Mapping[Cell, FaultState], params: PhysicalParams,
         if margin_ceiling(len(faults) + k, faults.values(), params) < epsilon:
             continue
         if ranked := ranked_support_shapes(faults, k, params, epsilon):
-            return k, ranked
+            return k, tuple(ranked)
     raise VmcsSearchError(
         f"no controllable support with up to {max_normal_units} normal units",
         faults=tuple(sorted(faults)),
@@ -176,31 +191,48 @@ def optimal_configuration(config: Configuration, params: PhysicalParams = DEFAUL
     faults rounds to at most the best rounded margin: it could not have
     beaten the best, and every candidate that could is still evaluated with
     the same floor, so the winner and its margin are the same as without
-    the skip.
+    the skip. The loop ends once the best reaches the largest such ceiling
+    over every spread of the faults across the components, since every
+    later candidate would be skipped. The answer is memoized under the
+    exact arguments until clear_cm_cache().
     """
+    return memoized((params, config), lambda: _best_placement(config, params))
+
+
+def _best_placement(config: Configuration, params: PhysicalParams) -> TargetConfiguration:
     fault_states = sorted(s for _, s in config.items() if s.is_faulty)
     if not fault_states:
         return TargetConfiguration(config, float("inf"))
     cells = config.cells
     components = connected_components(cells)     # of the configuration's own Cells
     component_of = {c: i for i, comp in enumerate(components) for c in comp}
+
+    def ceiling(spread: Iterable[tuple[int, FaultState]]) -> float:
+        # the rounded least margin_ceiling of the components holding these (component, state) pairs
+        held: dict[int, list[FaultState]] = {}
+        for i, state in spread:
+            held.setdefault(i, []).append(state)
+        return round(min(margin_ceiling(len(components[i]), states, params) for i, states in held.items()),
+                     _TIE_DECIMALS)
+
+    # a ceiling reads a component's size alone: spreads over the first few of each size reach all
+    pool = [i for i, comp in enumerate(components)
+            if sum(len(c) == len(comp) for c in components[:i]) < len(fault_states)]
+    cap = max(ceiling(zip(spread, fault_states)) for spread in product(pool, repeat=len(fault_states)))
     distinct_orders = sorted(set(permutations(fault_states)))
     # (rounded cm, cm, placement); the first candidate beats the -inf start
     best: tuple[float, float, dict[Cell, FaultState]] = (-math.inf, -math.inf, {})
-    for combo in combinations(cells, len(fault_states)):
-        for order in distinct_orders:
-            placement = dict(zip(combo, order))
-            held: dict[int, list[FaultState]] = {}
-            for cell, state in placement.items():
-                held.setdefault(component_of[cell], []).append(state)
-            ceiling = min(margin_ceiling(len(components[i]), states, params) for i, states in held.items())
-            if round(ceiling, _TIE_DECIMALS) <= best[0]:
-                continue
-            subs = (Subassembly._of_cells(tuple((c, placement.get(c, HEALTHY)) for c in comp))
-                    for comp in components)
-            cm = faulty_cm(subs, params, best[0])
-            if round(cm, _TIE_DECIMALS) > best[0]:
-                best = (round(cm, _TIE_DECIMALS), cm, placement)
+    for placement in (dict(zip(combo, order)) for combo in combinations(cells, len(fault_states))
+                      for order in distinct_orders):
+        if ceiling((component_of[c], s) for c, s in placement.items()) <= best[0]:
+            continue
+        subs = (Subassembly._of_cells(tuple((c, placement.get(c, HEALTHY)) for c in comp))
+                for comp in components)
+        cm = faulty_cm(subs, params, best[0])
+        if round(cm, _TIE_DECIMALS) > best[0]:
+            best = (round(cm, _TIE_DECIMALS), cm, placement)
+            if best[0] >= cap:
+                break
     return TargetConfiguration(Configuration.from_cells(cells, best[2]), best[1])
 
 

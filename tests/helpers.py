@@ -21,7 +21,8 @@ margin and then by sorted cells; they take margins from the library's cache.
 The lexicographic assignment's reference is the library's earlier
 refinement, which re-solved sub-assignments with the library's Hungarian
 solve row by row; it is exact on integer costs, where brute force is out of
-reach.
+reach. The placement search's reference is the library's earlier loop,
+which visited every candidate; it asks the library's margin cache.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from marsplan.controllability import (
     WrenchZonotope,
     build_zonotope,
     cached_subassembly_cm,
+    faulty_cm,
     gravity_wrench,
+    margin_ceiling,
     system_cm,
 )
 from marsplan.model import (
@@ -52,6 +55,7 @@ from marsplan.model import (
     Configuration,
     FaultState,
     Subassembly,
+    connected_components,
     is_connected,
     partition,
     rotor_fault,
@@ -689,3 +693,28 @@ def reference_connected_components(cells) -> list[tuple[Cell, ...]]:
                     queue.append(nb)
         comps.append(tuple(sorted(comp)))
     return comps
+
+
+def reference_optimal_configuration(config: Configuration, params: PhysicalParams,
+                                    ) -> tuple[Configuration, float]:
+    """`vmcs.optimal_configuration` as it was before it stopped at its
+    ceiling: every candidate is visited and skipped by its own ceiling."""
+    fault_states = sorted(s for _, s in config.items() if s.is_faulty)
+    cells = config.cells
+    components = connected_components(cells)
+    component_of = {c: i for i, comp in enumerate(components) for c in comp}
+    best = (-math.inf, -math.inf, {})
+    for combo in combinations(cells, len(fault_states)):
+        for order in sorted(set(permutations(fault_states))):
+            placement = dict(zip(combo, order))
+            held: dict[int, list[FaultState]] = {}
+            for cell, state in placement.items():
+                held.setdefault(component_of[cell], []).append(state)
+            ceiling = min(margin_ceiling(len(components[i]), states, params) for i, states in held.items())
+            if round(ceiling, 9) <= best[0]:
+                continue
+            subs = (Subassembly(tuple((c, placement.get(c, HEALTHY)) for c in comp)) for comp in components)
+            cm = faulty_cm(subs, params, best[0])
+            if round(cm, 9) > best[0]:
+                best = (round(cm, 9), cm, placement)
+    return Configuration.from_cells(cells, best[2]), best[1]

@@ -20,7 +20,7 @@ from marsplan.controllability import (
     yaw_authority_bound,
 )
 from marsplan.errors import VmcsSearchError
-from marsplan.io import load_scenario
+from marsplan.io import document_to_bytes, load_scenario, plan_to_document
 from marsplan.model import (
     UNIT_FAULT,
     Cell,
@@ -29,6 +29,7 @@ from marsplan.model import (
     rotor_fault,
 )
 from marsplan.paths import arena_around
+from marsplan.planner import plan
 from marsplan.vmcs import (
     best_first,
     enumerate_connected_shapes,
@@ -46,6 +47,7 @@ from helpers import (
     random_fault_states,
     ranked_donors,
     reference_enumerate_connected_shapes,
+    reference_optimal_configuration,
     reference_ranked_support_shapes,
     row_scenario,
 )
@@ -418,6 +420,7 @@ def test_placement_search_splits_the_footprint_once(monkeypatch):
                                      {Cell(3, 1): UNIT_FAULT, Cell(0, 0): rotor_fault(2)})
     configs = [load_scenario(path).config for path in sorted(SCENARIOS.glob("*.json"))]
     for cfg in [split, *configs]:
+        clear_cm_cache()     # a memoized answer runs no search
         calls.clear()
         optimal_configuration(cfg)
         assert calls == ["connected_components"]
@@ -513,6 +516,110 @@ def test_optimal_configuration_of_fault_free_assembly_is_identity():
     cfg = Configuration.from_cells([Cell(0, 0), Cell(1, 0)])
     tc = optimal_configuration(cfg)
     assert tc.config == cfg and tc.cm == math.inf
+
+
+def test_the_placement_search_stops_at_its_ceiling_with_the_full_loops_answer(monkeypatch):
+    # Seeded footprints of one, two or three components (each further one a
+    # free column right of the last) with 1-3 unit or rotor faults: the
+    # search that stops once the best reaches the largest ceiling over every
+    # spread of the faults across the components returns the full loop's
+    # winner, the same bits of its margin, with the same kernel calls.
+    rng = np.random.default_rng(37)
+    kernel = _count_kernel_calls(monkeypatch)
+    ceilings = []
+    original = vmcs.margin_ceiling
+    monkeypatch.setattr(vmcs, "margin_ceiling", lambda *args: ceilings.append(1) or original(*args))
+    stopped = 0
+    for case in range(36):
+        cells = random_connected_cells(rng, int(rng.integers(3, 8)))
+        for _ in range(case % 3):
+            more = random_connected_cells(rng, int(rng.integers(1, 5)))
+            gap = max(c.x for c in cells) + 2 - min(c.x for c in more)
+            cells += [c + (gap, 0) for c in more]
+        cfg = Configuration.from_cells(cells, random_fault_states(rng, cells, int(rng.integers(1, 4))))
+        clear_cm_cache()
+        kernel.clear()
+        want = reference_optimal_configuration(cfg, DEFAULT_PARAMS)
+        want_calls = len(kernel)
+        clear_cm_cache()
+        kernel.clear()
+        ceilings.clear()
+        got = optimal_configuration(cfg)
+        assert (got.config, got.cm.hex(), len(kernel)) == (want[0], want[1].hex(), want_calls)
+        states = [s for _, s in cfg.items() if s.is_faulty]
+        candidates = math.comb(len(cells), len(states)) * len(set(permutations(states)))
+        stopped += len(ceilings) < candidates
+    assert stopped
+
+
+def _count_search_calls(monkeypatch):
+    """Calls of the shape enumeration, of the placement loop's margin
+    queries and of the ceiling both searches skip by, by name."""
+    calls = []
+    for name in ("enumerate_connected_shapes", "faulty_cm", "margin_ceiling"):
+        original = getattr(vmcs, name)
+        monkeypatch.setattr(vmcs, name, lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    return calls
+
+
+def test_a_warm_replan_runs_neither_search_and_plans_the_same_bytes(monkeypatch):
+    # Each bundled scenario planned once, then under c1 in {2, 4} and the
+    # relocation rule on and off: the weights and the rule change neither
+    # search's arguments, so the replans run neither, and each document is
+    # the one a cold plan writes. After clear_cm_cache() both run again.
+    variants = [(c1, rule) for c1 in (2.0, 4.0) for rule in (True, False)]
+
+    def document(scenario, c1, rule):
+        settings = {**scenario.settings(), "c1": c1, "relocation_rule": rule}
+        result = plan(scenario.config, scenario.params, **settings)
+        return document_to_bytes(plan_to_document(result, scenario.config, scenario.name))
+
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario = load_scenario(path)
+        cold = {}
+        for c1, rule in variants:
+            clear_cm_cache()
+            cold[c1, rule] = document(scenario, c1, rule)
+        clear_cm_cache()
+        plan(scenario.config, scenario.params, **scenario.settings())
+        calls = _count_search_calls(monkeypatch)
+        warm = {(c1, rule): document(scenario, c1, rule) for c1, rule in variants}
+        assert calls == [] and warm == cold, path.stem
+        clear_cm_cache()
+        plan(scenario.config, scenario.params, **scenario.settings())
+        assert {"faulty_cm", "margin_ceiling"} <= set(calls), path.stem
+        monkeypatch.undo()
+
+
+def test_a_returned_ranked_list_is_the_callers_own():
+    faults = {Cell(0, 0): UNIT_FAULT}
+    clear_cm_cache()
+    k, ranked = smallest_supports(faults, DEFAULT_PARAMS, 16, 0.0)
+    want = (k, list(ranked))
+    ranked.reverse()
+    ranked.append((frozenset([Cell(0, 0)]), 1.0))
+    assert smallest_supports(faults, DEFAULT_PARAMS, 16, 0.0) == want
+    assert identify_vmcs(faults).footprint == (Cell(0, 0), Cell(0, 1), Cell(0, 2))
+
+
+def test_a_search_that_raises_memoizes_nothing(monkeypatch):
+    calls = _count_search_calls(monkeypatch)
+    clear_cm_cache()
+    for _ in range(2):
+        calls.clear()
+        with pytest.raises(VmcsSearchError):
+            smallest_supports({Cell(0, 0): UNIT_FAULT}, DEFAULT_PARAMS, 1, 0.0)
+        assert calls.count("margin_ceiling") == 2      # k = 0 and k = 1, asked again
+    key = ("a key",)
+
+    def failing():
+        raise RuntimeError
+
+    with pytest.raises(RuntimeError):
+        controllability.memoized(key, failing)
+    assert controllability.memoized(key, lambda: 3) == 3
+    assert controllability.memoized(key, failing) == 3
 
 
 # -- best_first -------------------------------------------------------------------------
