@@ -6,13 +6,14 @@ Run from anywhere in a checkout:
     python3 scripts/bench.py --label mylabel --seeds 1 2 3 4 5 --seconds 6
 
 Each (workload, seed) runs `perfbench/run.py --trace 0` of the same checkout
-once, one after another, and must report `correct`. The file records, per
-workload, the plan digest of each seed and, for every end-to-end metric, its
-value per seed, median, quartiles (inclusive method) and unit, plus the first
-run's environment and the checkout's git commit. A plan digest hashes a
-pass's documents in the case order the seed draws, so it differs between
-seeds; two files made with the same seeds compare seed by seed, and equal
-digests mean byte-identical plans.
+once, one after another, and must exit 0 with no `problems` in the record it
+writes, `.perfbench-out/<workload>-seed<S>-trace0.json`. From those records
+the file takes, per workload, the plan digest of each seed and, for every
+end-to-end metric, its value per seed, median, quartiles (inclusive method)
+and unit, plus the first run's environment and the checkout's git commit.
+A plan digest hashes a pass's documents in the case order the seed draws,
+so it differs between seeds; two files made with the same seeds compare
+seed by seed, and equal digests mean byte-identical plans.
 
 The file also times four layers, each as the median of repeated calls,
 scaled by the speed probe of `perfbench/speed.py` as the end-to-end times
@@ -53,8 +54,6 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("bundled", "fuzz", "blocks", "sweep")
-_DIGEST = "# plan digest "
-_ENV = "# env "
 # layer timing: per block or arena at least MIN_CALLS calls and more while
 # they take under LAYER_SECONDS, up to MAX_CALLS
 KERNEL_WIDTHS = range(1, 8)
@@ -70,20 +69,17 @@ RANDOM_UNITS, RANDOM_SEED, RANDOM_FAULT_SEED = 40, 1040, 1
 
 
 def run_once(workload: str, seed: int, seconds: float) -> dict:
-    """The digest, environment and end-to-end metrics of one benchmark run."""
+    """The digest, environment and end-to-end metrics of one benchmark run,
+    read from the record the run writes."""
+    record_path = ROOT / ".perfbench-out" / f"{workload}-seed{seed}-trace0.json"
+    record_path.unlink(missing_ok=True)     # so a failed run cannot leave an older record
     done = subprocess.run([sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
                           cwd=ROOT, capture_output=True, text=True)
-    lines = done.stdout.splitlines()
-    try:
-        result = json.loads(lines[-1])
-    except (IndexError, ValueError):
-        raise SystemExit(f"{workload} seed {seed}: no result line\n{done.stderr}") from None
-    if done.returncode != 0 or not result.get("correct"):
+    record = json.loads(record_path.read_text()) if done.returncode == 0 else None
+    if record is None or record["problems"]:
         raise SystemExit(f"{workload} seed {seed}: run not correct\n{done.stdout}{done.stderr}")
-    digest = next(line[len(_DIGEST):] for line in lines if line.startswith(_DIGEST))
-    env = json.loads(next(line[len(_ENV):] for line in lines if line.startswith(_ENV)))
-    return {"digest": digest, "env": env, "metrics": result["metrics"]}
+    return {"digest": record["plan_digest"], "env": record["env"], "metrics": record["metrics"]}
 
 
 def summary(values: list[float], unit: str) -> dict:

@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .model import Configuration, FaultKind, FaultState, Subassembly, partition
+from .model import Configuration, FaultKind, FaultState, Subassembly, partition, require_number
 
 # Rotor slots sit on the diagonals of each unit (X layout). Slot i is offset
 # arm_offset * ROTOR_DIAGONALS[i] from the unit center; opposite corners spin
@@ -33,7 +33,14 @@ ROTOR_DIAGONALS: tuple[tuple[int, int], ...] = ((1, 1), (-1, 1), (-1, -1), (1, -
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Physical constants of one module and of the grid they assemble on."""
+    """Physical constants of one module and of the grid they assemble on.
+
+    Only what a plan document carries is accepted: each number must pass
+    `require_number` and be positive, and is stored as a float, so params
+    written and read back are equal; `spin` must be four exact ints, two +1
+    and two -1; and `2 * arm_offset < module_pitch`. Else ValueError, or
+    TypeError for a bool, a non-number or a numpy scalar other than float64.
+    """
 
     unit_mass: float = 0.032          # kg
     module_pitch: float = 0.15        # m, grid spacing between unit centers
@@ -44,14 +51,18 @@ class PhysicalParams:
     spin: tuple[int, int, int, int] = (1, -1, 1, -1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "spin", tuple(self.spin))   # hashable, as the margin caches key on params
         for name in ("unit_mass", "module_pitch", "arm_offset", "rotor_thrust_max", "yaw_torque_coeff", "gravity"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+            value = getattr(self, name)
+            require_number(value, f"params.{name}")
+            if value <= 0:
+                raise ValueError(f"params.{name} must be positive")
+            object.__setattr__(self, name, float(value))
         if 2 * self.arm_offset >= self.module_pitch:
             raise ValueError("rotors of neighboring units would overlap: need 2*arm_offset < module_pitch")
-        if sorted(self.spin) != [-1, -1, 1, 1]:
-            raise ValueError("spin layout must contain exactly two +1 and two -1 rotors")
+        if (type(self.spin) not in (list, tuple) or not all(type(v) is int for v in self.spin)
+                or sorted(self.spin) != [-1, -1, 1, 1]):
+            raise ValueError(f"params.spin must be four ints, two +1 and two -1, got {self.spin!r}")
+        object.__setattr__(self, "spin", tuple(self.spin))   # hashable, as the margin caches key on params
 
 
 DEFAULT_PARAMS = PhysicalParams()

@@ -36,15 +36,7 @@ from typing import Any, Collection
 
 from .controllability import DEFAULT_PARAMS, PhysicalParams, system_cm
 from .errors import PlanningError, ScenarioError
-from .model import (
-    UNIT_FAULT,
-    Cell,
-    Configuration,
-    FaultKind,
-    FaultState,
-    require_number,
-    rotor_fault,
-)
+from .model import Cell, Configuration, FaultKind, FaultState, require_number
 from .paths import GridPath
 from .planner import DEFAULT_EPSILON, Phase, Plan, PlanStep, StepKind, validate_plan
 from .vmcs import TargetConfiguration
@@ -146,19 +138,16 @@ def _parse_cell(raw: Any, where: str) -> Cell:
 
 
 def _parse_fault(raw: Any, where: str) -> tuple[Cell, FaultState]:
+    """A fault entry's cell and state; `FaultState` checks `rotor_index`."""
     raw = _object(raw, _FAULT_KEYS, where, ("cell",))
     cell = _parse_cell(raw["cell"], f"{where}.cell")
     kind = raw.get("kind")
-    if kind == "unit":
-        if "rotor_index" in raw:
-            raise ScenarioError(f"key 'rotor_index' is not valid for a unit fault in {where}")
-        return cell, UNIT_FAULT
-    if kind == "rotor":
-        idx = raw.get("rotor_index")
-        if not isinstance(idx, int) or isinstance(idx, bool) or idx not in (0, 1, 2, 3):
-            raise ScenarioError(f"{where}.rotor_index must be an integer in 0..3")
-        return cell, rotor_fault(idx)
-    raise ScenarioError(f"{where}.kind must be 'unit' or 'rotor', got {kind!r}")
+    if kind not in ("unit", "rotor"):
+        raise ScenarioError(f"{where}.kind must be 'unit' or 'rotor', got {kind!r}")
+    try:
+        return cell, FaultState(FaultKind(kind), raw.get("rotor_index"))
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 def _parse_config(data: dict, prefix: str) -> Configuration:
@@ -188,20 +177,12 @@ def _parse_config(data: dict, prefix: str) -> Configuration:
 
 
 def parse_params(raw: Any, base: PhysicalParams = DEFAULT_PARAMS) -> PhysicalParams:
-    """`base` with the physical-parameter overrides of the params object `raw`."""
+    """`base` with the physical-parameter overrides of the params object `raw`;
+    an unknown key or a value PhysicalParams refuses raises ScenarioError."""
     raw = _object(raw, _PARAM_KEYS, "'params'")
-    overrides: dict[str, Any] = {}
     try:
-        for key, value in raw.items():
-            if key == "spin":
-                if (not isinstance(value, (list, tuple)) or len(value) != 4
-                        or not all(type(v) is int and v in (1, -1) for v in value)):
-                    raise ScenarioError("params.spin must be four entries of +1/-1")
-                overrides[key] = tuple(value)
-            else:
-                overrides[key] = _number(value, f"params.{key}")
-        return dataclasses.replace(base, **overrides)
-    except ValueError as exc:     # a ScenarioError is a ValueError
+        return dataclasses.replace(base, **raw)
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid params: {exc}") from None
 
 

@@ -66,17 +66,23 @@ class FaultState:
     A rotor fault names which of the four rotors is lost; a unit fault stops
     all four rotors but the unit keeps its mass and stays attached. States
     sort healthy first, then rotor faults by rotor, then the unit fault.
+
+    Only what a plan document carries is a state: `kind` must be a FaultKind,
+    not a string (else TypeError), and `rotor_index` an exact int in 0..3 for
+    a rotor fault, None otherwise (else ValueError).
     """
 
     kind: FaultKind = FaultKind.HEALTHY
     rotor_index: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, FaultKind):
+            raise TypeError(f"kind must be a FaultKind, got {self.kind!r}")
         if self.kind is FaultKind.ROTOR:
-            if self.rotor_index not in (0, 1, 2, 3):
-                raise ValueError(f"rotor fault needs rotor_index in 0..3, got {self.rotor_index}")
+            if type(self.rotor_index) is not int or not 0 <= self.rotor_index <= 3:
+                raise ValueError(f"a rotor fault needs an int rotor_index in 0..3, got {self.rotor_index!r}")
         elif self.rotor_index is not None:
-            raise ValueError(f"rotor_index only valid for rotor faults, got {self.rotor_index}")
+            raise ValueError(f"rotor_index is not valid for a {self.kind.value} fault state")
 
     @property
     def is_faulty(self) -> bool:

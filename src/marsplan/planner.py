@@ -553,15 +553,15 @@ class _Pipeline:
 def validate_plan(start: Configuration, plan: Plan) -> Configuration:
     """Re-simulate a plan; returns the final configuration.
 
-    Reads `plan.steps`, `plan.params` and `plan.epsilon`, which must be
-    finite (else ValueError). A step that fails `step_verdict` in
+    Reads `plan.steps`, `plan.params` and `plan.epsilon`, which must pass
+    `require_number`: TypeError for a bool or a non-number, ValueError
+    unless finite. A step that fails `step_verdict` in
     `arena_around(start)` raises SafetyViolationError naming the `cause`.
     Only what the plan records is checked here, each mismatch a
     PlanningError: the path starts at the smallest moved cell, and the step
     ends in its recorded post_config with its margin to six decimals.
     """
-    if not math.isfinite(plan.epsilon):
-        raise ValueError(f"plan epsilon must be finite, got {plan.epsilon}")
+    require_number(plan.epsilon, "plan epsilon")
     work = start
     arena = arena_around(start.cells)
     for idx, step in enumerate(plan.steps):

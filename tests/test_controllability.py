@@ -116,6 +116,19 @@ def test_params_validation():
         PhysicalParams(spin=(1, 1, 1, -1))
 
 
+@pytest.mark.parametrize("fields,error", [
+    ({"spin": (True, -1, 1, -1)}, ValueError),
+    ({"spin": [1.0, -1, 1, -1]}, ValueError),
+    ({"spin": (np.int64(1), -1, 1, -1)}, ValueError),
+    ({"unit_mass": True}, TypeError),
+    ({"gravity": np.float32(9.81)}, TypeError),
+    ({"gravity": 10**400}, ValueError),
+], ids=["bool-spin", "float-spin", "numpy-spin", "bool-mass", "float32-gravity", "huge-gravity"])
+def test_params_refuse_what_a_plan_document_cannot_carry(fields, error):
+    with pytest.raises(error):
+        PhysicalParams(**fields)
+
+
 def test_params_are_hashable_value_objects():
     assert hash(PhysicalParams()) == hash(DEFAULT_PARAMS)
     assert PhysicalParams(unit_mass=0.05) != DEFAULT_PARAMS

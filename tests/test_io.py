@@ -5,6 +5,7 @@ import enum
 import hashlib
 import importlib
 import importlib.util
+import itertools
 import json
 import math
 import re
@@ -12,13 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import marsplan
 from marsplan import cli
 from marsplan.cli import main
-from marsplan.controllability import DEFAULT_PARAMS, clear_cm_cache, system_cm
+from marsplan.controllability import DEFAULT_PARAMS, PhysicalParams, clear_cm_cache, system_cm
 from marsplan.errors import PlanningError, SafetyViolationError, ScenarioError
 from marsplan.io import (
     config_from_json,
@@ -26,6 +27,7 @@ from marsplan.io import (
     document_to_bytes,
     load_scenario,
     params_to_json,
+    parse_params,
     parse_scenario,
     plan_to_document,
     replay_document,
@@ -33,7 +35,7 @@ from marsplan.io import (
     step_to_json,
     write_cm_trace,
 )
-from marsplan.model import UNIT_FAULT, Cell, Configuration, FaultKind, rotor_fault
+from marsplan.model import HEALTHY, UNIT_FAULT, Cell, Configuration, FaultKind, FaultState, rotor_fault
 from marsplan.paths import arena_around, astar_unit
 from marsplan.planner import Phase, PlanStep, StepKind, plan
 from marsplan.render import render_plan_svgs
@@ -146,6 +148,10 @@ def test_full_scenario_parses():
         ({"cells": [[0, 0]], "weights": {"c1": 10**400}}, "weights.c1"),
         ({"cells": [[0, 0]], "params": {"gravity": 10**400}}, "params.gravity"),
         ({"cells": [[0, 0]], "weights": {"epsilon": -(10**309)}}, "weights.epsilon"),
+        # FaultState's own rule: an exact int index, and only a unit or rotor fault
+        ({"cells": [[0, 0]], "faults": [{"cell": [0, 0], "kind": "rotor", "rotor_index": 1.0}]},
+         "rotor_index"),
+        ({"cells": [[0, 0]], "faults": [{"cell": [0, 0], "kind": "healthy"}]}, "'unit' or 'rotor'"),
     ],
 )
 def test_scenario_rejections_name_the_problem(data, fragment):
@@ -202,6 +208,38 @@ def test_params_to_json_lists_every_field():
         "unit_mass", "module_pitch", "arm_offset", "rotor_thrust_max",
         "yaw_torque_coeff", "gravity", "spin",
     }
+
+
+_PARAM_NUMBERS = st.one_of(st.integers(1, 1000), st.floats(1e-4, 1e3),
+                          st.floats(1e-4, 1e3).map(np.float64))
+_NUMBER_FIELDS = [f.name for f in dataclasses.fields(PhysicalParams) if f.name != "spin"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({name: _PARAM_NUMBERS for name in _NUMBER_FIELDS}),
+       st.sampled_from(sorted(set(itertools.permutations((1, 1, -1, -1))))))
+def test_params_the_type_accepts_read_back_equal(fields, spin):
+    assume(2 * fields["arm_offset"] < fields["module_pitch"])
+    params = PhysicalParams(**fields, spin=spin)
+    written = document_to_bytes(params_to_json(params))
+    read = parse_params(json.loads(written))
+    assert read == params
+    assert document_to_bytes(params_to_json(read)) == written
+
+
+def test_fault_states_the_type_accepts_read_back_equal():
+    accepted = []
+    for kind, rotor_index in itertools.product(
+            [*FaultKind, *(kind.value for kind in FaultKind)],
+            [None, -1, 0, 1, 2, 3, 4, True, False, 1.0, np.int64(1)]):
+        try:
+            state = FaultState(kind, rotor_index)
+        except (TypeError, ValueError):
+            continue
+        accepted.append(state)
+        config = Configuration.from_cells([Cell(0, 0), Cell(1, 0)], {Cell(1, 0): state})
+        assert config_from_json(json.loads(document_to_bytes(config_to_json(config)))) == config
+    assert sorted(accepted) == [HEALTHY, *map(rotor_fault, range(4)), UNIT_FAULT]
 
 
 # -- plan documents ------------------------------------------------------------------

@@ -91,6 +91,19 @@ def test_fault_state_validation():
         FaultState(FaultKind.UNIT, 1)
 
 
+@pytest.mark.parametrize("make,error", [
+    (lambda: FaultState("healthy"), TypeError),
+    (lambda: rotor_fault(True), ValueError),
+    (lambda: rotor_fault(1.0), ValueError),
+    (lambda: rotor_fault(np.int64(1)), ValueError),
+], ids=["kind-string", "bool-index", "float-index", "numpy-index"])
+def test_fault_state_refuses_what_a_plan_document_cannot_carry(make, error):
+    # no plan document carries these: the reader refuses the first three, and json
+    # cannot write a numpy int
+    with pytest.raises(error):
+        make()
+
+
 # -- Configuration -----------------------------------------------------------
 
 

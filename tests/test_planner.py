@@ -1122,6 +1122,16 @@ def test_validate_plan_rejects_a_non_finite_floor(epsilon):
         validate_plan(start, dataclasses.replace(p, epsilon=epsilon))
 
 
+@pytest.mark.parametrize("epsilon,error", [(10**400, ValueError), (True, TypeError)],
+                         ids=["int-beyond-float", "bool"])
+def test_validate_plan_reads_its_floor_as_plan_does(epsilon, error):
+    # no plan document carries either, and True would read as the floor 1.0
+    start = rect32({Cell(2, 0): UNIT_FAULT})
+    p = plan(start)
+    with pytest.raises(error, match="plan epsilon"):
+        validate_plan(start, dataclasses.replace(p, epsilon=epsilon))
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 2), st.integers(0, 3),
        st.booleans())
 @settings(max_examples=40, deadline=None)
